@@ -21,7 +21,7 @@ from .diskgrid import (DiskGrid, DiskMap, make_grid, mobius_swap, resample,
 from .errors import (HypothesisViolated, InvalidParams,
                      OutsideInterpolationRange, ZeroDerivative)
 from .solver import SolverConfig, cr_residual, derivative_disk
-from .structure import StructureField
+from .structure import ComplexConvention, StructureField
 
 _SCAN_SAMPLES = 64
 _BISECT_TOL = 1e-6
@@ -287,7 +287,6 @@ def dilation_family(grid: DiskGrid, n: int = 1, base: float = 4.0,
                     factor: float = 2.0, count: int = 12):
     """Disks z -> lambda z with geometrically growing lambda, first complex
     component only."""
-    from .structure import ComplexConvention
     conv = ComplexConvention(n)
     direction = np.zeros(2 * n)
     direction[0] = 1.0

@@ -10,10 +10,10 @@ Exit codes: 0 success, 2 config error, 3 solver/check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -24,9 +24,7 @@ from .brody import derivative_ladder_family, dilation_family, extract_line, scal
 from .cauchygreen import cg_apply, cg_build, cg_residual
 from .diskgrid import (DiskMap, eval_interp, make_grid, mobius_swap,
                        poincare_distance, to_csv)
-from .errors import (ConfigError, Diverged, HypothesisViolated, InvalidParams,
-                     NewtonFailed, NoChainFound, OutsideInterpolationRange,
-                     Singular, UnknownName, ZeroDerivative)
+from .errors import ConfigError, InvalidGrid, InvalidParams, JDiskError, UnknownName
 from .kobayashi import (KobayashiOptions, chain_cost, derivative_bound,
                         estimate_distance, pushforward_chain)
 from .solver import SolverConfig, affine_target, derivative_disk, two_point_disk
@@ -34,12 +32,14 @@ from .structure import ComplexConvention, gallery, q_field, validate_structure
 
 _COMMANDS = ("validate", "disk", "distance", "bound", "brody", "selftest")
 
+# solver key -> type of its default, which --cfg values are coerced to
+_SOLVER_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
+
 _SCHEMA = {
     "command": None,
     "structure": {"name", "n", "epsilon", "perturbation", "radius"},
     "grid": {"N", "r"},
-    "solver": {"epsilon", "tol_fixpoint", "max_iter", "tol_newton", "max_newton",
-               "fd_step", "continuation_retries"},
+    "solver": set(_SOLVER_TYPES),
     "params": {"samples", "p", "q", "w", "t", "k_max", "t_grid", "nu",
                "lambda_max", "bisect_tol", "family", "R", "tol", "n_max",
                "residual_cap"},
@@ -98,16 +98,19 @@ def _build_structure(section: dict):
 
 
 def _build_cfg(section: dict) -> SolverConfig:
-    return SolverConfig(**{k: v for k, v in section.items()})
+    return SolverConfig(**section)
 
 
 def _point(value, dim: int) -> np.ndarray:
-    if isinstance(value, str):
-        parts = [float(x) for x in value.split(",")]
-    else:
-        parts = [float(x) for x in value]
+    items = value.split(",") if isinstance(value, str) else value
+    try:
+        parts = [float(x) for x in items]
+    except (TypeError, ValueError):
+        raise ConfigError(f"point {value!r} must be numbers") from None
     if len(parts) != dim:
         raise ConfigError(f"point {value!r} must have {dim} coordinates")
+    if not all(math.isfinite(x) for x in parts):
+        raise ConfigError(f"point {value!r} has non-finite coordinates")
     return np.asarray(parts)
 
 
@@ -176,7 +179,6 @@ def _cmd_disk(config, rng):
         "residual": sol.residual,
         "iterations": sol.iterations,
         "newton_steps": sol.newton_steps,
-        "epsilon_used": sol.epsilon_used,
         "endpoints": endpoint,
     }
     csv_path = config["output"].get("csv")
@@ -427,17 +429,15 @@ def run(config: dict):
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "thread_cap": os.environ.get("JDISK_THREADS", "unset"),
     }
     try:
         results, code = _DISPATCH[config["command"]](config, rng)
         report["results"] = _jsonify(results)
-    except (Diverged, NewtonFailed, NoChainFound, Singular, HypothesisViolated,
-            OutsideInterpolationRange, ZeroDerivative) as exc:
+    except (ConfigError, InvalidGrid, InvalidParams, UnknownName) as exc:
+        raise ConfigError(str(exc)) from exc
+    except JDiskError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 3
-    except (UnknownName, InvalidParams) as exc:
-        raise ConfigError(str(exc)) from exc
     report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return code, report
 
@@ -506,7 +506,11 @@ def _config_from_args(args) -> dict:
         if "=" not in item:
             raise ConfigError(f"--cfg expects KEY=VALUE, got {item!r}")
         key, val = item.split("=", 1)
-        solver[key] = float(val) if "." in val or "e" in val.lower() else int(val)
+        kind = _SOLVER_TYPES.get(key, str)   # an unknown key fails the schema check
+        try:
+            solver[key] = kind(val)
+        except ValueError:
+            raise ConfigError(f"--cfg {key} expects {kind.__name__}, got {val!r}") from None
     cfg = {
         "command": args.command,
         "structure": {"name": args.structure, "n": args.n, "epsilon": args.epsilon,

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diskgrid import DiskGrid, DiskMap, eval_interp, make_grid, poincare_distance
-from .errors import (Diverged, InvalidChain, NewtonFailed, NoChainFound,
-                     NotHolomorphicMap, Singular)
+from .errors import (Diverged, InvalidChain, InvalidParams, NewtonFailed,
+                     NoChainFound, NotHolomorphicMap, Singular)
 from .solver import DiskSolution, SolverConfig, cr_residual, derivative_disk, two_point_disk
 from .structure import DomainDescriptor, StructureField
 
@@ -197,8 +197,7 @@ def pushforward_chain(chain: Chain, f, J_target: StructureField,
         if resid > residual_tol:
             raise NotHolomorphicMap(
                 f"composed link {i} has residual {resid:.3e} > {residual_tol:.1e}")
-        sol = DiskSolution(None, v_new, resid, link.disk.iterations,
-                           link.disk.epsilon_used)
+        sol = DiskSolution(v_new, resid, link.disk.iterations)
         src = np.asarray(f(link.src[None, :]))[0]
         dst = np.asarray(f(link.dst[None, :]))[0]
         new_links.append(ChainLink(sol, link.a, link.b, link.cost, src, dst))
@@ -223,7 +222,7 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
     nu = np.asarray(nu, dtype=np.float64)
     nrm = np.linalg.norm(nu)
     if nrm == 0:
-        raise ValueError("direction must be nonzero")
+        raise InvalidParams("direction must be nonzero")
     nu = nu / nrm
     dom = J.domain
     probes: list = []

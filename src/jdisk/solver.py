@@ -1,15 +1,15 @@
 """Disk solver for the nonlinear Cauchy-Riemann equation.
 
-The unscaled iterate u solves the fixed-point problem
+A disk v is holomorphic for the structure, dv/dzbar = q(v) dv/dz up to
+discretization error, when it is a fixed point of
 
-    u = h + P( q(eps * u) * du/dz ),
+    v = h + P( q(v) * dv/dz ),
 
-whose solution makes v = eps * u satisfy dv/dzbar = q(v) dv/dz up to
-discretization error, i.e. v is a holomorphic disk for the structure.
-``picard_solve`` runs the plain fixed-point iteration; ``two_point_disk``
-and ``derivative_disk`` wrap it in a quasi-Newton outer loop that matches
-prescribed point or derivative data, halving eps and retrying when the
-inner iteration diverges (continuation in the scaling parameter).
+with h a holomorphic target and P the solid Cauchy transform, the right
+inverse of d/dzbar on the disk.  ``picard_solve`` runs the plain fixed-point
+iteration; ``two_point_disk`` and ``derivative_disk`` wrap it in one
+quasi-Newton outer loop that adjusts the target until the disk matches
+prescribed point or derivative data.
 """
 
 from __future__ import annotations
@@ -21,49 +21,53 @@ import numpy as np
 from .cauchygreen import cg_apply, cg_build
 from .diskgrid import DiskGrid, DiskMap, d_dz, d_dzbar, eval_interp
 from .errors import Diverged, InvalidParams, NewtonFailed, Singular
-from .structure import StructureField, q_field
+from .structure import ComplexConvention, StructureField, q_field
 
 
 @dataclass
 class SolverConfig:
+    """Settings of the disk solver.
+
+    ``epsilon`` in (0, 1] is the factor ``picard_solve`` applies to the
+    target it is given, v = epsilon * h + P(q(v) dv/dz).  The matched solves
+    hand it their targets divided by epsilon, so there epsilon only sets the
+    fixed-point stopping test: a sup change of v below
+    ``epsilon * tol_fixpoint``.  ``tol_newton`` bounds the matched data
+    error, ``fd_step`` is the forward-difference step of the one Jacobian
+    rebuild, and the iteration is declared diverged when its sup norm grows
+    by ``divergence_factor`` within ``divergence_window`` steps.
+    """
+
     epsilon: float = 0.1
     tol_fixpoint: float = 1e-10
     max_iter: int = 80
     tol_newton: float = 1e-8
     max_newton: int = 25
     fd_step: float = 1e-6
-    continuation_retries: int = 4
     divergence_window: int = 5
     divergence_factor: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise InvalidParams(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        if not 0.0 < self.epsilon <= 1.0:
+            raise InvalidParams(f"epsilon must lie in (0, 1], got {self.epsilon}")
         for name in ("tol_fixpoint", "max_iter", "tol_newton", "max_newton", "fd_step"):
             if not getattr(self, name) > 0:
                 raise InvalidParams(f"{name} must be positive")
-
-    def with_epsilon(self, eps: float) -> "SolverConfig":
-        return SolverConfig(eps, self.tol_fixpoint, self.max_iter, self.tol_newton,
-                            self.max_newton, self.fd_step, self.continuation_retries,
-                            self.divergence_window, self.divergence_factor)
 
 
 @dataclass
 class DiskSolution:
     """Result of a disk solve.
 
-    ``u`` is the unscaled iterate, ``v = epsilon_used * u`` the physical
-    disk whose residual is recorded.  ``step_deltas`` holds the sup-norm
-    fixed-point increments (contraction diagnostics); ``newton_steps``
-    counts outer matching steps when applicable.
+    ``v`` is the disk and ``residual`` its ``cr_residual``.  ``step_deltas``
+    holds the sup-norm fixed-point increments of v (contraction
+    diagnostics); ``newton_steps`` counts outer matching steps when
+    applicable.
     """
 
-    u: DiskMap | None
     v: DiskMap
     residual: float
     iterations: int
-    epsilon_used: float
     step_deltas: list = field(default_factory=list)
     newton_steps: int = 0
 
@@ -100,14 +104,12 @@ def affine_target(p: np.ndarray, q: np.ndarray, t: float, grid: DiskGrid) -> Dis
     q = np.asarray(q, dtype=np.float64)
     if not 0.0 < t < 1.0:
         raise InvalidParams(f"interpolation node t must lie in (0, 1), got {t}")
-    from .structure import ComplexConvention
     conv = ComplexConvention(p.size // 2)
     vals = p + conv.cmul(grid.Z / t, q - p)
     return DiskMap(grid, vals, conv)
 
 
 def _line_seed(p: np.ndarray, w: np.ndarray, grid: DiskGrid) -> DiskMap:
-    from .structure import ComplexConvention
     p = np.asarray(p, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     conv = ComplexConvention(p.size // 2)
@@ -116,46 +118,44 @@ def _line_seed(p: np.ndarray, w: np.ndarray, grid: DiskGrid) -> DiskMap:
 
 
 def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap) -> DiskSolution:
-    """Fixed-point iteration u <- h + P(q(eps u) du/dz) from u = h.
+    """Fixed-point iteration v <- eps h + P(q(v) dv/dz) from v = eps h.
 
-    Raises ``Diverged`` when the iteration budget is exhausted or the
-    iterate norm doubles over a trailing window; ``Singular`` when the
+    ``eps`` is ``cfg.epsilon``; the iteration stops once the sup change of v
+    falls below ``eps * cfg.tol_fixpoint``.  Raises ``Diverged`` when the
+    iteration budget is exhausted or the iterate norm grows by
+    ``cfg.divergence_factor`` over a trailing window; ``Singular`` when the
     dilatation matrix fails along an iterate.
     """
     eps = cfg.epsilon
     grid = h.grid
-    if eps == 0.0:
-        v = DiskMap(grid, np.zeros_like(h.values), h.convention)
-        return DiskSolution(h.copy(), v, cr_residual(J, v), 1, 0.0, [0.0])
-
     op = cg_build(grid)
     mask = grid.mask
     labels = np.stack([grid.X[mask], grid.Y[mask]], axis=-1)
     extend = grid.ring_extension()
-    u = h.copy()
+    target = eps * h.values
+    v = DiskMap(grid, target, h.convention)
     deltas: list = []
-    norms: list = [u.sup_norm()]
+    norms: list = [v.sup_norm()]
     for k in range(1, cfg.max_iter + 1):
-        pts = eps * u.values[mask]
-        q = q_field(J, pts, labels=labels)
-        dz_vals = d_dz(u).values[mask]
-        w_vals = np.zeros_like(u.values)
+        q = q_field(J, v.values[mask], labels=labels)
+        dz_vals = d_dz(v).values[mask]
+        w_vals = np.zeros_like(v.values)
         w_vals[mask] = np.einsum("mij,mj->mi", q, dz_vals)
         # ring derivatives carry boundary noise; extend the density from
         # the interior instead (the final certificate is cr_residual)
         flat = w_vals.reshape(grid.N * grid.N, -1)
         w_vals = (extend @ flat).reshape(w_vals.shape)
-        correction = cg_apply(op, DiskMap(grid, w_vals, u.convention))
-        new_vals = h.values + correction.values
-        delta = float(np.max(np.abs(new_vals[mask] - u.values[mask])))
+        correction = cg_apply(op, DiskMap(grid, w_vals, v.convention))
+        new_vals = target + correction.values
+        delta = float(np.max(np.abs(new_vals[mask] - v.values[mask])))
         deltas.append(delta)
-        u = DiskMap(grid, new_vals, u.convention)
-        norms.append(u.sup_norm())
-        if delta < cfg.tol_fixpoint:
-            v = DiskMap(grid, eps * u.values, u.convention)
-            return DiskSolution(u, v, cr_residual(J, v), k, eps, deltas)
+        v = DiskMap(grid, new_vals, v.convention)
+        norms.append(v.sup_norm())
+        if delta < eps * cfg.tol_fixpoint:
+            return DiskSolution(v, cr_residual(J, v), k, deltas)
         if k >= cfg.divergence_window:
-            ref = max(norms[k - cfg.divergence_window], 1e-6)
+            # the floor is 1e-6 in units of h, like the stopping test
+            ref = max(norms[k - cfg.divergence_window], eps * 1e-6)
             if norms[k] > cfg.divergence_factor * ref:
                 raise Diverged(
                     f"iterate norm grew from {ref:.3e} to {norms[k]:.3e} "
@@ -164,16 +164,11 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap) -> DiskSoluti
                    f"(last delta {deltas[-1]:.3e})")
 
 
-def _constant_solution(J: StructureField, p: np.ndarray, cfg: SolverConfig,
-                       grid: DiskGrid) -> DiskSolution:
-    from .structure import ComplexConvention
+def _constant_solution(J: StructureField, p: np.ndarray, grid: DiskGrid) -> DiskSolution:
     p = np.asarray(p, dtype=np.float64)
-    conv = ComplexConvention(p.size // 2)
     vals = np.broadcast_to(p, (grid.N, grid.N, p.size)).copy()
-    v = DiskMap(grid, vals, conv)
-    eps = cfg.epsilon if cfg.epsilon > 0 else 1.0
-    u = DiskMap(grid, v.values / eps, conv)
-    return DiskSolution(u, v, cr_residual(J, v), 0, eps)
+    v = DiskMap(grid, vals, ComplexConvention(p.size // 2))
+    return DiskSolution(v, cr_residual(J, v), 0)
 
 
 def _quasi_newton(residual_fn, x0: np.ndarray, cfg: SolverConfig):
@@ -221,11 +216,27 @@ def _quasi_newton(residual_fn, x0: np.ndarray, cfg: SolverConfig):
         f"{cfg.max_newton} steps (best {np.max(np.abs(g)):.3e})")
 
 
-def _epsilon_schedule(cfg: SolverConfig):
+def _matched_solve(J: StructureField, cfg: SolverConfig, seed, observe,
+                   data: np.ndarray) -> DiskSolution:
+    """Disk v with ``observe(v) = data`` to ``cfg.tol_newton``.
+
+    The outer unknowns are the target parameters in disk units, started at
+    ``data``; ``seed(y)`` builds the target that ``picard_solve`` scales by
+    epsilon, so it receives them divided by epsilon.  A failed inner solve
+    ends the match: ``NewtonFailed`` carries it as its cause.
+    """
     eps = cfg.epsilon
-    for _ in range(cfg.continuation_retries + 1):
-        yield eps
-        eps *= 0.5
+
+    def residual(x):
+        sol = picard_solve(J, cfg, seed(x / eps))
+        return observe(sol.v) - data, sol
+
+    try:
+        _, sol, steps = _quasi_newton(residual, data, cfg)
+    except (Diverged, Singular) as exc:
+        raise NewtonFailed(f"disk solve failed: {exc}") from exc
+    sol.newton_steps = max(steps, 1)
+    return sol
 
 
 def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
@@ -244,31 +255,13 @@ def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
         raise InvalidParams(
             f"t={t} is beyond the interpolation limit {grid.r - grid.h:.4g} of the grid")
     if np.array_equal(p0, q0):
-        return _constant_solution(J, p0, cfg, grid)
+        return _constant_solution(J, p0, grid)
 
     dim = p0.size
-    target = np.concatenate([p0, q0])
-    last_exc: Exception | None = None
-    for eps in _epsilon_schedule(cfg):
-        if eps == 0.0:
-            break
-        ecfg = cfg.with_epsilon(eps)
-
-        def residual(x):
-            P, Q = x[:dim], x[dim:]
-            sol = picard_solve(J, ecfg, affine_target(P / eps, Q / eps, t, grid))
-            v0 = sol.v.value_at_center()
-            vt = eval_interp(sol.v, complex(t, 0.0))
-            return np.concatenate([v0 - p0, vt - q0]), sol
-
-        try:
-            _, sol, steps = _quasi_newton(residual, target.copy(), ecfg)
-            sol.newton_steps = max(steps, 1)
-            return sol
-        except (Diverged, Singular, NewtonFailed) as exc:
-            last_exc = exc
-            continue
-    raise NewtonFailed(f"two-point solve failed after epsilon continuation: {last_exc}")
+    return _matched_solve(
+        J, cfg, lambda y: affine_target(y[:dim], y[dim:], t, grid),
+        lambda v: np.concatenate([v.value_at_center(), eval_interp(v, complex(t, 0.0))]),
+        np.concatenate([p0, q0]))
 
 
 def derivative_disk(J: StructureField, p, w, cfg: SolverConfig,
@@ -278,29 +271,11 @@ def derivative_disk(J: StructureField, p, w, cfg: SolverConfig,
     p = np.asarray(p, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if not np.any(w):
-        return _constant_solution(J, p, cfg, grid)
+        return _constant_solution(J, p, grid)
 
     dim = p.size
     center = grid.center_index
-    start = np.concatenate([p, w])
-    last_exc: Exception | None = None
-    for eps in _epsilon_schedule(cfg):
-        if eps == 0.0:
-            break
-        ecfg = cfg.with_epsilon(eps)
-
-        def residual(x):
-            P, W = x[:dim], x[dim:]
-            sol = picard_solve(J, ecfg, _line_seed(P / eps, W / eps, grid))
-            v0 = sol.v.value_at_center()
-            dv0 = d_dz(sol.v).values[center[0], center[1], :]
-            return np.concatenate([v0 - p, dv0 - w]), sol
-
-        try:
-            _, sol, steps = _quasi_newton(residual, start.copy(), ecfg)
-            sol.newton_steps = max(steps, 1)
-            return sol
-        except (Diverged, Singular, NewtonFailed) as exc:
-            last_exc = exc
-            continue
-    raise NewtonFailed(f"derivative solve failed after epsilon continuation: {last_exc}")
+    return _matched_solve(
+        J, cfg, lambda y: _line_seed(y[:dim], y[dim:], grid),
+        lambda v: np.concatenate([v.value_at_center(), d_dz(v).values[center]]),
+        np.concatenate([p, w]))

@@ -121,3 +121,18 @@ def test_main_entrypoint_writes_report(tmp_path, capsys):
 
 def test_main_config_error_exit_code(capsys):
     assert main(["disk", "--p", "0,0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--p", "0,0", "--nu", "0,0"],
+    ["disk", "--p", "0,0", "--q", "0.2,0", "--N", "4"],
+    ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "epsilon=nan"],
+    ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "max_iter=abc"],
+    ["disk", "--p", "0,0", "--q", "nan,0"],
+    ["disk", "--p", "abc,0", "--q", "0.2,0"],
+    ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "epsilon=0"],
+    ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "continuation_retries=2"],
+])
+def test_main_bad_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
