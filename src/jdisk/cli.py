@@ -1,10 +1,12 @@
 """Command line entry point.
 
 Commands: validate, disk, distance, bound, brody, selftest.  A run is
-described by a config (JSON file via --config, or inline flags), executes
-deterministically for a fixed seed, and writes a JSON report carrying the
-fully resolved config echo, results, diagnostics and library versions.
-Exit codes: 0 success, 2 config error, 3 solver/check failure.
+described by a config: a JSON file given with --config, overlaid by any
+inline flags.  ``_TABLE`` is the one description of a config; the flags,
+the key check, the conversions and the defaults all come from it.  A run
+executes deterministically for a fixed seed and writes a JSON report
+carrying the fully resolved config echo, results, diagnostics and library
+versions.  Exit codes: 0 success, 2 config error, 3 solver/check failure.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import inspect
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -30,88 +34,176 @@ from .kobayashi import (KobayashiOptions, chain_cost, derivative_bound,
 from .solver import SolverConfig, affine_target, derivative_disk, two_point_disk
 from .structure import ComplexConvention, gallery, q_field, validate_structure
 
-_COMMANDS = ("validate", "disk", "distance", "bound", "brody", "selftest")
-
-# solver key -> type of its default, which --cfg values are coerced to
-_SOLVER_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
-
-_SCHEMA = {
-    "command": None,
-    "structure": {"name", "n", "epsilon", "perturbation", "radius"},
-    "grid": {"N", "r"},
-    "solver": set(_SOLVER_TYPES),
-    "params": {"samples", "p", "q", "w", "t", "k_max", "t_grid", "nu",
-               "lambda_max", "bisect_tol", "family", "R", "tol", "n_max",
-               "residual_cap"},
-    "output": {"report", "csv"},
-    "seed": None,
-}
-
-_DEFAULTS = {
-    "structure": {"name": "standard", "n": 1, "epsilon": 0.1,
-                  "perturbation": "sin", "radius": None},
-    "grid": {"N": 33, "r": 1.0},
-    "solver": {},
-    "params": {},
-    "output": {},
-    "seed": 0,
-}
+# Kinds: each converts a value from a JSON config or a flag string, or
+# raises ConfigError.  ``dim`` is the real dimension 2n of the structure.
 
 
-def _check_schema(config: dict) -> None:
-    unknown = set(config) - set(_SCHEMA)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, allowed in _SCHEMA.items():
-        if allowed is None or key not in config:
-            continue
-        section = config[key]
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-        extra = set(section) - allowed
-        if extra:
-            raise ConfigError(f"unknown keys in {key!r}: {sorted(extra)}")
-    cmd = config.get("command")
-    if cmd not in _COMMANDS:
-        raise ConfigError(f"command must be one of {_COMMANDS}, got {cmd!r}")
-
-
-def _normalize(config: dict) -> dict:
-    _check_schema(config)
-    out = {"command": config["command"]}
-    for key in ("structure", "grid", "solver", "params", "output"):
-        merged = dict(_DEFAULTS[key])
-        merged.update(config.get(key, {}))
-        out[key] = merged
-    out["seed"] = int(config.get("seed", _DEFAULTS["seed"]))
-    return out
-
-
-def _build_structure(section: dict):
-    kwargs = {"n": int(section["n"])}
-    if section["name"] in ("conjugated", "torus-perturbed"):
-        kwargs["epsilon"] = float(section["epsilon"])
-        kwargs["perturbation"] = section["perturbation"]
-    if section.get("radius") is not None and not section["name"].startswith("torus"):
-        kwargs["radius"] = float(section["radius"])
-    return gallery(section["name"], **kwargs)
-
-
-def _build_cfg(section: dict) -> SolverConfig:
-    return SolverConfig(**section)
-
-
-def _point(value, dim: int) -> np.ndarray:
-    items = value.split(",") if isinstance(value, str) else value
+def _float(value, dim=None) -> float:
     try:
-        parts = [float(x) for x in items]
-    except (TypeError, ValueError):
-        raise ConfigError(f"point {value!r} must be numbers") from None
+        if isinstance(value, bool):
+            raise TypeError
+        f = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"expected a number, got {value!r}") from None
+    if not math.isfinite(f):
+        raise ConfigError(f"expected a finite number, got {value!r}")
+    return f
+
+
+def _int(value, dim=None) -> int:
+    """A non-negative integer; no config key takes a negative one."""
+    f = value if isinstance(value, int) and not isinstance(value, bool) else _float(value)
+    if f != int(f) or f < 0:
+        raise ConfigError(f"expected a non-negative integer, got {value!r}")
+    return int(f)
+
+
+def _str(value, dim=None) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"expected a string, got {value!r}")
+    return value
+
+
+def _floats(value, dim=None) -> list:
+    """A list of numbers, or a comma separated string of them."""
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"expected a list of numbers, got {value!r}")
+    return [_float(x) for x in items]
+
+
+def _point(value, dim) -> list:
+    parts = _floats(value)
     if len(parts) != dim:
-        raise ConfigError(f"point {value!r} must have {dim} coordinates")
-    if not all(math.isfinite(x) for x in parts):
-        raise ConfigError(f"point {value!r} has non-finite coordinates")
-    return np.asarray(parts)
+        raise ConfigError(f"expected {dim} coordinates, got {value!r}")
+    return parts
+
+
+def _family(value, dim) -> dict:
+    """A brody disk family: its ``kind`` and the keys of that kind."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"expected an object, got {value!r}")
+    rest = dict(value)
+    kind = _str(rest.pop("kind", "dilations"))
+    if kind not in _FAMILIES:
+        raise ConfigError(f"unknown family kind {kind!r}; choose from {tuple(_FAMILIES)}")
+    return {"kind": kind, **_section(_FAMILIES[kind], rest, f"{kind}.", dim)}
+
+
+_REQUIRED = object()   # default of a key that the config must give
+
+
+class _Key(NamedTuple):
+    """One config key.  A default that is callable is computed from dim.
+    ``flag`` "" derives the flag ``--key-name``, None gives the key none."""
+
+    kind: object
+    default: object = None
+    flag: str | None = ""
+
+
+def _e1(dim) -> list:
+    return [1.0] + [0.0] * (dim - 1)
+
+
+def _arg_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+_FAMILIES = {
+    "dilations": {
+        "base": _Key(_float, _arg_default(dilation_family, "base"), None),
+        "factor": _Key(_float, _arg_default(dilation_family, "factor"), None),
+    },
+    "derivative-ladder": {
+        "p": _Key(_point, lambda dim: [0.0] * dim),
+        "nu": _Key(_point, _e1),
+        "lambdas": _Key(_floats, _REQUIRED),
+    },
+}
+
+_TABLE = {
+    "structure": {
+        "name": _Key(_str, "standard", "--structure"),
+        "n": _Key(_int, _arg_default(gallery, "n")),
+        "epsilon": _Key(_float, _arg_default(gallery, "epsilon")),
+        "perturbation": _Key(_str, _arg_default(gallery, "perturbation")),
+        "radius": _Key(_float),   # None: the unbounded chart
+    },
+    "grid": {"N": _Key(_int, KobayashiOptions.grid_n), "r": _Key(_float, KobayashiOptions.grid_r)},
+    # set with --cfg KEY=VALUE
+    "solver": {f.name: _Key({int: _int, float: _float}[type(f.default)], f.default, None)
+               for f in dataclasses.fields(SolverConfig)},
+    "params": {
+        "validate": {"samples": _Key(_int, 1000)},
+        "disk": {"p": _Key(_point, _REQUIRED), "q": _Key(_point), "w": _Key(_point),
+                 "t": _Key(_float, 0.5)},
+        "distance": {
+            "p": _Key(_point, _REQUIRED), "q": _Key(_point, _REQUIRED),
+            "k_max": _Key(_int, KobayashiOptions.k_max),
+            "t_grid": _Key(_floats, KobayashiOptions.t_grid),
+            "residual_cap": _Key(_float, KobayashiOptions.residual_cap, None),
+        },
+        "bound": {
+            "p": _Key(_point, _REQUIRED), "nu": _Key(_point, _e1),
+            "lambda_max": _Key(_float, 1e3),
+            "bisect_tol": _Key(_float, _arg_default(derivative_bound, "bisect_tol")),
+        },
+        "brody": {
+            "family": _Key(_family, {}, None),   # flags: see _parser
+            "R": _Key(_float, 2.0),
+            "tol": _Key(_float, _arg_default(extract_line, "tol")),
+            "n_max": _Key(_int, 8),
+        },
+        "selftest": {},
+    },
+    "output": {"report": _Key(_str, None, "--out"), "csv": _Key(_str)},
+    "seed": _Key(_int, 0),
+}
+
+
+def _value(spec: _Key, given: dict, key: str, path: str, dim):
+    value = given.get(key, spec.default)
+    if value is spec.default and callable(value):
+        value = value(dim)
+    try:
+        if value is _REQUIRED:
+            raise ConfigError("required key is missing")
+        if value is None and spec.default is None:
+            return None
+        return spec.kind(value, dim)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}{key}: {exc}") from None
+
+
+def _section(table: dict, given, path: str, dim=None) -> dict:
+    """Check ``given`` against ``table``, a dict of keys and nested tables,
+    convert each value by its kind and fill every default."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"config section {path.rstrip('.')!r} must be an object")
+    unknown = set(given) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown keys in {path.rstrip('.') or 'config'!r}: "
+                          f"{sorted(unknown, key=str)}")
+    return {key: _section(spec, given.get(key, {}), f"{path}{key}.", dim)
+            if isinstance(spec, dict) else _value(spec, given, key, path, dim)
+            for key, spec in table.items()}
+
+
+def _command_table(command: str) -> dict:
+    return {"command": _Key(_str, flag=None), **_TABLE, "params": _TABLE["params"][command]}
+
+
+def _normalize(config) -> dict:
+    """Check every key of a config against ``_TABLE``, convert each value by
+    its kind and fill every default: the fully resolved config."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"a config must be a JSON object, got {config!r}")
+    command = config.get("command")
+    if not isinstance(command, str) or command not in _TABLE["params"]:
+        raise ConfigError(f"command must be one of {tuple(_TABLE['params'])}, got {command!r}")
+    dim = 2 * _section(_TABLE["structure"], config.get("structure", {}), "structure.")["n"]
+    return _section(_command_table(command), config, "", dim)
 
 
 def _jsonify(obj):
@@ -137,10 +229,9 @@ def _jsonify(obj):
     return obj
 
 
-def _cmd_validate(config, rng):
-    J = _build_structure(config["structure"])
+def _cmd_validate(config, J, grid, cfg, rng):
     dim = J.convention.dim
-    count = int(config["params"].get("samples", 1000))
+    count = config["params"]["samples"]
     if J.domain.is_torus:
         samples = rng.uniform(0.0, 1.0, size=(count, dim))
     else:
@@ -148,79 +239,58 @@ def _cmd_validate(config, rng):
         samples = rng.uniform(-b, b, size=(count, dim))
     report = validate_structure(J, samples)
     results = report.to_dict()
-    cg_n = int(config["grid"]["N"])
-    g = make_grid(float(config["grid"]["r"]), cg_n)
-    op = cg_build(g)
-    ones = DiskMap(g, np.stack([np.ones_like(g.X), np.zeros_like(g.X)], axis=-1),
+    op = cg_build(grid)
+    ones = DiskMap(grid, np.stack([np.ones_like(grid.X), np.zeros_like(grid.X)], axis=-1),
                    ComplexConvention(1))
     results["cg_residual_constant_density"] = cg_residual(op, ones)
     return results, 0 if report.passed else 3
 
 
-def _cmd_disk(config, rng):
-    J = _build_structure(config["structure"])
-    dim = J.convention.dim
+def _cmd_disk(config, J, grid, cfg, rng):
     params = config["params"]
-    grid = make_grid(float(config["grid"]["r"]), int(config["grid"]["N"]))
-    cfg = _build_cfg(config["solver"])
-    p = _point(params["p"], dim)
-    if "w" in params and params["w"] is not None:
-        sol = derivative_disk(J, p, _point(params["w"], dim), cfg, grid)
+    if params["w"] is not None:
+        sol = derivative_disk(J, params["p"], params["w"], cfg, grid)
         endpoint = {"value_at_0": sol.v.value_at_center().tolist()}
-    else:
-        t = float(params.get("t", 0.5))
-        q = _point(params["q"], dim)
-        sol = two_point_disk(J, p, q, t, cfg, grid)
+    elif params["q"] is not None:
+        t = params["t"]
+        sol = two_point_disk(J, params["p"], params["q"], t, cfg, grid)
         endpoint = {
             "value_at_0": sol.v.value_at_center().tolist(),
             "value_at_t": eval_interp(sol.v, complex(t, 0.0)).tolist(),
         }
+    else:
+        raise ConfigError("disk needs params.q or params.w")
     results = {
         "residual": sol.residual,
         "iterations": sol.iterations,
         "newton_steps": sol.newton_steps,
         "endpoints": endpoint,
     }
-    csv_path = config["output"].get("csv")
+    csv_path = config["output"]["csv"]
     if csv_path:
         to_csv(sol.v, csv_path)
         results["csv"] = csv_path
     return results, 0
 
 
-def _cmd_distance(config, rng):
-    J = _build_structure(config["structure"])
-    dim = J.convention.dim
+def _cmd_distance(config, J, grid, cfg, rng):
     params = config["params"]
-    opts = KobayashiOptions(
-        k_max=int(params.get("k_max", 3)),
-        t_grid=tuple(params.get("t_grid", (0.05, 0.1, 0.25, 0.5))),
-        cfg=_build_cfg(config["solver"]),
-        grid_n=int(config["grid"]["N"]),
-        grid_r=float(config["grid"]["r"]),
-        residual_cap=float(params.get("residual_cap", 1e-2)),
-    )
-    est = estimate_distance(J, _point(params["p"], dim), _point(params["q"], dim), opts)
-    results = {
+    opts = KobayashiOptions(k_max=params["k_max"], t_grid=tuple(params["t_grid"]),
+                            cfg=cfg, grid_n=grid.N, grid_r=grid.r,
+                            residual_cap=params["residual_cap"])
+    est = estimate_distance(J, params["p"], params["q"], opts)
+    return {
         "upper": est.upper,
         "links": [{"t": link.b.real, "cost": link.cost,
                    "residual": link.disk.residual} for link in est.best_chain.links],
         "search_log": [[k, t, c] for k, t, c in est.search_log],
-    }
-    return results, 0
+    }, 0
 
 
-def _cmd_bound(config, rng):
-    J = _build_structure(config["structure"])
-    dim = J.convention.dim
+def _cmd_bound(config, J, grid, cfg, rng):
     params = config["params"]
-    nu = _point(params.get("nu", [1.0] + [0.0] * (dim - 1)), dim)
-    grid = make_grid(float(config["grid"]["r"]), int(config["grid"]["N"]))
-    report = derivative_bound(
-        J, _point(params["p"], dim), nu,
-        float(params.get("lambda_max", 1e3)),
-        cfg=_build_cfg(config["solver"]), grid=grid,
-        bisect_tol=float(params.get("bisect_tol", 0.01)))
+    report = derivative_bound(J, params["p"], params["nu"], params["lambda_max"],
+                              cfg=cfg, grid=grid, bisect_tol=params["bisect_tol"])
     return {
         "lambda_lower": report.lambda_lower,
         "lambda_max": report.lambda_max,
@@ -229,31 +299,17 @@ def _cmd_bound(config, rng):
     }, 0
 
 
-def _cmd_brody(config, rng):
-    J = _build_structure(config["structure"])
-    dim = J.convention.dim
+def _cmd_brody(config, J, grid, cfg, rng):
     params = config["params"]
-    grid = make_grid(float(config["grid"]["r"]), int(config["grid"]["N"]))
-    fam_spec = dict(params.get("family", {"kind": "dilations"}))
-    kind = fam_spec.pop("kind", "dilations")
-    if kind == "dilations":
-        family = dilation_family(grid, n=J.convention.n,
-                                 base=float(fam_spec.pop("base", 4.0)),
-                                 factor=float(fam_spec.pop("factor", 2.0)))
-    elif kind == "derivative-ladder":
-        p = _point(fam_spec.pop("p", [0.0] * dim), dim)
-        nu = _point(fam_spec.pop("nu", [1.0] + [0.0] * (dim - 1)), dim)
-        lambdas = [float(x) for x in fam_spec.pop("lambdas")]
-        family = derivative_ladder_family(J, p, nu, lambdas,
-                                          _build_cfg(config["solver"]), grid)
+    fam = params["family"]
+    if fam["kind"] == "dilations":
+        family = dilation_family(grid, n=J.convention.n, base=fam["base"],
+                                 factor=fam["factor"])
     else:
-        raise ConfigError(f"unknown family kind {kind!r}")
-    if fam_spec:
-        raise ConfigError(f"unknown family keys: {sorted(fam_spec)}")
-
-    report = extract_line(J, family, R=float(params.get("R", 2.0)),
-                          tol=float(params.get("tol", 1e-8)),
-                          n_max=int(params.get("n_max", 8)))
+        family = derivative_ladder_family(J, fam["p"], fam["nu"], fam["lambdas"],
+                                          cfg, grid)
+    report = extract_line(J, family, R=params["R"], tol=params["tol"],
+                          n_max=params["n_max"])
     results = {
         "converged": report.converged,
         "message": report.message,
@@ -267,15 +323,14 @@ def _cmd_brody(config, rng):
             "cr_residual": report.final.cr_residual,
             "achieved_delta": report.final.achieved_delta,
         }
-        csv_path = config["output"].get("csv")
+        csv_path = config["output"]["csv"]
         if csv_path:
             to_csv(report.final.samples, csv_path)
             results["csv"] = csv_path
-    code = 0 if report.final is not None else 3
-    return results, code
+    return results, 0 if report.final is not None else 3
 
 
-def _selftest_checks(config, rng):
+def _cmd_selftest(config, J, grid, cfg, rng):
     checks = []
 
     def record(name, passed, observed, threshold):
@@ -392,11 +447,7 @@ def _selftest_checks(config, rng):
           and rep.final.cr_residual < 1e-10)
     record("line-extraction-flat-torus", ok,
            None if rep.final is None else rep.final.derivative_at_0, 1e-6)
-    return checks
 
-
-def _cmd_selftest(config, rng):
-    checks = _selftest_checks(config, rng)
     all_passed = all(c["passed"] for c in checks)
     width = max(len(c["name"]) for c in checks)
     lines = ["self test results:"]
@@ -418,11 +469,14 @@ _DISPATCH = {
 
 
 def run(config: dict):
-    """Execute one normalized run; returns (exit_code, report_dict)."""
+    """Execute one run; returns (exit_code, report_dict).
+
+    The report's ``config`` is the fully resolved config, so running it
+    again reproduces the report apart from its timestamp.
+    """
     config = _normalize(config)
-    rng = np.random.default_rng(config["seed"])
     report = {
-        "config": _jsonify(config),
+        "config": config,
         "versions": {
             "jdisk": __version__,
             "numpy": np.__version__,
@@ -431,7 +485,13 @@ def run(config: dict):
         },
     }
     try:
-        results, code = _DISPATCH[config["command"]](config, rng)
+        s = config["structure"]
+        J = gallery(s["name"], n=s["n"], epsilon=s["epsilon"], perturbation=s["perturbation"],
+                    radius=math.inf if s["radius"] is None else s["radius"])
+        grid = make_grid(config["grid"]["r"], config["grid"]["N"])
+        cfg = SolverConfig(**config["solver"])
+        rng = np.random.default_rng(config["seed"])
+        results, code = _DISPATCH[config["command"]](config, J, grid, cfg, rng)
         report["results"] = _jsonify(results)
     except (ConfigError, InvalidGrid, InvalidParams, UnknownName) as exc:
         raise ConfigError(str(exc)) from exc
@@ -442,138 +502,77 @@ def run(config: dict):
     return code, report
 
 
+def _add_flags(parser, table: dict, prefix: str) -> None:
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            _add_flags(parser, spec, f"{prefix}{key}.")
+        elif spec.flag is not None:
+            parser.add_argument(spec.flag or "--" + key.replace("_", "-"), dest=prefix + key,
+                                default=argparse.SUPPRESS, metavar=spec.kind.__name__[1:].upper(),
+                                help=f"sets {prefix}{key}")
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="jdisk", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file (overrides inline flags)")
-    common.add_argument("--structure", default="standard")
-    common.add_argument("--n", type=int, default=1)
-    common.add_argument("--epsilon", type=float, default=0.1)
-    common.add_argument("--perturbation", default="sin")
-    common.add_argument("--radius", type=float, default=None)
-    common.add_argument("--N", type=int, default=33)
-    common.add_argument("--r", type=float, default=1.0)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", help="write the JSON report here")
-    common.add_argument("--csv", help="dump grid values as CSV here")
-    common.add_argument("--cfg", action="append", default=[],
-                        metavar="KEY=VALUE", help="solver config override")
-
-    sp = sub.add_parser("validate", parents=[common])
-    sp.add_argument("--samples", type=int, default=1000)
-
-    sp = sub.add_parser("disk", parents=[common])
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--q")
-    sp.add_argument("--w")
-    sp.add_argument("--t", type=float, default=0.5)
-
-    sp = sub.add_parser("distance", parents=[common])
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--q", required=True)
-    sp.add_argument("--k-max", type=int, default=3)
-    sp.add_argument("--t-grid", default="0.05,0.1,0.25,0.5")
-    sp.add_argument("--tmin", type=float, default=None,
-                    help="shorthand: prepend this t to the sweep")
-
-    sp = sub.add_parser("bound", parents=[common])
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--nu")
-    sp.add_argument("--lambda-max", type=float, default=1e3)
-    sp.add_argument("--bisect-tol", type=float, default=0.01)
-
-    sp = sub.add_parser("brody", parents=[common])
-    sp.add_argument("--family", default="dilations",
-                    choices=("dilations", "derivative-ladder"))
-    sp.add_argument("--p")
-    sp.add_argument("--nu")
-    sp.add_argument("--lambdas", help="comma separated derivative scales")
-    sp.add_argument("--R", type=float, default=2.0)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--n-max", type=int, default=8)
-
-    sub.add_parser("selftest", parents=[common])
+    for command in _TABLE["params"]:
+        sp = sub.add_parser(command)
+        sp.add_argument("--config", help="JSON config file; flags given with it overlay it")
+        sp.add_argument("--cfg", action="append", default=[], metavar="KEY=VALUE",
+                        help="sets solver.KEY")
+        _add_flags(sp, _command_table(command), "")
+        if command == "brody":
+            sp.add_argument("--family", dest="params.family.kind", default=argparse.SUPPRESS,
+                            help=f"sets params.family.kind, one of {', '.join(_FAMILIES)}")
+            for table in _FAMILIES.values():
+                _add_flags(sp, table, "params.family.")
     return ap
 
 
+def _overlay(config: dict, dest: str, value) -> None:
+    *sections, key = dest.split(".")
+    node = config
+    for name in sections:
+        node = node.setdefault(name, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"config section {name!r} must be an object")
+    node[key] = value
+
+
 def _config_from_args(args) -> dict:
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            return json.load(fh)
-    solver = {}
-    for item in args.cfg:
-        if "=" not in item:
+    """The --config file (or an empty config) with the given flags laid over it."""
+    flags = dict(vars(args))
+    command, path = flags.pop("command"), flags.pop("config")
+    for item in flags.pop("cfg"):
+        key, eq, value = item.partition("=")
+        if not eq:
             raise ConfigError(f"--cfg expects KEY=VALUE, got {item!r}")
-        key, val = item.split("=", 1)
-        kind = _SOLVER_TYPES.get(key, str)   # an unknown key fails the schema check
+        flags["solver." + key] = value
+    config = {"command": command}
+    if path:
         try:
-            solver[key] = kind(val)
-        except ValueError:
-            raise ConfigError(f"--cfg {key} expects {kind.__name__}, got {val!r}") from None
-    cfg = {
-        "command": args.command,
-        "structure": {"name": args.structure, "n": args.n, "epsilon": args.epsilon,
-                      "perturbation": args.perturbation, "radius": args.radius},
-        "grid": {"N": args.N, "r": args.r},
-        "solver": solver,
-        "params": {},
-        "output": {},
-        "seed": args.seed,
-    }
-    if args.out:
-        cfg["output"]["report"] = args.out
-    if args.csv:
-        cfg["output"]["csv"] = args.csv
-    p = cfg["params"]
-    if args.command == "validate":
-        p["samples"] = args.samples
-    elif args.command == "disk":
-        p["p"] = args.p
-        if args.w:
-            p["w"] = args.w
-        else:
-            if not args.q:
-                raise ConfigError("disk needs --q or --w")
-            p["q"] = args.q
-            p["t"] = args.t
-    elif args.command == "distance":
-        p["p"], p["q"], p["k_max"] = args.p, args.q, args.k_max
-        tg = [float(x) for x in args.t_grid.split(",")]
-        if args.tmin is not None:
-            tg = sorted(set(tg + [args.tmin]))
-        p["t_grid"] = tg
-    elif args.command == "bound":
-        p["p"] = args.p
-        if args.nu:
-            p["nu"] = args.nu
-        p["lambda_max"] = args.lambda_max
-        p["bisect_tol"] = args.bisect_tol
-    elif args.command == "brody":
-        fam = {"kind": args.family}
-        if args.family == "derivative-ladder":
-            if not args.lambdas:
-                raise ConfigError("derivative-ladder needs --lambdas")
-            fam["lambdas"] = [float(x) for x in args.lambdas.split(",")]
-            if args.p:
-                fam["p"] = args.p
-            if args.nu:
-                fam["nu"] = args.nu
-        p["family"] = fam
-        p["R"], p["tol"], p["n_max"] = args.R, args.tol, args.n_max
-    return cfg
+            with open(path, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from None
+        if not isinstance(config, dict):
+            raise ConfigError(f"{path} must hold a JSON object")
+        if config.setdefault("command", command) != command:
+            raise ConfigError(f"{path} is a {config['command']!r} config, not {command!r}")
+    for dest, value in flags.items():
+        _overlay(config, dest, value)
+    return config
 
 
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        config = _config_from_args(args)
-        code, report = run(config)
+        code, report = run(_config_from_args(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2)
-    out_path = report["config"]["output"].get("report")
+    out_path = report["config"]["output"]["report"]
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -65,26 +65,10 @@ class DiskGrid:
 
     def scaled(self, factor: float) -> "DiskGrid":
         """Grid with all coordinates multiplied by ``factor``; the retention
-        masks are shared, so node sets correspond one to one."""
+        masks are equal, so node sets correspond one to one."""
         if not factor > 0:
             raise InvalidGrid("scale factor must be positive")
-        g = object.__new__(DiskGrid)
-        g.r = self.r * factor
-        g.N = self.N
-        g.h = self.h * factor
-        g.xs = self.xs * factor
-        g.X = self.X * factor
-        g.Y = self.Y * factor
-        g.Z = self.Z * factor
-        g.R2 = self.R2 * factor * factor
-        g.mask = self.mask
-        g.interior = self.interior
-        g._center = self._center
-        g._dx = None
-        g._dy = None
-        g._cg = None
-        g._ring_ext = None
-        return g
+        return DiskGrid(self.r * factor, self.N)
 
     # Difference operators act on flattened (N*N, c) arrays; rows for nodes
     # outside the mask are zero.

@@ -71,6 +71,12 @@ class KobayashiOptions:
     residual_cap: float = 1e-2
     endpoint_tol: float | None = None   # defaults to cfg.tol_newton
 
+    def __post_init__(self):
+        if not self.k_max >= 1:
+            raise InvalidParams(f"k_max must be at least 1, got {self.k_max}")
+        if len(self.t_grid) == 0:
+            raise InvalidParams("t_grid must hold at least one node")
+
 
 def chain_cost(chain: Chain, tol: float = 1e-8) -> float:
     """Total cost after checking that consecutive links share endpoints."""
@@ -121,11 +127,16 @@ def _solve_link(J, src, dst, t, cfg, grid):
 def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = None) -> DistanceEstimate:
     """Cheapest certified chain joining p and q.
 
-    Every accepted link passes endpoint matching (solver tolerance), the
-    residual cap, and domain containment, so ``upper`` is a true upper
-    bound regardless of how the search was pruned.  The search log records
-    one (k, t, cost) triple per attempted link solve, with infinite cost
-    for rejected attempts.
+    ``upper`` is the cost of the returned chain, whatever the search
+    pruned.  What is certified is the chain of *discretized* disks: every
+    accepted link has its target endpoint, read off the grid by bilinear
+    interpolation at t, within the endpoint tolerance; its ``cr_residual``,
+    a sup over grid nodes only, at most ``residual_cap``; and its image at
+    the grid nodes inside the domain.  Nothing is checked between nodes,
+    and a t below the grid step falls inside the first cell, so ``upper``
+    bounds the pseudo-distance only up to the discretization error.  The
+    search log records one (k, t, cost) triple per attempted link solve,
+    with infinite cost for rejected attempts.
     """
     opts = opts or KobayashiOptions()
     p = np.asarray(p, dtype=np.float64)

@@ -1,10 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jdisk.cli import main, run
 from jdisk.errors import ConfigError
+from jdisk.solver import SolverConfig
 
 
 def strip_timestamp(report: dict) -> str:
@@ -123,6 +127,11 @@ def test_main_config_error_exit_code(capsys):
     assert main(["disk", "--p", "0,0"]) == 2
 
 
+# A dict in argv is written to a --config file that replaces it.
+_DISK = {"p": [0, 0], "q": [0.2, 0]}
+_DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "--p", "0,0", "--nu", "0,0"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--N", "4"],
@@ -132,7 +141,99 @@ def test_main_config_error_exit_code(capsys):
     ["disk", "--p", "abc,0", "--q", "0.2,0"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "epsilon=0"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "continuation_retries=2"],
+    ["validate", "--config", "missing.json"],
+    ["validate", "--config", "malformed.json"],
+    ["validate", "--config", [1, 2]],
+    ["validate", "--config", {"command": "disk", "params": _DISK}],
+    ["disk", "--config", {"solver": {"max_iter": "abc"}, "params": _DISK}],
+    ["disk", "--config", {"solver": {"max_iter": 80.5}, "params": _DISK}],
+    ["disk", "--config", {"params": {"q": [0.2, 0]}}],
+    ["disk", "--config", {"grid": {"N": 33.7}, "params": _DISK}],
+    ["validate", "--config", {"seed": "abc"}],
+    ["validate", "--config", {"seed": -1}],
+    ["validate", "--config", {"structure": {"n": "abc"}}],
+    ["validate", "--config", {"params": {"samples": "x"}}],
+    ["validate", "--config", {"params": {"samples": -1}}],
+    ["bound", "--config", {"params": {"p": [0, 0], "lambda_max": "big"}}],
+    ["distance", "--config", {"params": dict(_DISTANCE, t_grid="abc")}],
+    ["distance", "--config", {"params": dict(_DISTANCE, t_grid=[])}],
+    ["distance", "--config", {"params": dict(_DISTANCE, k_max=0)}],
+    ["brody", "--config", {"params": {"family": "dilations"}}],
+    ["brody", "--config", {"params": {"family": {"kind": "derivative-ladder"}}}],
+    ["distance", "--p", "0,0", "--q", "0.3,0", "--t-grid", "a,b"],
+    ["brody", "--family", "derivative-ladder", "--lambdas", "x"],
 ])
-def test_main_bad_input_exits_2(argv, capsys):
+def test_main_bad_input_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "malformed.json").write_text("{not json")
+    (tmp_path / "config.json").write_text(json.dumps(argv[-1]))
+    argv = [a if isinstance(a, str) else "config.json" for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_flags_overlay_config_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"structure": {"name": "conjugated", "epsilon": 0.2},
+                                "params": {"samples": 10}}))
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", str(path), "--epsilon", "0.1",
+                 "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["structure"]["name"] == "conjugated"
+    assert config["structure"]["epsilon"] == 0.1
+    assert config["params"]["samples"] == 10
+    assert config["solver"]["max_iter"] == SolverConfig().max_iter
+
+
+_NOT_A_VALUE = object()   # stands for a key removed from the config
+_BAD_VALUES = ["abc", "1,x", [1.0, "x"], {"a": 1}, True, None, math.nan, math.inf,
+               -math.inf, 2.5, -3, _NOT_A_VALUE]
+_SMALL_RUNS = {
+    "validate": {"command": "validate", "grid": {"N": 9}, "params": {"samples": 20},
+                 "structure": {"name": "conjugated", "radius": 1.0}, "seed": 1},
+    "disk": {"command": "disk", "grid": {"N": 9},
+             "params": {"p": [0.0, 0.0], "q": [0.2, 0.0]}},
+}
+
+
+def _leaf_paths(config, prefix=()):
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+@st.composite
+def _spoiled_configs(draw):
+    config = run(_SMALL_RUNS[draw(st.sampled_from(sorted(_SMALL_RUNS)))])[1]["config"]
+    *parents, key = draw(st.sampled_from(sorted(_leaf_paths(config))))
+    value = draw(st.sampled_from(_BAD_VALUES))
+    if parents == ["output"] and isinstance(value, str):
+        value = None   # a string is a valid path; the run would write the file
+    node = config
+    for name in parents:
+        node = node[name]
+    if value is _NOT_A_VALUE:
+        del node[key]
+    else:
+        node[key] = value
+    return config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_spoiled_configs())
+def test_any_config_exits_0_2_or_3(config):
+    """A config with one wrong-typed, non-finite or missing value either
+    raises ConfigError or gives exit 0 or 3 with a JSON report, and its
+    echo runs again to the same report."""
+    try:
+        code, report = run(config)
+    except ConfigError:
+        return
+    assert code in (0, 3)
+    json.dumps(report, allow_nan=False)
+    code2, report2 = run(report["config"])
+    assert code2 == code
+    assert strip_timestamp(report2) == strip_timestamp(report)

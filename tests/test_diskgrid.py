@@ -237,7 +237,8 @@ def test_scaled_grid_shares_masks():
     g = make_grid(1.0, 33)
     g5 = g.scaled(5.0)
     assert g5.r == 5.0
-    assert g5.mask is g.mask
+    assert np.array_equal(g5.mask, g.mask)
+    assert np.array_equal(g5.interior, g.interior)
     assert np.allclose(g5.nodes(), 5.0 * g.nodes())
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jdisk.diskgrid import make_grid
-from jdisk.errors import InvalidChain, NoChainFound, NotHolomorphicMap
+from jdisk.errors import InvalidChain, InvalidParams, NoChainFound, NotHolomorphicMap
 from jdisk.kobayashi import (KobayashiOptions, chain_cost, concatenate_chains,
                              derivative_bound, estimate_distance,
                              pushforward_chain, validate_chain)
@@ -101,6 +101,13 @@ def test_no_chain_in_tiny_ball():
     with pytest.raises(NoChainFound):
         estimate_distance(J, np.zeros(2), np.array([0.15, 0.0]),
                           quick_opts(t_grid=(0.5,), k_max=1))
+
+
+def test_options_reject_an_empty_search():
+    with pytest.raises(InvalidParams):
+        KobayashiOptions(k_max=0)
+    with pytest.raises(InvalidParams):
+        KobayashiOptions(t_grid=())
 
 
 def test_triangle_via_concatenation(J_std):
