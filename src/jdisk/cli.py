@@ -229,6 +229,14 @@ def _jsonify(obj):
     return obj
 
 
+def _create(path: str):
+    """Open ``path`` for writing; a path that cannot be opened is a config error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _cmd_validate(config, J, grid, cfg, rng):
     dim = J.convention.dim
     count = config["params"]["samples"]
@@ -268,7 +276,8 @@ def _cmd_disk(config, J, grid, cfg, rng):
     }
     csv_path = config["output"]["csv"]
     if csv_path:
-        to_csv(sol.v, csv_path)
+        with _create(csv_path) as fh:
+            to_csv(sol.v, fh)
         results["csv"] = csv_path
     return results, 0
 
@@ -325,7 +334,8 @@ def _cmd_brody(config, J, grid, cfg, rng):
         }
         csv_path = config["output"]["csv"]
         if csv_path:
-            to_csv(report.final.samples, csv_path)
+            with _create(csv_path) as fh:
+                to_csv(report.final.samples, fh)
             results["csv"] = csv_path
     return results, 0 if report.final is not None else 3
 
@@ -568,16 +578,16 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         code, report = run(_config_from_args(args))
+        text = json.dumps(report, indent=2)
+        out_path = report["config"]["output"]["report"]
+        if out_path:
+            with _create(out_path) as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2)
-    out_path = report["config"]["output"]["report"]
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return code
 
 

@@ -225,8 +225,12 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
     Bisection on the scale; the result is a lower bound for the derivative
     supremum over all disks.  Feasibility at ``lambda_max`` itself is
     flagged as ``unbounded_suspected`` (the scan cannot certify an actual
-    supremum).
+    supremum).  ``lambda_max`` and ``bisect_tol`` must be positive and
+    finite; the bisection also stops once it reaches adjacent floats.
     """
+    for name, value in (("lambda_max", lambda_max), ("bisect_tol", bisect_tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidParams(f"{name} must be positive and finite, got {value}")
     cfg = cfg or SolverConfig()
     grid = grid or make_grid(1.0, 33)
     p = np.asarray(p, dtype=np.float64)
@@ -256,6 +260,8 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
     lo, hi = 0.0, lambda_max
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if feasible(mid):
             lo = mid
         else:

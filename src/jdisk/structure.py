@@ -212,12 +212,51 @@ def validate_structure(J: StructureField, samples: np.ndarray, tol: float = 1e-1
 
     if mats.shape[0]:
         resid = np.max(np.abs(np.einsum("mij,mjk->mik", mats, mats) + eye))
-        cond_max = float(np.max(np.linalg.cond(J.convention.jst_f + mats)))
+        cond_max = float(np.max(_dilatation(J, mats)[0]))
     else:
         resid, cond_max = math.inf, math.inf
     passed = (not invalid) and resid <= tol
     return ValidationReport(float(resid), float(tol), bool(passed), cond_max,
                             samples.shape[0], invalid)
+
+
+def _dilatation(J: StructureField, mats: np.ndarray):
+    """Condition numbers of ``Jst + J`` over a stack (m, 2n, 2n) of values of
+    ``J``, and the dilatations ``(Jst + J)^{-1} (Jst - J)``, or None in their
+    place when a condition number is non-finite or above ``J.cond_cap``.
+
+    For n = 1 both come in closed form: with ``a, b, c, d`` the entries of
+    ``Jst + J``, its singular values are ``(sqrt(F + 2|det|) +- sqrt(F - 2|det|)) / 2``
+    with ``F = a^2 + b^2 + c^2 + d^2``, so the condition number
+    ``s_max^2 / |det|`` is the exact 2-norm one ``np.linalg.cond`` gives, and
+    the inverse is the adjugate over the determinant.
+    """
+    jst = J.convention.jst_f
+    m = jst + mats
+    if J.convention.n > 1:
+        conds = np.linalg.cond(m)
+    else:
+        a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+        det = a * d - b * c
+        frob2 = a * a + b * b + c * c + d * d
+        two_det = 2.0 * np.abs(det)
+        # F - 2|det| = (s_max - s_min)^2 >= 0 up to rounding
+        s_max = 0.5 * (np.sqrt(frob2 + two_det) + np.sqrt(np.maximum(frob2 - two_det, 0.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            conds = np.where(det == 0, np.inf, s_max * s_max / np.abs(det))
+    worst = np.max(conds)   # nan wherever a condition number is nan
+    if not (np.isfinite(worst) and worst <= J.cond_cap):
+        return conds, None
+    rhs = jst - mats
+    if J.convention.n > 1:
+        return conds, np.linalg.solve(m, rhs)
+    r00, r01, r10, r11 = rhs[:, 0, 0], rhs[:, 0, 1], rhs[:, 1, 0], rhs[:, 1, 1]
+    q = np.empty_like(rhs)
+    q[:, 0, 0] = (d * r00 - b * r10) / det
+    q[:, 0, 1] = (d * r01 - b * r11) / det
+    q[:, 1, 0] = (a * r10 - c * r00) / det
+    q[:, 1, 1] = (a * r11 - c * r01) / det
+    return conds, q
 
 
 def q_matrix(J: StructureField, v: np.ndarray) -> np.ndarray:
@@ -227,33 +266,24 @@ def q_matrix(J: StructureField, v: np.ndarray) -> np.ndarray:
     which signals that ``v`` lies outside the region where the structure can
     be treated as a perturbation of the standard one.
     """
-    v = np.asarray(v, dtype=np.float64)
-    jst = J.convention.jst_f
-    jv = J.eval(v)
-    m = jst + jv
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > J.cond_cap:
-        raise Singular(f"Jst + J(v) has condition {cond:.3e} at v={v.tolist()}")
-    return np.linalg.solve(m, jst - jv)
+    return q_field(J, np.asarray(v, dtype=np.float64)[None])[0]
 
 
 def q_field(J: StructureField, points: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
     """Batched dilatation matrices at (m, 2n) points.
 
-    ``labels`` (optional, same leading length) improves the error message
-    when a point fails the conditioning cap.
+    Raises ``Singular`` when the condition number of ``Jst + J`` at some
+    point is non-finite or above ``J.cond_cap``; ``labels`` (optional, same
+    leading length) improves the error message.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    jst = J.convention.jst_f
-    mats = J.eval(points)
-    m = jst + mats
-    conds = np.linalg.cond(m)
-    worst = int(np.argmax(conds))
-    if not np.isfinite(conds[worst]) or conds[worst] > J.cond_cap:
+    conds, q = _dilatation(J, J.eval(points))
+    if q is None:
+        worst = int(np.argmax(conds))
         where = labels[worst] if labels is not None else points[worst]
         raise Singular(
             f"Jst + J ill conditioned (cond={conds[worst]:.3e}) at {np.asarray(where).tolist()}")
-    return np.linalg.solve(m, jst[None, :, :] - mats)
+    return q
 
 
 def _named_shape(name: str, periodic: bool):
@@ -268,12 +298,33 @@ def _named_shape(name: str, periodic: bool):
 
 
 def _conjugation_eval(conv: ComplexConvention, epsilon: float, b_field):
+    """``eval_fn`` of J(p) = S Jst S^{-1}, S = Id + eps*B(p); raises
+    ``Singular`` where S is singular or J is not finite."""
     eye = np.eye(conv.dim)
 
     def eval_fn(points: np.ndarray) -> np.ndarray:
         b = np.asarray(b_field(points), dtype=np.float64)
         s = eye + epsilon * b
-        return s @ conv.jst_f @ np.linalg.inv(s)
+        if conv.n > 1:
+            try:
+                out = s @ conv.jst_f @ np.linalg.inv(s)
+            except np.linalg.LinAlgError:
+                where = points[int(np.argmin(np.abs(np.linalg.det(s))))].tolist()
+                raise Singular(f"S = Id + eps*B is singular at {where}") from None
+        else:
+            # S Jst adj(S) / det(S) with Jst = [[0, -1], [1, 0]]
+            s00, s01, s10, s11 = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
+            det = s00 * s11 - s01 * s10
+            out = np.empty_like(s)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[:, 0, 0] = (s00 * s10 + s01 * s11) / det
+                out[:, 0, 1] = -(s00 * s00 + s01 * s01) / det
+                out[:, 1, 0] = (s10 * s10 + s11 * s11) / det
+            out[:, 1, 1] = -out[:, 0, 0]
+        if not np.isfinite(out).all():
+            where = points[int(np.argmin(np.isfinite(out).all(axis=(1, 2))))].tolist()
+            raise Singular(f"S = Id + eps*B is singular or J is not finite at {where}")
+        return out
 
     return eval_fn
 

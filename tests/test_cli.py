@@ -162,6 +162,11 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
     ["brody", "--config", {"params": {"family": {"kind": "derivative-ladder"}}}],
     ["distance", "--p", "0,0", "--q", "0.3,0", "--t-grid", "a,b"],
     ["brody", "--family", "derivative-ladder", "--lambdas", "x"],
+    ["bound", "--p", "0,0", "--bisect-tol", "0"],
+    ["bound", "--p", "0,0", "--lambda-max", "-1"],
+    ["validate", "--N", "9", "--samples", "5", "--out", "missing_dir/r.json"],
+    ["disk", "--p", "0,0", "--q", "0.2,0", "--N", "9", "--csv", "missing_dir/d.csv"],
+    ["brody", "--structure", "torus-flat", "--csv", "missing_dir/l.csv"],
 ])
 def test_main_bad_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -181,3 +181,23 @@ def test_derivative_bound_zero_scale_always_feasible(J_torus):
     rep = derivative_bound(J_torus, np.zeros(2), np.array([0.0, 1.0]), 1e3,
                            cfg=SolverConfig(), grid=make_grid(1.0, 17))
     assert rep.lambda_lower > 0.0
+
+
+@pytest.mark.parametrize("lambda_max, bisect_tol", [
+    (-1.0, 0.01), (0.0, 0.01), (np.inf, 0.01), (np.nan, 0.01),
+    (4.0, 0.0), (4.0, -0.01), (4.0, np.nan),
+])
+def test_derivative_bound_rejects_an_empty_or_endless_search(J_std, lambda_max, bisect_tol):
+    with pytest.raises(InvalidParams):
+        derivative_bound(J_std, np.zeros(2), np.array([1.0, 0.0]), lambda_max,
+                         bisect_tol=bisect_tol)
+
+
+def test_derivative_bound_stops_at_float_resolution():
+    # a tolerance below the spacing of floats near the bound used to loop forever
+    J = gallery("standard", n=1, radius=1.0)
+    rep = derivative_bound(J, np.zeros(2), np.array([1.0, 0.0]), 4.0,
+                           grid=make_grid(1.0, 9), bisect_tol=1e-300)
+    lams = [lam for lam, ok in rep.probes]
+    assert len(lams) == len(set(lams)) < 100
+    assert abs(rep.lambda_lower - 1.0) <= 0.05

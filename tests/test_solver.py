@@ -122,6 +122,14 @@ def test_two_point_disk_conjugated(J_conj, g65):
     assert sol.residual < 1e-3
 
 
+def test_two_point_disk_counters_are_pinned(J_conj):
+    # exact counts: a change to the dilatation or the iteration that moves
+    # them shows here without timing noise
+    sol = two_point_disk(J_conj, np.zeros(2), np.array([0.3, -0.2]), 0.5,
+                         SolverConfig(epsilon=0.5), make_grid(1.0, 33))
+    assert (sol.iterations, sol.newton_steps) == (6, 4)
+
+
 def test_two_point_disk_rejects_bad_t(J_std, g65):
     p = np.array([0.1, 0.0])
     q = np.array([0.3, 0.0])

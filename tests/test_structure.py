@@ -93,6 +93,90 @@ def test_q_matrix_singular_at_minus_jst():
         q_matrix(J, np.zeros(2))
 
 
+def _constant_field(jmats, cond_cap=1e8):
+    """A custom field whose value at the i-th of len(jmats) points is jmats[i]."""
+    conv = ComplexConvention(jmats.shape[-1] // 2)
+    return StructureField(conv, DomainDescriptor("chart-ball", conv.dim),
+                          lambda pts: jmats[:pts.shape[0]], cond_cap=cond_cap)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_q_field_matches_solve_oracle(n, rng):
+    # Jst + J = U diag(s) V^T with condition numbers spread over 1 to 1e12
+    dim, m = 2 * n, 400
+    jst = ComplexConvention(n).jst_f
+    u = np.linalg.qr(rng.normal(size=(m, dim, dim)))[0]
+    w = np.linalg.qr(rng.normal(size=(m, dim, dim)))[0]
+    cond = 10.0 ** rng.uniform(0.0, 12.0, size=m)
+    sv = np.exp(rng.uniform(0.0, 1.0, size=(m, dim)) * np.log(cond)[:, None])
+    sv[:, 0], sv[:, -1] = cond, 1.0
+    sv *= 10.0 ** rng.uniform(-1.0, 1.0, size=(m, 1))
+    mats = np.einsum("mij,mj,mkj->mik", u, sv, w) - jst
+    oracle = np.linalg.solve(jst + mats, jst - mats)
+    q = q_field(_constant_field(mats, cond_cap=1e13), np.zeros((m, dim)))
+    if n > 1:
+        assert np.array_equal(q, oracle)
+    else:
+        err = np.max(np.abs(q - oracle), axis=(1, 2))
+        scale = np.max(np.abs(oracle), axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.linalg.cond(jst + mats) * scale)
+    # the cap decision is the one the SVD condition number makes
+    svd_cond = np.linalg.cond(jst + mats)
+    decided = 0
+    for i in range(m):
+        if abs(svd_cond[i] / 1e8 - 1.0) < 1e-6:
+            continue
+        J = _constant_field(mats[i:i + 1])
+        if svd_cond[i] > J.cond_cap:
+            with pytest.raises(Singular):
+                q_field(J, np.zeros((1, dim)))
+        else:
+            q_field(J, np.zeros((1, dim)))
+        decided += 1
+    assert decided > 0.9 * m
+
+
+def _sheared(points):
+    x, y = points[:, 0], points[:, 1]
+    return np.stack([np.stack([np.sin(x), np.cos(y)], -1),
+                     np.stack([x * y, np.cos(x + y)], -1)], -2)
+
+
+@pytest.mark.parametrize("perturbation", ["sin", _sheared])
+def test_conjugated_eval_matches_dense_inverse_oracle(perturbation, rng):
+    eps = 0.3
+    J = gallery("conjugated", n=1, epsilon=eps, perturbation=perturbation)
+    pts = rng.uniform(-1.0, 1.0, size=(500, 2))
+    if callable(perturbation):
+        b = perturbation(pts)
+    else:
+        b = np.zeros((500, 2, 2))
+        b[:, 0, 0] = np.sin(pts[:, 0])
+    s = np.eye(2) + eps * b
+    oracle = s @ J.convention.jst_f @ np.linalg.inv(s)
+    assert np.max(np.abs(J.eval(pts) - oracle)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_singular_conjugation_raises_singular(n):
+    # S = Id + eps*B has S[0, 0] = 1 - p_0 / 0.3, which is exactly 0 at
+    # p_0 = 0.3 and nonzero on the gallery's validation lattice
+    eps = 0.5
+
+    def b_field(points):
+        b = np.zeros(points.shape + (points.shape[-1],))
+        b[:, 0, 0] = -points[:, 0] / (eps * 0.3)
+        return b
+
+    J = gallery("conjugated", n=n, epsilon=eps, perturbation=b_field)
+    pts = np.zeros((3, 2 * n))
+    pts[1, 0] = 0.3
+    with pytest.raises(Singular):
+        J.eval(pts)
+    with pytest.raises(Singular):
+        q_field(J, pts)
+
+
 def test_q_matrix_matches_dense_inverse_oracle():
     J = gallery("conjugated", n=1, epsilon=0.1)
     v = np.array([0.4, -0.2])
