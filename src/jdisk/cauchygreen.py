@@ -212,10 +212,14 @@ def _region_area(pieces, r) -> float:
 
 
 class CGOperator:
-    """Precomputed quadrature for the solid Cauchy transform on one grid."""
+    """Precomputed quadrature for the solid Cauchy transform on one grid.
+
+    It keeps the geometry it needs (``N``, ``r``, ``mask``) rather than the
+    grid, which caches the operator: a back reference would make every grid
+    with an operator cyclic garbage that only a full collection frees."""
 
     def __init__(self, grid: DiskGrid):
-        self.grid = grid
+        self.N, self.r, self.mask = grid.N, grid.r, grid.mask
         N, h = grid.N, grid.h
         self.frac = self._area_fractions(grid)
 
@@ -337,19 +341,19 @@ class CGOperator:
     def cell_weight(self, dj: int, dk: int) -> complex:
         """Weight applied to a unit-fraction source cell at index offset
         (target minus source)."""
-        N = self.grid.N
+        N = self.N
         return complex(self.kernel[N - 1 + dj, N - 1 + dk])
 
     def apply_complex(self, phi: np.ndarray) -> np.ndarray:
         """Transform one complex component sampled on the full (N, N) lattice."""
-        N = self.grid.N
-        raw = np.where(self.grid.mask, phi, 0.0)
+        N = self.N
+        raw = np.where(self.mask, phi, 0.0)
         psi = self.conv_frac * raw
         conv = ifft2(fft2(psi, s=(self._pad, self._pad)) * self._kernel_fft)
         out = conv[N - 1:2 * N - 1, N - 1:2 * N - 1]
         if self._rim_correction is not None:
             out = out + (self._rim_correction @ raw.ravel()).reshape(N, N)
-        return np.where(self.grid.mask, out, 0.0)
+        return np.where(self.mask, out, 0.0)
 
 
 def cg_build(grid: DiskGrid) -> CGOperator:
@@ -361,9 +365,9 @@ def cg_build(grid: DiskGrid) -> CGOperator:
 
 def cg_apply(op: CGOperator, phi: DiskMap) -> DiskMap:
     """Apply the transform to each complex component of a map."""
-    if not op.grid.same_geometry(phi.grid):
-        raise GridMismatch(
-            f"operator grid {op.grid!r} does not match density grid {phi.grid!r}")
+    if not phi.grid.same_geometry(op):
+        raise GridMismatch(f"operator geometry (r={op.r}, N={op.N}) does not match "
+                           f"density grid {phi.grid!r}")
     out = np.zeros_like(phi.values)
     for m in range(phi.n):
         w = op.apply_complex(phi.component_complex(m))

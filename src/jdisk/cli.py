@@ -12,6 +12,7 @@ versions.  Exit codes: 0 success, 2 config error, 3 solver/check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import inspect
@@ -28,7 +29,8 @@ from .brody import derivative_ladder_family, dilation_family, extract_line, scal
 from .cauchygreen import cg_apply, cg_build, cg_residual
 from .diskgrid import (DiskMap, eval_interp, make_grid, mobius_swap,
                        poincare_distance, to_csv)
-from .errors import ConfigError, InvalidGrid, InvalidParams, JDiskError, UnknownName
+from .errors import (ConfigError, Diverged, InvalidGrid, InvalidParams, JDiskError,
+                     UnknownName)
 from .kobayashi import (KobayashiOptions, chain_cost, derivative_bound,
                         estimate_distance, pushforward_chain)
 from .solver import SolverConfig, affine_target, derivative_disk, two_point_disk
@@ -95,11 +97,14 @@ _REQUIRED = object()   # default of a key that the config must give
 
 class _Key(NamedTuple):
     """One config key.  A default that is callable is computed from dim.
-    ``flag`` "" derives the flag ``--key-name``, None gives the key none."""
+    ``flag`` "" derives the flag ``--key-name``, None gives the key none.
+    ``most`` caps a number, so a size that cannot be allocated is a config
+    error rather than a numpy ``MemoryError``."""
 
     kind: object
     default: object = None
     flag: str | None = ""
+    most: int | None = None
 
 
 def _e1(dim) -> list:
@@ -125,17 +130,18 @@ _FAMILIES = {
 _TABLE = {
     "structure": {
         "name": _Key(_str, "standard", "--structure"),
-        "n": _Key(_int, _arg_default(gallery, "n")),
+        "n": _Key(_int, _arg_default(gallery, "n"), most=8),
         "epsilon": _Key(_float, _arg_default(gallery, "epsilon")),
         "perturbation": _Key(_str, _arg_default(gallery, "perturbation")),
         "radius": _Key(_float),   # None: the unbounded chart
     },
-    "grid": {"N": _Key(_int, KobayashiOptions.grid_n), "r": _Key(_float, KobayashiOptions.grid_r)},
+    "grid": {"N": _Key(_int, KobayashiOptions.grid_n, most=1025),
+             "r": _Key(_float, KobayashiOptions.grid_r)},
     # set with --cfg KEY=VALUE
     "solver": {f.name: _Key({int: _int, float: _float}[type(f.default)], f.default, None)
                for f in dataclasses.fields(SolverConfig)},
     "params": {
-        "validate": {"samples": _Key(_int, 1000)},
+        "validate": {"samples": _Key(_int, 1000, most=100_000)},
         "disk": {"p": _Key(_point, _REQUIRED), "q": _Key(_point), "w": _Key(_point),
                  "t": _Key(_float, 0.5)},
         "distance": {
@@ -171,7 +177,10 @@ def _value(spec: _Key, given: dict, key: str, path: str, dim):
             raise ConfigError("required key is missing")
         if value is None and spec.default is None:
             return None
-        return spec.kind(value, dim)
+        value = spec.kind(value, dim)
+        if spec.most is not None and value > spec.most:
+            raise ConfigError(f"expected at most {spec.most}, got {value!r}")
+        return value
     except ConfigError as exc:
         raise ConfigError(f"{path}{key}: {exc}") from None
 
@@ -254,31 +263,38 @@ def _cmd_validate(config, J, grid, cfg, rng):
     return results, 0 if report.passed else 3
 
 
+@contextlib.contextmanager
+def _csv_out(config):
+    """The ``--csv`` file, or None without one.  It is opened before the
+    solve, so an unwritable path fails before any work is done."""
+    path = config["output"]["csv"]
+    if not path:
+        yield None
+        return
+    with _create(path) as fh:
+        yield fh
+
+
 def _cmd_disk(config, J, grid, cfg, rng):
     params = config["params"]
-    if params["w"] is not None:
-        sol = derivative_disk(J, params["p"], params["w"], cfg, grid)
-        endpoint = {"value_at_0": sol.v.value_at_center().tolist()}
-    elif params["q"] is not None:
-        t = params["t"]
-        sol = two_point_disk(J, params["p"], params["q"], t, cfg, grid)
-        endpoint = {
-            "value_at_0": sol.v.value_at_center().tolist(),
-            "value_at_t": eval_interp(sol.v, complex(t, 0.0)).tolist(),
-        }
-    else:
+    if params["w"] is None and params["q"] is None:
         raise ConfigError("disk needs params.q or params.w")
-    results = {
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-        "newton_steps": sol.newton_steps,
-        "endpoints": endpoint,
-    }
-    csv_path = config["output"]["csv"]
-    if csv_path:
-        with _create(csv_path) as fh:
-            to_csv(sol.v, fh)
-        results["csv"] = csv_path
+    with _csv_out(config) as csv:
+        if params["w"] is not None:
+            sol = derivative_disk(J, params["p"], params["w"], cfg, grid)
+            endpoint = {"value_at_0": sol.v.value_at_center().tolist()}
+        else:
+            t = params["t"]
+            sol = two_point_disk(J, params["p"], params["q"], t, cfg, grid)
+            endpoint = {
+                "value_at_0": sol.v.value_at_center().tolist(),
+                "value_at_t": eval_interp(sol.v, complex(t, 0.0)).tolist(),
+            }
+        results = {"residual": sol.residual, "iterations": sol.iterations,
+                   "endpoints": endpoint}
+        if csv:
+            to_csv(sol.v, csv)
+            results["csv"] = config["output"]["csv"]
     return results, 0
 
 
@@ -311,14 +327,17 @@ def _cmd_bound(config, J, grid, cfg, rng):
 def _cmd_brody(config, J, grid, cfg, rng):
     params = config["params"]
     fam = params["family"]
-    if fam["kind"] == "dilations":
-        family = dilation_family(grid, n=J.convention.n, base=fam["base"],
-                                 factor=fam["factor"])
-    else:
-        family = derivative_ladder_family(J, fam["p"], fam["nu"], fam["lambdas"],
-                                          cfg, grid)
-    report = extract_line(J, family, R=params["R"], tol=params["tol"],
-                          n_max=params["n_max"])
+    with _csv_out(config) as csv:
+        if fam["kind"] == "dilations":
+            family = dilation_family(grid, n=J.convention.n, base=fam["base"],
+                                     factor=fam["factor"])
+        else:
+            family = derivative_ladder_family(J, fam["p"], fam["nu"], fam["lambdas"],
+                                              cfg, grid)
+        report = extract_line(J, family, R=params["R"], tol=params["tol"],
+                              n_max=params["n_max"])
+        if csv and report.final is not None:
+            to_csv(report.final.samples, csv)
     results = {
         "converged": report.converged,
         "message": report.message,
@@ -332,11 +351,8 @@ def _cmd_brody(config, J, grid, cfg, rng):
             "cr_residual": report.final.cr_residual,
             "achieved_delta": report.final.achieved_delta,
         }
-        csv_path = config["output"]["csv"]
-        if csv_path:
-            with _create(csv_path) as fh:
-                to_csv(report.final.samples, fh)
-            results["csv"] = csv_path
+        if csv:
+            results["csv"] = config["output"]["csv"]
     return results, 0 if report.final is not None else 3
 
 
@@ -507,6 +523,10 @@ def run(config: dict):
         raise ConfigError(str(exc)) from exc
     except JDiskError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        cause = exc.__cause__
+        if isinstance(cause, Diverged):   # a failed matched solve
+            report["error"].update(_jsonify({"last_deltas": cause.deltas,
+                                             "worst_ratio": cause.ratio}))
         code = 3
     report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return code, report
@@ -519,7 +539,8 @@ def _add_flags(parser, table: dict, prefix: str) -> None:
         elif spec.flag is not None:
             parser.add_argument(spec.flag or "--" + key.replace("_", "-"), dest=prefix + key,
                                 default=argparse.SUPPRESS, metavar=spec.kind.__name__[1:].upper(),
-                                help=f"sets {prefix}{key}")
+                                help=f"sets {prefix}{key}"
+                                + ("" if spec.most is None else f", at most {spec.most}"))
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -60,7 +60,8 @@ class DiskGrid:
         """Coordinates (m, 2) of the retained nodes, row-major order."""
         return np.stack([self.X[self.mask], self.Y[self.mask]], axis=-1)
 
-    def same_geometry(self, other: "DiskGrid") -> bool:
+    def same_geometry(self, other) -> bool:
+        """Same N and r as ``other``, a grid or a Cauchy operator."""
         return self.N == other.N and abs(self.r - other.r) <= 1e-12 * max(self.r, other.r)
 
     def scaled(self, factor: float) -> "DiskGrid":

@@ -35,11 +35,21 @@ class GridMismatch(JDiskError):
 
 
 class Diverged(JDiskError):
-    """Fixed-point iteration failed to contract within the iteration budget."""
+    """Fixed-point iteration failed to contract within the iteration budget.
+
+    ``deltas`` holds the last sup-norm step changes of the iterate and
+    ``ratio`` the worst contraction ratio of the run (None before two
+    steps)."""
+
+    def __init__(self, message: str, deltas=(), ratio=None):
+        super().__init__(message)
+        self.deltas = list(deltas)
+        self.ratio = ratio
 
 
 class NewtonFailed(JDiskError):
-    """Outer quasi-Newton matching did not reach the endpoint tolerance."""
+    """A disk solve with prescribed point or derivative data failed; the
+    ``Diverged`` or ``Singular`` of its fixed-point loop is the cause."""
 
 
 class ZeroDerivative(JDiskError):

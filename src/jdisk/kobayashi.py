@@ -69,7 +69,7 @@ class KobayashiOptions:
     grid_n: int = 33
     grid_r: float = 1.0
     residual_cap: float = 1e-2
-    endpoint_tol: float | None = None   # defaults to cfg.tol_newton
+    endpoint_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.k_max >= 1:
@@ -147,7 +147,6 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
 
     grid = make_grid(opts.grid_r, opts.grid_n)
     t_values = sorted(opts.t_grid)
-    endpoint_tol = opts.endpoint_tol if opts.endpoint_tol is not None else opts.cfg.tol_newton
     delta = dom.shortest_delta(p, q)
 
     best: Chain | None = None
@@ -169,7 +168,7 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
                 ok = (cand.disk.residual <= opts.residual_cap
                       and _image_in_domain(cand.disk.v, dom)
                       and dom.point_gap(eval_interp(cand.disk.v, cand.b), cand.dst)
-                      <= endpoint_tol)
+                      <= opts.endpoint_tol)
                 log.append((k, t, cand.cost if ok else math.inf))
                 if ok:
                     link = cand

@@ -6,10 +6,11 @@ discretization error, when it is a fixed point of
     v = h + P( q(v) * dv/dz ),
 
 with h a holomorphic target and P the solid Cauchy transform, the right
-inverse of d/dzbar on the disk.  ``picard_solve`` runs the plain fixed-point
-iteration; ``two_point_disk`` and ``derivative_disk`` wrap it in one
-quasi-Newton outer loop that adjusts the target until the disk matches
-prescribed point or derivative data.
+inverse of d/dzbar on the disk.  ``picard_solve`` runs the fixed-point
+iteration.  For ``two_point_disk`` and ``derivative_disk`` it also picks
+the affine target at every step so that the disk carries their point or
+derivative data exactly (the fixed-point treatment of disks with prescribed
+data, Nijenhuis and Woolf, Ann. of Math. 77 (1963)).
 """
 
 from __future__ import annotations
@@ -28,29 +29,25 @@ from .structure import ComplexConvention, StructureField, q_field
 class SolverConfig:
     """Settings of the disk solver.
 
-    ``epsilon`` in (0, 1] is the factor ``picard_solve`` applies to the
-    target it is given, v = epsilon * h + P(q(v) dv/dz).  The matched solves
-    hand it their targets divided by epsilon, so there epsilon only sets the
-    fixed-point stopping test: a sup change of v below
-    ``epsilon * tol_fixpoint``.  ``tol_newton`` bounds the matched data
-    error, ``fd_step`` is the forward-difference step of the one Jacobian
-    rebuild, and the iteration is declared diverged when its sup norm grows
-    by ``divergence_factor`` within ``divergence_window`` steps.
+    ``epsilon`` in (0, 1] is the factor ``picard_solve`` applies to a fixed
+    target, v = epsilon * h + P(q(v) dv/dz).  The matched solves choose
+    their target in disk units, so there epsilon only sets the stopping
+    test: a sup change of v below ``epsilon * tol_fixpoint``.  At most
+    ``max_iter`` steps are taken, and the iteration is declared diverged
+    when its sup norm grows by ``divergence_factor`` within
+    ``divergence_window`` steps.
     """
 
     epsilon: float = 0.1
     tol_fixpoint: float = 1e-10
     max_iter: int = 80
-    tol_newton: float = 1e-8
-    max_newton: int = 25
-    fd_step: float = 1e-6
     divergence_window: int = 5
     divergence_factor: float = 2.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
             raise InvalidParams(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        for name in ("tol_fixpoint", "max_iter", "tol_newton", "max_newton", "fd_step"):
+        for name in ("tol_fixpoint", "max_iter"):
             if not getattr(self, name) > 0:
                 raise InvalidParams(f"{name} must be positive")
 
@@ -59,10 +56,11 @@ class SolverConfig:
 class DiskSolution:
     """Result of a disk solve.
 
-    ``v`` is the disk and ``residual`` its ``cr_residual``.  ``step_deltas``
-    holds the sup-norm fixed-point increments of v (contraction
-    diagnostics); ``newton_steps`` counts outer matching steps when
-    applicable.
+    ``v`` is the disk and ``residual`` its ``cr_residual``.  ``iterations``
+    counts every fixed-point step of the solve, and ``step_deltas`` holds
+    their sup-norm increments of v (contraction diagnostics), one per step.
+    ``newton_steps`` is always 0: matching happens inside the fixed point,
+    and the field stays only for readers of the old outer-loop counter.
     """
 
     v: DiskMap
@@ -72,11 +70,12 @@ class DiskSolution:
     newton_steps: int = 0
 
     def contraction_ratios(self, floor: float = 1e-13) -> list:
-        out = []
-        for prev, cur in zip(self.step_deltas, self.step_deltas[1:]):
-            if prev > floor:
-                out.append(cur / prev)
-        return out
+        return _ratios(self.step_deltas, floor)
+
+
+def _ratios(deltas: list, floor: float = 1e-13) -> list:
+    """Step-delta ratios over steps whose previous delta exceeds ``floor``."""
+    return [cur / prev for prev, cur in zip(deltas, deltas[1:]) if prev > floor]
 
 
 def cr_residual(J: StructureField, v: DiskMap) -> float:
@@ -117,14 +116,27 @@ def _line_seed(p: np.ndarray, w: np.ndarray, grid: DiskGrid) -> DiskMap:
     return DiskMap(grid, vals, conv)
 
 
-def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap) -> DiskSolution:
-    """Fixed-point iteration v <- eps h + P(q(v) dv/dz) from v = eps h.
+def _diverged(message: str, deltas: list) -> Diverged:
+    return Diverged(message, deltas=deltas[-5:], ratio=max(_ratios(deltas), default=None))
 
-    ``eps`` is ``cfg.epsilon``; the iteration stops once the sup change of v
-    falls below ``eps * cfg.tol_fixpoint``.  Raises ``Diverged`` when the
-    iteration budget is exhausted or the iterate norm grows by
-    ``cfg.divergence_factor`` over a trailing window; ``Singular`` when the
-    dilatation matrix fails along an iterate.
+
+def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
+                 match=None) -> DiskSolution:
+    """Fixed-point iteration v <- T + C with C = P(q(v) dv/dz).
+
+    Without ``match`` the target T is ``eps * h`` and v starts at it, where
+    ``eps`` is ``cfg.epsilon``.  With ``match = (seed, observe, data)`` the
+    target is re-chosen at every step as T = seed(data - observe(C)).
+    ``observe`` is linear and ``observe(seed(y)) = y`` exactly, so every
+    iterate has ``observe(v) = data`` to round-off, and a fixed point is the
+    disk with that data; v starts at ``h``, normally ``seed(data)``.
+
+    The iteration stops once the sup change of v falls below
+    ``eps * cfg.tol_fixpoint``.  Raises ``Diverged``, carrying the last step
+    deltas and the worst contraction ratio, when the iteration budget is
+    exhausted or the iterate norm grows by ``cfg.divergence_factor`` over a
+    trailing window; ``Singular`` when the dilatation matrix fails along an
+    iterate.
     """
     eps = cfg.epsilon
     grid = h.grid
@@ -132,8 +144,12 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap) -> DiskSoluti
     mask = grid.mask
     labels = np.stack([grid.X[mask], grid.Y[mask]], axis=-1)
     extend = grid.ring_extension()
-    target = eps * h.values
-    v = DiskMap(grid, target, h.convention)
+    if match is None:
+        fixed = eps * h.values
+        v = DiskMap(grid, fixed, h.convention)
+    else:
+        seed, observe, data = match
+        v = h
     deltas: list = []
     norms: list = [v.sup_norm()]
     for k in range(1, cfg.max_iter + 1):
@@ -146,6 +162,7 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap) -> DiskSoluti
         flat = w_vals.reshape(grid.N * grid.N, -1)
         w_vals = (extend @ flat).reshape(w_vals.shape)
         correction = cg_apply(op, DiskMap(grid, w_vals, v.convention))
+        target = fixed if match is None else seed(data - observe(correction)).values
         new_vals = target + correction.values
         delta = float(np.max(np.abs(new_vals[mask] - v.values[mask])))
         deltas.append(delta)
@@ -157,11 +174,10 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap) -> DiskSoluti
             # the floor is 1e-6 in units of h, like the stopping test
             ref = max(norms[k - cfg.divergence_window], eps * 1e-6)
             if norms[k] > cfg.divergence_factor * ref:
-                raise Diverged(
-                    f"iterate norm grew from {ref:.3e} to {norms[k]:.3e} "
-                    f"within {cfg.divergence_window} steps")
-    raise Diverged(f"no contraction after {cfg.max_iter} iterations "
-                   f"(last delta {deltas[-1]:.3e})")
+                raise _diverged(f"iterate norm grew from {ref:.3e} to {norms[k]:.3e} "
+                                f"within {cfg.divergence_window} steps", deltas)
+    raise _diverged(f"no contraction after {cfg.max_iter} iterations "
+                    f"(last delta {deltas[-1]:.3e})", deltas)
 
 
 def _constant_solution(J: StructureField, p: np.ndarray, grid: DiskGrid) -> DiskSolution:
@@ -171,81 +187,23 @@ def _constant_solution(J: StructureField, p: np.ndarray, grid: DiskGrid) -> Disk
     return DiskSolution(v, cr_residual(J, v), 0)
 
 
-def _quasi_newton(residual_fn, x0: np.ndarray, cfg: SolverConfig):
-    """Broyden iteration with identity seed Jacobian.
-
-    ``residual_fn(x) -> (g, payload)``; stops when the sup norm of g drops
-    below ``cfg.tol_newton``.  Rebuilds the Jacobian by forward differences
-    (step ``cfg.fd_step``) once if progress stalls.
-    """
-    x = x0.copy()
-    g, payload = residual_fn(x)
-    steps = 0
-    if np.max(np.abs(g)) <= cfg.tol_newton:
-        return x, payload, steps
-    B = np.eye(x.size)
-    rebuilt = False
-    stall = 0
-    for steps in range(1, cfg.max_newton + 1):
-        dx = np.linalg.solve(B, -g)
-        x_new = x + dx
-        g_new, payload = residual_fn(x_new)
-        if np.max(np.abs(g_new)) <= cfg.tol_newton:
-            return x_new, payload, steps
-        if np.max(np.abs(g_new)) > 0.9 * np.max(np.abs(g)):
-            stall += 1
-        else:
-            stall = 0
-        if stall >= 3 and not rebuilt:
-            B = np.empty((x.size, x.size))
-            for i in range(x.size):
-                xe = x_new.copy()
-                xe[i] += cfg.fd_step
-                ge, _ = residual_fn(xe)
-                B[:, i] = (ge - g_new) / cfg.fd_step
-            rebuilt = True
-            stall = 0
-        else:
-            dg = g_new - g
-            denom = float(dx @ dx)
-            if denom > 0:
-                B = B + np.outer((dg - B @ dx) / denom, dx)
-        x, g = x_new, g_new
-    raise NewtonFailed(
-        f"endpoint matching did not reach {cfg.tol_newton:.1e} within "
-        f"{cfg.max_newton} steps (best {np.max(np.abs(g)):.3e})")
-
-
 def _matched_solve(J: StructureField, cfg: SolverConfig, seed, observe,
                    data: np.ndarray) -> DiskSolution:
-    """Disk v with ``observe(v) = data`` to ``cfg.tol_newton``.
-
-    The outer unknowns are the target parameters in disk units, started at
-    ``data``; ``seed(y)`` builds the target that ``picard_solve`` scales by
-    epsilon, so it receives them divided by epsilon.  A failed inner solve
-    ends the match: ``NewtonFailed`` carries it as its cause.
-    """
-    eps = cfg.epsilon
-
-    def residual(x):
-        sol = picard_solve(J, cfg, seed(x / eps))
-        return observe(sol.v) - data, sol
-
+    """Disk v with ``observe(v) = data``: one ``picard_solve`` whose target
+    is matched to the data at every step.  A failed solve raises
+    ``NewtonFailed`` with the ``Diverged`` or ``Singular`` as its cause."""
     try:
-        _, sol, steps = _quasi_newton(residual, data, cfg)
+        return picard_solve(J, cfg, seed(data), match=(seed, observe, data))
     except (Diverged, Singular) as exc:
         raise NewtonFailed(f"disk solve failed: {exc}") from exc
-    sol.newton_steps = max(steps, 1)
-    return sol
 
 
 def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
                    grid: DiskGrid) -> DiskSolution:
     """Holomorphic disk through p0 at z = 0 and q0 at z = t.
 
-    The outer loop adjusts the affine target parameters so that the solved
-    disk interpolates the requested points; both endpoint mismatches end up
-    below ``cfg.tol_newton``.
+    Both points are matched to round-off: v(0) exactly, v(t) through the
+    bilinear interpolation of ``eval_interp``.
     """
     p0 = np.asarray(p0, dtype=np.float64)
     q0 = np.asarray(q0, dtype=np.float64)
@@ -267,7 +225,8 @@ def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
 def derivative_disk(J: StructureField, p, w, cfg: SolverConfig,
                     grid: DiskGrid) -> DiskSolution:
     """Holomorphic disk with v(0) = p and dv/dz(0) = w (complex derivative,
-    real representation), both matched to ``cfg.tol_newton``."""
+    real representation), both matched to round-off, dv/dz(0) through the
+    centred differences of ``d_dz``."""
     p = np.asarray(p, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if not np.any(w):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -21,16 +24,21 @@ def cell_integral_2d_oracle(d, h, m=32):
 
 
 @pytest.fixture(scope="module")
-def op33():
-    return cg_build(make_grid(1.0, 33))
+def g33():
+    return make_grid(1.0, 33)
+
+
+@pytest.fixture(scope="module")
+def op33(g33):
+    return cg_build(g33)
 
 
 def test_self_cell_weight_is_zero(op33):
     assert op33.cell_weight(0, 0) == 0
 
 
-def test_cell_weights_match_area_quadrature_oracle(op33):
-    h = op33.grid.h
+def test_cell_weights_match_area_quadrature_oracle(op33, g33):
+    h = g33.h
     for dj, dk in [(1, 0), (1, 1), (0, 2), (-2, 1), (2, 2), (-1, -1),
                    (7, 3), (0, 12), (-20, 5)]:
         oracle = cell_integral_2d_oracle(h * complex(dj, dk), h) / np.pi
@@ -55,8 +63,8 @@ def test_far_cell_midpoint_weight_second_order():
     assert 12.0 < rel[0] / rel[1] < 20.0
 
 
-def test_boundary_cells_weighted_by_inside_fraction(op33):
-    g = op33.grid
+def test_boundary_cells_weighted_by_inside_fraction(op33, g33):
+    g = g33
     frac = op33.frac
     assert np.all(frac[g.interior] == 1.0)
     rim = g.mask & ~g.interior
@@ -68,8 +76,8 @@ def test_boundary_cells_weighted_by_inside_fraction(op33):
     assert covered == pytest.approx(np.pi * g.r ** 2, rel=1e-12)
 
 
-def test_transform_of_zero_is_zero(op33):
-    g = op33.grid
+def test_transform_of_zero_is_zero(op33, g33):
+    g = g33
     zero = DiskMap(g, np.zeros((g.N, g.N, 2)), ComplexConvention(1))
     out = cg_apply(op33, zero)
     assert np.all(out.values == 0.0)
@@ -191,3 +199,17 @@ def test_grid_mismatch_rejected(op33, grid65):
     phi = complex_map(grid65, lambda z: z)
     with pytest.raises(GridMismatch):
         cg_apply(op33, phi)
+
+
+def test_built_grid_is_freed_without_a_cycle_collection():
+    # the grid caches its operator, so an operator pointing back at the
+    # grid would leave both as cyclic garbage until a full collection
+    g = make_grid(1.0, 9)
+    cg_build(g)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()

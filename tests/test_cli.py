@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jdisk import cli
 from jdisk.cli import main, run
 from jdisk.errors import ConfigError
 from jdisk.solver import SolverConfig
@@ -167,6 +168,12 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
     ["validate", "--N", "9", "--samples", "5", "--out", "missing_dir/r.json"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--N", "9", "--csv", "missing_dir/d.csv"],
     ["brody", "--structure", "torus-flat", "--csv", "missing_dir/l.csv"],
+    ["validate", "--N", "100001"],
+    ["validate", "--n", "100000"],
+    ["validate", "--samples", "1000000000"],
+    ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "tol_newton=1e-8"],
+    ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "max_newton=25"],
+    ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "fd_step=1e-6"],
 ])
 def test_main_bad_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -175,6 +182,59 @@ def test_main_bad_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     argv = [a if isinstance(a, str) else "config.json" for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_size_limits_are_in_the_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["validate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for key, most in (("grid.N", 1025), ("structure.n", 8), ("params.samples", 100000)):
+        assert f"sets {key}, at most {most}" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["disk", "--p", "0,0", "--q", "0.2,0"],
+    ["disk", "--p", "0,0", "--w", "0.2,0"],
+    ["brody", "--structure", "torus-flat"],
+    ["brody", "--structure", "torus-flat", "--family", "derivative-ladder",
+     "--lambdas", "1,2"],
+])
+def test_unwritable_csv_fails_before_any_solve(argv, tmp_path, monkeypatch, capsys):
+    def solver_called(*args, **kwargs):
+        raise AssertionError("the solve ran before the --csv path was tried")
+
+    for name in ("two_point_disk", "derivative_disk", "dilation_family",
+                 "derivative_ladder_family", "extract_line"):
+        monkeypatch.setattr(cli, name, solver_called)
+    assert main(argv + ["--csv", str(tmp_path / "missing_dir" / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write")
+
+
+def test_disk_report_counts_every_fixed_point_step():
+    code, report = run({"command": "disk",
+                        "structure": {"name": "conjugated", "epsilon": 0.1},
+                        "grid": {"N": 33}, "solver": {"epsilon": 0.5},
+                        "params": {"p": [0.0, 0.0], "q": [0.3, -0.2]}})
+    assert code == 0
+    res = report["results"]
+    assert "newton_steps" not in res
+    assert res["iterations"] == 7
+    assert res["endpoints"]["value_at_t"] == pytest.approx([0.3, -0.2], abs=1e-14)
+
+
+def test_divergence_state_is_in_the_error_section():
+    code, report = run({"command": "disk",
+                        "structure": {"name": "conjugated", "epsilon": 0.1},
+                        "grid": {"N": 33},
+                        "solver": {"epsilon": 0.05, "max_iter": 3, "tol_fixpoint": 1e-15},
+                        "params": {"p": [0.3, 0.1], "q": [-0.2, 0.4]}})
+    assert code == 3
+    error = report["error"]
+    assert error["type"] == "NewtonFailed"
+    deltas = error["last_deltas"]
+    assert len(deltas) == 3 and all(d > 0 for d in deltas)
+    assert error["worst_ratio"] == max(deltas[1] / deltas[0], deltas[2] / deltas[1])
+    json.dumps(report, allow_nan=False)
 
 
 def test_flags_overlay_config_file(tmp_path):

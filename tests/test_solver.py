@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from jdisk import solver
 from jdisk.diskgrid import DiskMap, d_dz, eval_interp, make_grid
@@ -32,7 +33,11 @@ def test_config_validation():
     with pytest.raises(InvalidParams):
         SolverConfig(epsilon=0.0)
     with pytest.raises(InvalidParams):
-        SolverConfig(tol_newton=0.0)
+        SolverConfig(tol_fixpoint=0.0)
+    # the outer matching loop and its settings are gone
+    for key in ("tol_newton", "max_newton", "fd_step"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{key: 1e-8})
 
 
 def test_affine_target_hits_both_points(g65):
@@ -102,7 +107,8 @@ def test_two_point_disk_standard_exact(J_std, g65, rng):
         assert np.max(np.abs(sol.v.values - target.values)) < 1e-12
         assert np.linalg.norm(sol.v.value_at_center() - p) < 1e-12
         assert np.linalg.norm(eval_interp(sol.v, complex(t, 0)) - q) < 1e-12
-        assert sol.newton_steps <= 1
+        # q = 0, so the first correction vanishes and one step is the solve
+        assert (sol.iterations, sol.newton_steps) == (1, 0)
 
 
 def test_two_point_disk_degenerate_pair(J_conj, g65):
@@ -127,7 +133,7 @@ def test_two_point_disk_counters_are_pinned(J_conj):
     # them shows here without timing noise
     sol = two_point_disk(J_conj, np.zeros(2), np.array([0.3, -0.2]), 0.5,
                          SolverConfig(epsilon=0.5), make_grid(1.0, 33))
-    assert (sol.iterations, sol.newton_steps) == (6, 4)
+    assert (sol.iterations, len(sol.step_deltas), sol.newton_steps) == (7, 7, 0)
 
 
 def test_two_point_disk_rejects_bad_t(J_std, g65):
@@ -143,9 +149,9 @@ def test_failed_match_raises_after_one_picard_call(J_conj, g65, monkeypatch):
     cfg = SolverConfig(epsilon=0.05, max_iter=2, tol_fixpoint=1e-15)
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return picard_solve(*args)
+        return picard_solve(*args, **kwargs)
 
     monkeypatch.setattr(solver, "picard_solve", counted)
     p, q = np.array([0.3, 0.1]), np.array([-0.2, 0.4])
@@ -154,8 +160,23 @@ def test_failed_match_raises_after_one_picard_call(J_conj, g65, monkeypatch):
         calls.clear()
         with pytest.raises(NewtonFailed) as info:
             solve()
-        assert isinstance(info.value.__cause__, Diverged)
+        cause = info.value.__cause__
+        assert isinstance(cause, Diverged)
         assert len(calls) == 1
+        assert len(cause.deltas) == 2 and all(d > 0 for d in cause.deltas)
+        assert cause.ratio == cause.deltas[1] / cause.deltas[0]
+
+
+def test_slow_contraction_converges_above_the_residual_cap():
+    # J eps 0.9 with a long gap contracts slowly (worst ratio about 0.94):
+    # it converges within the default budget of 80 steps, but the disk is
+    # too coarse for the chain search's residual cap of 1e-2
+    J = gallery("conjugated", n=1, epsilon=0.9)
+    sol = two_point_disk(J, np.zeros(2), np.array([1.5, 0.4]), 0.5,
+                         SolverConfig(), make_grid(1.0, 33))
+    assert sol.iterations == 78
+    assert 0.9 < max(sol.contraction_ratios()) < 1.0
+    assert 1e-2 < sol.residual < 1.2e-2
 
 
 def test_derivative_disk_standard_exact(J_std, g65):
@@ -218,3 +239,55 @@ def test_solution_records_scaling_identity(J_conj, g65):
     sol = two_point_disk(J_conj, np.array([0.0, 0.0]), np.array([0.1, 0.0]),
                          0.5, cfg, g65)
     assert sol.residual == cr_residual(J_conj, sol.v)
+
+
+def _nested_reference(J, cfg, seed, observe, data):
+    """The matched disk the slow way: a root finder over the target
+    parameters in disk units, one full fixed-target ``picard_solve`` per
+    residual.  Its targets are divided by epsilon, which picard_solve
+    multiplies back."""
+    tight = SolverConfig(epsilon=cfg.epsilon, tol_fixpoint=1e-13)
+
+    def solve(x):
+        return picard_solve(J, tight, seed(x / cfg.epsilon))
+
+    root = scipy.optimize.root(lambda x: observe(solve(x).v) - data, data,
+                               method="hybr", options={"xtol": 1e-13})
+    assert root.success
+    return solve(root.x).v
+
+
+@pytest.mark.parametrize("eps, t", [(0.1, 0.5), (0.5, 0.25), (0.5, 0.1)])
+def test_matched_loop_agrees_with_a_nested_solve(eps, t):
+    J = gallery("conjugated", n=1, epsilon=eps)
+    g = make_grid(1.0, 33)
+    cfg = SolverConfig()
+    p, q = np.array([0.05, -0.1]), np.array([0.3, 0.1])
+    sol = two_point_disk(J, p, q, t, cfg, g)
+    ref = _nested_reference(
+        J, cfg, lambda y: affine_target(y[:2], y[2:], t, g),
+        lambda v: np.concatenate([v.value_at_center(), eval_interp(v, complex(t, 0.0))]),
+        np.concatenate([p, q]))
+    assert np.max(np.abs(sol.v.values - ref.values)) < 1e-8
+    assert np.max(np.abs(sol.v.value_at_center() - p)) < 1e-14
+    assert np.max(np.abs(eval_interp(sol.v, complex(t, 0.0)) - q)) < 1e-14
+    assert sol.iterations == len(sol.step_deltas) > 1
+
+
+@pytest.mark.parametrize("eps, lam", [(0.3, 0.2), (0.3, 1.0)])
+def test_matched_derivative_loop_agrees_with_a_nested_solve(eps, lam):
+    J = gallery("conjugated", n=1, epsilon=eps)
+    g = make_grid(1.0, 33)
+    cfg = SolverConfig()
+    c = g.center_index
+    p, w = np.array([0.1, 0.0]), lam * np.array([1.0, 0.3])
+    sol = derivative_disk(J, p, w, cfg, g)
+    ref = _nested_reference(
+        J, cfg, lambda y: DiskMap(g, y[:2] + ComplexConvention(1).cmul(g.Z, y[2:]),
+                                  ComplexConvention(1)),
+        lambda v: np.concatenate([v.value_at_center(), d_dz(v).values[c]]),
+        np.concatenate([p, w]))
+    assert np.max(np.abs(sol.v.values - ref.values)) < 1e-8
+    assert np.max(np.abs(sol.v.value_at_center() - p)) < 1e-14
+    assert np.max(np.abs(d_dz(sol.v).values[c] - w)) < 1e-14
+    assert sol.iterations == len(sol.step_deltas) > 1
