@@ -16,15 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diskgrid import (DiskGrid, DiskMap, make_grid, mobius_swap, resample,
-                       sup_poincare_derivative)
+from .diskgrid import (DiskGrid, DiskMap, make_grid, mobius_swap, node_max,
+                       resample, sup_poincare_derivative)
 from .errors import (HypothesisViolated, InvalidParams,
                      OutsideInterpolationRange, ZeroDerivative)
 from .solver import SolverConfig, cr_residual, derivative_disk
 from .structure import ComplexConvention, StructureField
 
-_SCAN_SAMPLES = 64
-_BISECT_TOL = 1e-6
+# A scaling root this close to 1 is round-off of the root t0 = 1.
+_UNIT_ROOT_SNAP = 2e-6
 
 
 def _safe_radius(r: float, h: float, t0: float, a: float) -> float:
@@ -57,8 +57,7 @@ def _derivative_norms(f: DiskMap) -> np.ndarray:
 
 
 def _derivative_at_origin(f: DiskMap) -> float:
-    c = f.grid.center_index
-    return float(np.linalg.norm(f.grid.dx_apply(f.values)[c[0], c[1], :]))
+    return float(np.linalg.norm(f.grid.dx_at_center(f.values)))
 
 
 def scaling_sup(f: DiskMap, t: float) -> float:
@@ -66,29 +65,24 @@ def scaling_sup(f: DiskMap, t: float) -> float:
 
     Computed by the change of variables w = t z on the source nodes, so no
     resampling enters: s(t) = max over nodes |w| < t r of
-    t |f'(w)| (r^2 - |w|^2 / t^2) / r^2.  By convention s(0) = 0.
+    t |f'(w)| (r^2 - |w|^2 / t^2) / r^2.  By convention s(0) = 0.  This is
+    the reference definition; ``brody_reparametrize`` does not call it but
+    finds the root of s(t) = c in closed form.
     """
     if not 0.0 <= t <= 1.0:
         raise InvalidParams(f"t must lie in [0, 1], got {t}")
     if t == 0.0:
         return 0.0
-    s, _ = _scaling_scan(f, t)
+    s, _ = _scaling_max(f.grid, _derivative_norms(f), t)
     return s
 
 
-def _scaling_scan(f: DiskMap, t: float):
-    g = f.grid
+def _scaling_max(g: DiskGrid, norms: np.ndarray, t: float):
+    """s(t) and its attaining source node w, from the derivative norms."""
     r = g.r
-    norms = _derivative_norms(f)
     sel = g.interior & (g.R2 < (t * r) ** 2)
-    if not sel.any():
-        return 0.0, 0j
     weight = (r * r - g.R2[sel] / (t * t)) / (r * r)
-    vals = t * norms[sel] * weight
-    xs, ys, r2 = g.X[sel], g.Y[sel], g.R2[sel]
-    order = np.lexsort((ys, xs, r2, -vals))
-    best = order[0]
-    return float(vals[best]), complex(xs[best], ys[best])
+    return node_max(t * norms[sel] * weight, g, sel)
 
 
 @dataclass
@@ -112,44 +106,35 @@ def brody_reparametrize(f: DiskMap, c: float) -> ReparamResult:
     """Produce f~ with weighted derivative sup attained at 0 with value c.
 
     Requires |f'(0)| >= c.  The scaling parameter t0 is the smallest root
-    of s(t) = c (coarse scan plus bisection); when t0 < 1 the sup location
-    is swapped to the origin by a disk automorphism and the composition is
-    resampled on a slightly smaller disk (boundary cells cannot be
-    interpolated), recording the shrink factor.
+    of s(t) = c, capped at 1; when t0 < 1 the sup location is swapped to
+    the origin by a disk automorphism and the composition is resampled on a
+    slightly smaller disk (boundary cells cannot be interpolated),
+    recording the shrink factor.
+
+    The root is exact: node w_i with n_i = |f'(w_i)| contributes
+    n_i (t - |w_i|^2 / (t r^2)) once |w_i| < t r, which rises from 0 in t,
+    so s(t) is nondecreasing and its smallest root of s(t) = c is
+    t0 = min_i (c + sqrt(c^2 + 4 n_i^2 |w_i|^2 / r^2)) / (2 n_i).
     """
     if c <= 0:
         raise InvalidParams("target derivative level c must be positive")
-    c0 = _derivative_at_origin(f)
+    g = f.grid
+    norms = _derivative_norms(f)
+    c0 = float(norms[g.center_index])
     if c0 < c - 1e-9:
         raise HypothesisViolated(f"|f'(0)|={c0:.6g} is below the requested level c={c}")
 
-    ts = np.linspace(0.0, 1.0, _SCAN_SAMPLES + 1)
-    svals = [scaling_sup(f, t) for t in ts]
-    hit = next((i for i in range(1, len(ts)) if svals[i] >= c), None)
-    if hit is None:
-        t0 = 1.0   # sup saturates only at the full map; value-at-0 already >= c
-    else:
-        lo, hi = ts[hit - 1], ts[hit]
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if scaling_sup(f, mid) >= c:
-                hi = mid
-            else:
-                lo = mid
-        t0 = hi
-
-    g = f.grid
-    tol_brody = max(1e-3, 0.5 * g.h / g.r)
-    if t0 >= 1.0 - 2 * _BISECT_TOL:
-        _, wstar = _scaling_scan(f, 1.0)
-        if wstar == 0j:
-            s_sup, _ = sup_poincare_derivative(f)
-            return ReparamResult(f, 1.0, None, c0, s_sup, c, tol_brody)
+    live = g.interior & (norms > 0)
+    n, rho2 = norms[live], g.R2[live] / (g.r * g.r)
+    t0 = float(((c + np.sqrt(c * c + 4.0 * n * n * rho2)) / (2.0 * n)).min(initial=1.0))
+    if t0 >= 1.0 - _UNIT_ROOT_SNAP:
         t0 = 1.0
-        zstar = wstar
-    else:
-        _, wstar = _scaling_scan(f, t0)
-        zstar = wstar / t0
+    s_t0, wstar = _scaling_max(g, norms, t0)
+    tol_brody = max(1e-3, 0.5 * g.h / g.r)
+    if t0 == 1.0 and wstar == 0j:
+        # interior nodes lie inside |w| < r, so s(1) is the weighted sup
+        return ReparamResult(f, 1.0, None, c0, s_t0, c, tol_brody)
+    zstar = wstar / t0
 
     swap = None if abs(zstar) < 1e-12 else mobius_swap(zstar, g.r)
     rho = _safe_radius(g.r, g.h, t0, abs(zstar) if swap is not None else 0.0)
@@ -229,10 +214,16 @@ def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
     compactness; the delta trace is reported either way).  Steps whose
     normalized map does not yet cover the window are recorded without a
     delta.  Exhausting the family yields a report with
-    ``converged = False`` rather than an exception.
+    ``converged = False`` rather than an exception.  ``tol`` must be
+    positive and finite, and ``n_max`` and ``consecutive`` at least 1.
     """
     if R <= 0:
         raise InvalidParams("window radius must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidParams(f"tol must be positive and finite, got {tol}")
+    if n_max < 1 or consecutive < 1:
+        raise InvalidParams(f"n_max and consecutive must be at least 1, "
+                            f"got {n_max} and {consecutive}")
     steps: list = []
     window = None
     prev_restrict = None

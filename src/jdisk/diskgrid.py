@@ -190,6 +190,15 @@ class DiskGrid:
         flat = values.reshape(self.N * self.N, -1)
         return (self._dx @ flat).reshape(values.shape)
 
+    def dx_at_center(self, values: np.ndarray) -> np.ndarray:
+        """``dx_apply(values)`` at the origin node alone; an interior origin
+        takes the centred difference there without building the operator."""
+        j, k = self.center_index
+        if not self.interior[j, k]:
+            return self.dx_apply(values)[j, k]
+        w = 0.5 / self.h
+        return (-w) * values[j - 1, k] + w * values[j + 1, k]
+
     def dy_apply(self, values: np.ndarray) -> np.ndarray:
         if self._dy is None:
             self._dy = self._diff_matrix(1)
@@ -408,29 +417,33 @@ def mobius_swap(z0, r: float = 1.0) -> MobiusAutomorphism:
     return MobiusAutomorphism(complex(z0), float(r))
 
 
+def node_max(vals: np.ndarray, grid: DiskGrid, sel: np.ndarray):
+    """Largest of ``vals``, given at the nodes that the mask ``sel`` selects,
+    and the node attaining it, as ``(s, zstar)``; ``(0.0, 0j)`` when ``sel``
+    is empty.  Ties are broken by the smallest |z|, then lexicographic
+    (x, y) order, so downstream recentering is deterministic."""
+    if vals.size == 0:
+        return 0.0, 0j
+    tied = np.flatnonzero(vals == vals.max())
+    nodes = np.flatnonzero(sel)[tied]
+    X, Y = grid.X.ravel()[nodes], grid.Y.ravel()[nodes]
+    k = np.lexsort((Y, X, grid.R2.ravel()[nodes]))[0]
+    return float(vals[tied[k]]), complex(X[k], Y[k])
+
+
 def sup_poincare_derivative(f: DiskMap, weight_radius: float | None = None):
     """Maximum over interior nodes of |df/dx(z)| (r^2 - |z|^2) / r^2.
 
-    Returns ``(s, zstar)`` with the attaining node; ties are broken by the
-    smallest |z|, then lexicographic (x, y) order, so downstream recentering
-    is deterministic.  ``weight_radius`` overrides the radius used in the
+    Returns ``(s, zstar)`` with the attaining node, ties broken as in
+    ``node_max``.  ``weight_radius`` overrides the radius used in the
     weight (the grid's own radius by default), which is what makes the
     quantity comparable across maps sampled on shrunken domains.
     """
     g = f.grid
-    if not g.interior.any():
-        return 0.0, 0j
     r = g.r if weight_radius is None else float(weight_radius)
-    dx = g.dx_apply(f.values)
-    norms = np.linalg.norm(dx, axis=-1)
+    norms = np.linalg.norm(g.dx_apply(f.values), axis=-1)
     weight = (r * r - g.R2) / (r * r)
-    vals = norms[g.interior] * weight[g.interior]
-    xs = g.X[g.interior]
-    ys = g.Y[g.interior]
-    r2 = g.R2[g.interior]
-    order = np.lexsort((ys, xs, r2, -vals))
-    best = order[0]
-    return float(vals[best]), complex(xs[best], ys[best])
+    return node_max(norms[g.interior] * weight[g.interior], g, g.interior)
 
 
 def to_csv(u: DiskMap, path_or_file) -> None:

@@ -80,6 +80,47 @@ def test_reparametrize_recenters_quadratic_map(g129):
     assert rep.t0 == pytest.approx(hi, abs=5e-3)
 
 
+def scan_and_bisect(f, c):
+    """The root finder the closed form replaced: s(t) at 65 scan points,
+    then bisection to 1e-6 over the public scaling_sup.  Returns the upper
+    end of the final bracket and the source node attaining s there."""
+    ts = np.linspace(0.0, 1.0, 65)
+    hit = next(i for i in range(1, len(ts)) if scaling_sup(f, ts[i]) >= c)
+    lo, hi = ts[hit - 1], ts[hit]
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if scaling_sup(f, mid) >= c:
+            hi = mid
+        else:
+            lo = mid
+    g = f.grid
+    norms = np.linalg.norm(g.dx_apply(f.values), axis=-1)
+    sel = g.interior & (g.R2 < (hi * g.r) ** 2)
+    vals = hi * norms[sel] * (g.r ** 2 - g.R2[sel] / hi ** 2) / g.r ** 2
+    best = np.lexsort((g.Y[sel], g.X[sel], g.R2[sel], -vals))[0]
+    return hi, complex(g.X[sel][best], g.Y[sel][best])
+
+
+@pytest.mark.parametrize("N", [33, 129])
+@pytest.mark.parametrize("fn, c", [
+    (lambda z: z + z ** 2, 0.5),
+    (lambda z: z + 0.8 * z ** 2, 0.5),
+    (lambda z: np.exp(2 * z) - 1, 1.0),
+    (lambda z: z / (1.3 - 0.9 * z), 0.5),
+    (lambda z: np.sin(3 * z) + 0.3 * z ** 2, 1.5),
+], ids=["quadratic", "quadratic-0.8", "exp", "mobius", "sine"])
+def test_closed_form_root_matches_scan_and_bisect(fn, c, N):
+    f = complex_map(make_grid(1.0, N), fn)
+    t_old, node_old = scan_and_bisect(f, c)
+    rep = brody_reparametrize(f, c)
+    assert rep.t0 < 1.0
+    assert 0.0 <= t_old - rep.t0 <= 1e-6
+    node = 0j if rep.z0 is None else rep.z0 * rep.t0
+    assert abs(node - node_old) < 1e-12
+    assert scaling_sup(f, rep.t0) == pytest.approx(c, rel=1e-12, abs=0)
+    assert scaling_sup(f, rep.t0 - 1e-7) < c
+
+
 def test_reparametrize_hypothesis_checked(g129):
     small = complex_map(g129, lambda z: 0.25 * z)
     with pytest.raises(HypothesisViolated):
@@ -151,6 +192,26 @@ def test_extract_line_reports_nonconvergence_without_crash():
     assert not rep.converged
     assert rep.final is None
     assert "window" in rep.message
+
+
+@pytest.mark.parametrize("bad", [
+    {"consecutive": 0}, {"consecutive": -1}, {"n_max": 0},
+    {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")}, {"tol": float("inf")},
+])
+def test_extract_line_rejects_parameters_that_decide_nothing(bad):
+    J = gallery("torus-flat", n=1)
+    family = dilation_family(make_grid(1.0, 33))
+    with pytest.raises(InvalidParams):
+        extract_line(J, family, **{"R": 2.0, "tol": 1e-10, "n_max": 8, **bad})
+
+
+def test_extract_line_single_comparison_converges_on_a_delta():
+    J = gallery("torus-flat", n=1)
+    rep = extract_line(J, dilation_family(make_grid(1.0, 33)), R=2.0,
+                       tol=1e-10, n_max=8, consecutive=1)
+    assert rep.converged
+    assert rep.final.achieved_delta is not None and rep.final.achieved_delta < 1e-10
+    assert rep.deltas[-1] == rep.final.achieved_delta
 
 
 def test_extract_line_perturbed_torus_ladder():

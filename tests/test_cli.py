@@ -174,6 +174,9 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "tol_newton=1e-8"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "max_newton=25"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "fd_step=1e-6"],
+    ["brody", "--structure", "torus-flat", "--n-max", "0"],
+    ["brody", "--structure", "torus-flat", "--tol", "0"],
+    ["brody", "--structure", "torus-flat", "--tol=-1e-8"],
 ])
 def test_main_bad_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from jdisk.diskgrid import (DiskMap, d_dz, d_dzbar, eval_interp,
-                            from_json_obj, make_grid, mobius_swap,
+                            from_json_obj, make_grid, mobius_swap, node_max,
                             poincare_distance, resample,
                             sup_poincare_derivative, to_csv, to_json_obj)
 from jdisk.errors import (InvalidGrid, OutsideDisk, OutsideInterpolationRange)
@@ -199,6 +199,31 @@ def test_weighted_derivative_sup_identity_and_constant(grid65):
     s, zstar = sup_poincare_derivative(const)
     assert s == 0.0
     assert zstar == 0j
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 33, 129])
+def test_dx_at_center_is_the_origin_row_of_dx_apply(N):
+    rng = np.random.default_rng(N)
+    for r in (1.0, 0.37, 40.0):
+        g = make_grid(r, N)
+        for scale in (1e-4, 1.0, 1e4):
+            v = rng.standard_normal((N, N, 4)) * scale
+            j, k = g.center_index
+            assert np.array_equal(g.dx_at_center(v), g.dx_apply(v)[j, k])
+
+
+@pytest.mark.parametrize("levels", [1, 2, 5, 1000])
+def test_node_max_breaks_ties_like_a_full_lexsort(levels):
+    # reference: sort every node by (-value, |z|^2, x, y) and take the first
+    g = make_grid(1.0, 33)
+    rng = np.random.default_rng(levels)
+    sel = g.interior & (rng.random(g.R2.shape) < 0.7)
+    vals = rng.integers(0, levels, int(sel.sum())) * 0.25
+    xs, ys = g.X[sel], g.Y[sel]
+    best = np.lexsort((ys, xs, g.R2[sel], -vals))[0]
+    s, zstar = node_max(vals, g, sel)
+    assert s == vals[best] and zstar == complex(xs[best], ys[best])
+    assert node_max(vals[:0], g, np.zeros_like(sel)) == (0.0, 0j)
 
 
 def test_weighted_derivative_sup_of_squaring_map():
