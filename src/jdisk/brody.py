@@ -243,10 +243,11 @@ def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
         if cover >= R:
             restricted = resample(gt, window, method="cubic")
             if prev_restrict is not None:
+                # both maps are zero off the window's mask
                 diff = restricted.values - prev_restrict.values
                 if J.domain.is_torus:
-                    diff = diff - np.round(diff)
-                delta = float(np.max(np.abs(diff[window.mask])))
+                    diff -= np.round(diff)
+                delta = float(np.max(np.abs(diff)))
                 streak = streak + 1 if delta < tol else 0
             prev_restrict = restricted
             last_restrict = restricted
@@ -281,10 +282,10 @@ def dilation_family(grid: DiskGrid, n: int = 1, base: float = 4.0,
     conv = ComplexConvention(n)
     direction = np.zeros(2 * n)
     direction[0] = 1.0
+    unit = conv.cmul(grid.Z, direction)
     lam = base
     for _ in range(count):
-        vals = conv.cmul(lam * grid.Z, direction)
-        yield DiskMap(grid, vals, conv)
+        yield DiskMap(grid, lam * unit, conv)
         lam *= factor
 
 

@@ -7,10 +7,15 @@ are trusted; the remaining boundary ring uses one-sided stencils pointing
 inward (second order where two inward neighbors exist).  All sup-type
 diagnostics are taken over the interior mask only, so the lower-order ring
 never pollutes convergence measurements.
+
+The lattice operators depend on N alone up to a power of r (differences
+scale like 1/r, the ring extension not at all), so one module cache keeps
+the unit-radius operators of a few recent N for grids of every radius.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +26,13 @@ from .errors import (InvalidGrid, InvalidParams, OutsideDisk,
 from .structure import ComplexConvention
 
 _MASK_SLACK = 1e-12
+_UNIT_SETS_KEPT = 4      # node counts whose unit-radius operators stay cached
+_unit_sets: OrderedDict = OrderedDict()
 
 
 class DiskGrid:
-    """Lattice discretization of the closed disk of radius r."""
+    """Lattice discretization of the closed disk of radius r; the masks are
+    the same for every r at one N.  It keeps no operators of its own."""
 
     def __init__(self, r: float, N: int):
         self.r = float(r)
@@ -43,10 +51,6 @@ class DiskGrid:
         else:
             self.interior = np.zeros_like(self.mask)
         self._center = (self.N - 1) // 2
-        self._dx = None
-        self._dy = None
-        self._cg = None
-        self._ring_ext = None
 
     @property
     def node_count(self) -> int:
@@ -67,9 +71,19 @@ class DiskGrid:
     def scaled(self, factor: float) -> "DiskGrid":
         """Grid with all coordinates multiplied by ``factor``; the retention
         masks are equal, so node sets correspond one to one."""
-        if not factor > 0:
-            raise InvalidGrid("scale factor must be positive")
-        return DiskGrid(self.r * factor, self.N)
+        return make_grid(self.r * factor, self.N)
+
+    def unit_operator(self, name: str, build):
+        """The operator ``name`` of the unit-radius grid with this N, made by
+        ``build(unit_grid)`` on first use and shared by every grid of that N;
+        the cache holds no grid, and callers scale results to their r."""
+        ops = _unit_sets.pop(self.N, None) or {}
+        _unit_sets[self.N] = ops
+        while len(_unit_sets) > _UNIT_SETS_KEPT:
+            _unit_sets.popitem(last=False)
+        if name not in ops:
+            ops[name] = build(self if self.r == 1.0 else DiskGrid(1.0, self.N))
+        return ops[name]
 
     # Difference operators act on flattened (N*N, c) arrays; rows for nodes
     # outside the mask are zero.
@@ -132,15 +146,9 @@ class DiskGrid:
         vals = np.concatenate(vals).astype(np.float64)
         return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
 
-    def ring_extension(self) -> sp.csr_matrix:
-        """Operator replacing boundary-ring samples of a nodal field by the
-        linear inward extrapolation of its interior values (along the
-        dominant coordinate axis).  Fields assembled from ring derivatives
-        carry O(h)-level noise; solvers extend their densities through this
-        operator so the noise never feeds back into the interior."""
-        if self._ring_ext is not None:
-            return self._ring_ext
+    def _ring_matrix(self) -> sp.csr_matrix:
         N = self.N
+        c2 = N - 1   # twice the centre index
         idx = np.arange(N * N).reshape(N, N)
         rows, cols, vals = [], [], []
         jj, kk = np.nonzero(self.mask & ~self.interior)
@@ -149,11 +157,11 @@ class DiskGrid:
         cols.extend(interior_rows)
         vals.extend(np.ones(interior_rows.size))
         for j, k in zip(jj, kk):
-            x, y = self.X[j, k], self.Y[j, k]
-            if abs(x) >= abs(y):
-                step = (-1 if x > 0 else 1, 0)
+            # axis and sign from the indices, so every radius picks alike
+            if abs(2 * j - c2) >= abs(2 * k - c2):
+                step = (-1 if 2 * j > c2 else 1, 0)
             else:
-                step = (0, -1 if y > 0 else 1)
+                step = (0, -1 if 2 * k > c2 else 1)
             a = None
             ja, ka = j, k
             dist = 0
@@ -179,42 +187,54 @@ class DiskGrid:
                 rows.append(idx[j, k])
                 cols.append(idx[a[0], a[1]])
                 vals.append(1.0)
-        self._ring_ext = sp.coo_matrix(
+        return sp.coo_matrix(
             (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
             shape=(N * N, N * N)).tocsr()
-        return self._ring_ext
+
+    def ring_extension(self) -> sp.csr_matrix:
+        """Operator replacing boundary-ring samples of a nodal field by the
+        linear inward extrapolation of its interior values (along the
+        dominant lattice axis).  Fields assembled from ring derivatives
+        carry O(h)-level noise; solvers extend their densities through this
+        operator so the noise never feeds back into the interior.  It does
+        not depend on r."""
+        return self.unit_operator("ring", lambda unit: unit._ring_matrix())
+
+    def _difference(self, axis: int, values: np.ndarray) -> np.ndarray:
+        # skipping the division at r = 1 keeps results there bit-identical
+        # to a fresh build
+        D = self.unit_operator(("dx", "dy")[axis], lambda unit: unit._diff_matrix(axis))
+        out = (D @ values.reshape(self.N * self.N, -1)).reshape(values.shape)
+        return out if self.r == 1.0 else out / self.r
 
     def dx_apply(self, values: np.ndarray) -> np.ndarray:
-        if self._dx is None:
-            self._dx = self._diff_matrix(0)
-        flat = values.reshape(self.N * self.N, -1)
-        return (self._dx @ flat).reshape(values.shape)
+        return self._difference(0, values)
 
     def dx_at_center(self, values: np.ndarray) -> np.ndarray:
         """``dx_apply(values)`` at the origin node alone; an interior origin
-        takes the centred difference there without building the operator."""
+        takes the centred difference there without building the operator,
+        in the same arithmetic: unit-radius weights, then division by r."""
         j, k = self.center_index
         if not self.interior[j, k]:
             return self.dx_apply(values)[j, k]
-        w = 0.5 / self.h
-        return (-w) * values[j - 1, k] + w * values[j + 1, k]
+        w = 0.5 / (2.0 / (self.N - 1))
+        out = (-w) * values[j - 1, k] + w * values[j + 1, k]
+        return out if self.r == 1.0 else out / self.r
 
     def dy_apply(self, values: np.ndarray) -> np.ndarray:
-        if self._dy is None:
-            self._dy = self._diff_matrix(1)
-        flat = values.reshape(self.N * self.N, -1)
-        return (self._dy @ flat).reshape(values.shape)
+        return self._difference(1, values)
 
     def __repr__(self):
         return f"DiskGrid(r={self.r}, N={self.N}, nodes={self.node_count})"
 
 
 def make_grid(r: float, N: int) -> DiskGrid:
-    """Build the disk lattice; N must be odd and at least 3."""
+    """Build the disk lattice; N must be odd and at least 3, and r positive
+    with r * r a finite normal float (the masks compare squared radii)."""
     if not (isinstance(N, (int, np.integer)) and N % 2 == 1 and N >= 3):
         raise InvalidGrid(f"node count per axis must be an odd integer >= 3, got {N!r}")
-    if not (np.isfinite(r) and r > 0):
-        raise InvalidGrid(f"radius must be a positive finite number, got {r!r}")
+    if not (np.isfinite(r) and r > 0 and np.finfo(float).tiny <= r * r < np.inf):
+        raise InvalidGrid(f"radius must be positive with a finite normal square, got {r!r}")
     return DiskGrid(float(r), int(N))
 
 
@@ -301,51 +321,52 @@ class DiskMap:
         fx = (pts.real + g.r) / g.h
         fy = (pts.imag + g.r) / g.h
         # Snap to exact node coordinates so stored values are returned verbatim.
-        fx = np.where(np.abs(fx - np.rint(fx)) < 1e-9, np.rint(fx), fx)
-        fy = np.where(np.abs(fy - np.rint(fy)) < 1e-9, np.rint(fy), fy)
-        j = np.clip(np.floor(fx).astype(int), 0, g.N - 2)
-        k = np.clip(np.floor(fy).astype(int), 0, g.N - 2)
+        rx, ry = np.rint(fx), np.rint(fy)
+        fx = np.where(np.abs(fx - rx) < 1e-9, rx, fx)
+        fy = np.where(np.abs(fy - ry) < 1e-9, ry, fy)
+        N = g.N
+        j = np.clip(np.floor(fx).astype(int), 0, N - 2)
+        k = np.clip(np.floor(fy).astype(int), 0, N - 2)
         s = fx - j
         t = fy - k
 
-        corners_ok = (g.mask[j, k] & g.mask[j + 1, k]
-                      & g.mask[j, k + 1] & g.mask[j + 1, k + 1])
+        node = j * N + k
+        inside = g.mask.ravel()
+        # component-major values, so gathers and products run along the points
+        comps = np.ascontiguousarray(self.values.reshape(N * N, -1).T)
+
+        def all_inside(nodes, offsets):
+            return np.logical_and.reduce([inside.take(nodes + o) for o in offsets])
+
+        def near(nodes, offset):
+            return comps.take(nodes + offset, axis=1)
+
+        corners_ok = all_inside(node, (0, N, 1, N + 1))
         if not corners_ok.all():
             i = int(np.argmin(corners_ok))
             raise OutsideInterpolationRange(
                 f"cell around point {pts[i]} extends beyond the disk")
 
-        v = self.values
-        bil = ((1 - s) * (1 - t))[:, None] * v[j, k] \
-            + (s * (1 - t))[:, None] * v[j + 1, k] \
-            + ((1 - s) * t)[:, None] * v[j, k + 1] \
-            + (s * t)[:, None] * v[j + 1, k + 1]
+        out = ((1 - s) * (1 - t)) * near(node, 0) + (s * (1 - t)) * near(node, N) \
+            + ((1 - s) * t) * near(node, 1) + (s * t) * near(node, N + 1)
         if method == "bilinear":
-            return bil
+            return out.T
         if method != "cubic":
             raise InvalidParams(f"unknown interpolation method {method!r}")
 
-        ok = (j >= 1) & (j + 2 < g.N) & (k >= 1) & (k + 2 < g.N)
+        stencil = [(a - 1) * N + b - 1 for a in range(4) for b in range(4)]
+        ok = (j >= 1) & (j + 2 < N) & (k >= 1) & (k + 2 < N)
+        ok[ok] = all_inside(node[ok], stencil)
         if ok.any():
-            ji, ki = j[ok], k[ok]
-            block_ok = np.ones(ji.shape, dtype=bool)
-            for a in range(-1, 3):
-                for b in range(-1, 3):
-                    block_ok &= g.mask[ji + a, ki + b]
-            ok[np.nonzero(ok)[0][~block_ok]] = False
-        out = bil
-        if ok.any():
-            ji, ki = j[ok], k[ok]
+            nodes = node[ok]
             wx = _cr_weights(s[ok])
             wy = _cr_weights(t[ok])
-            acc = np.zeros((ji.size, v.shape[2]))
+            acc = np.zeros((comps.shape[0], nodes.size))
             for a in range(4):
                 for b in range(4):
-                    w = (wx[a] * wy[b])[:, None]
-                    acc += w * v[ji + a - 1, ki + b - 1]
-            out = bil.copy()
-            out[ok] = acc
-        return out
+                    acc += (wx[a] * wy[b]) * near(nodes, stencil[4 * a + b])
+            out[:, ok] = acc
+        return out.T
 
 
 def eval_interp(u: DiskMap, z) -> np.ndarray:

@@ -1,14 +1,17 @@
 import gc
 import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from jdisk.cauchygreen import cg_apply, cg_build, cg_residual
-from jdisk.diskgrid import DiskMap, d_dzbar, make_grid
+from jdisk import diskgrid
+from jdisk.cauchygreen import CGOperator, cg_apply, cg_build, cg_residual
+from jdisk.diskgrid import DiskGrid, DiskMap, d_dzbar, make_grid
 from jdisk.errors import GridMismatch
-from jdisk.structure import ComplexConvention
+from jdisk.kobayashi import KobayashiOptions, estimate_distance
+from jdisk.structure import ComplexConvention, gallery
 
 from conftest import complex_map
 
@@ -213,3 +216,64 @@ def test_built_grid_is_freed_without_a_cycle_collection():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("N", [9, 33, 65])
+def test_shared_operator_at_unit_radius_is_a_fresh_build(N, monkeypatch):
+    # the shared operator is first asked for by a grid of another radius,
+    # so it is built on a temporary unit grid; a fresh build on a caller's
+    # unit grid must match it bit for bit
+    monkeypatch.setattr(diskgrid, "_unit_sets", OrderedDict())
+    cg_build(make_grid(2.5, N))
+    g = make_grid(1.0, N)
+    shared, fresh = cg_build(g), CGOperator(g)
+    assert shared is cg_build(make_grid(1.0, N))
+    for name in ("kernel", "frac", "conv_frac", "mask"):
+        assert np.array_equal(getattr(shared, name), getattr(fresh, name))
+    assert (shared._rim_correction != fresh._rim_correction).nnz == 0
+    phi = complex_map(g, lambda z: np.exp(z) + 1j * z.conj())
+    assert np.array_equal(cg_apply(shared, phi).values, cg_apply(fresh, phi).values)
+
+
+@pytest.mark.parametrize("N", [33, 65])
+@pytest.mark.parametrize("r", [0.37, 2.5, 40.0])
+def test_scaled_operator_matches_a_fresh_build(N, r):
+    g = make_grid(r, N)
+    op = cg_build(g)
+    assert op.r == r and op.kernel is cg_build(make_grid(1.0, N)).kernel
+    fresh = CGOperator(g)
+    phi = complex_map(g, lambda z: np.exp(z / r) + 1j * (z / r).conj() ** 2)
+    got, want = cg_apply(op, phi).values, cg_apply(fresh, phi).values
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+    assert op.cell_weight(3, -1) == pytest.approx(fresh.cell_weight(3, -1), rel=1e-13)
+
+
+def test_scaled_operator_rejects_another_radius():
+    op = cg_build(make_grid(2.5, 33))
+    with pytest.raises(GridMismatch):
+        cg_apply(op, complex_map(make_grid(1.0, 33), lambda z: z))
+    with pytest.raises(GridMismatch):
+        cg_apply(cg_build(make_grid(1.0, 33)), complex_map(make_grid(2.5, 33), lambda z: z))
+
+
+def test_second_distance_estimate_builds_no_operator(monkeypatch):
+    built = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            built.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(CGOperator, "__init__", counting("cg", CGOperator.__init__))
+    monkeypatch.setattr(DiskGrid, "_diff_matrix", counting("diff", DiskGrid._diff_matrix))
+    monkeypatch.setattr(diskgrid, "_unit_sets", OrderedDict())
+    J = gallery("conjugated", epsilon=0.2)
+    p, q = np.zeros(2), np.array([0.3, 0.0])
+    opts = KobayashiOptions(t_grid=(0.5,), k_max=1)
+    first = estimate_distance(J, p, q, opts)
+    assert sorted(built) == ["cg", "diff", "diff"]
+    built.clear()
+    second = estimate_distance(J, p, q, opts)
+    assert built == []
+    assert second.upper == first.upper

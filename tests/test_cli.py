@@ -170,6 +170,7 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
     ["brody", "--structure", "torus-flat", "--csv", "missing_dir/l.csv"],
     ["validate", "--N", "100001"],
     ["validate", "--n", "100000"],
+    ["validate", "--r", "1e-170"],
     ["validate", "--samples", "1000000000"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "tol_newton=1e-8"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "max_newton=25"],

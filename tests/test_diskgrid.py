@@ -1,9 +1,11 @@
 import io
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from jdisk import diskgrid
 from jdisk.diskgrid import (DiskMap, d_dz, d_dzbar, eval_interp,
                             from_json_obj, make_grid, mobius_swap, node_max,
                             poincare_distance, resample,
@@ -35,6 +37,10 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(1.0, 1)
     with pytest.raises(InvalidGrid):
         make_grid(-1.0, 9)
+    # radii whose square is not a finite normal float
+    for r in (1e-170, 1e-320, 1e160, np.inf, np.nan, 0.0):
+        with pytest.raises(InvalidGrid):
+            make_grid(r, 9)
 
 
 def test_origin_is_a_node():
@@ -280,3 +286,59 @@ def test_csv_and_json_round_trip(grid33):
     v = from_json_obj(obj)
     assert np.allclose(v.values, u.values)
     assert v.grid.same_geometry(u.grid)
+
+
+@pytest.mark.parametrize("N", [9, 33, 65])
+def test_shared_lattice_operators_at_unit_radius_are_fresh_builds(N, monkeypatch):
+    # first asked for by a grid of another radius, so built on a temporary
+    # unit grid; differences on a caller's unit grid must match a fresh build
+    monkeypatch.setattr(diskgrid, "_unit_sets", OrderedDict())
+    rng = np.random.default_rng(N)
+    v = rng.standard_normal((N, N, 2))
+    make_grid(0.37, N).dx_apply(v)
+    make_grid(0.37, N).dy_apply(v)
+    make_grid(0.37, N).ring_extension()
+    g = make_grid(1.0, N)
+    flat = v.reshape(N * N, -1)
+    assert np.array_equal(g.dx_apply(v), (g._diff_matrix(0) @ flat).reshape(v.shape))
+    assert np.array_equal(g.dy_apply(v), (g._diff_matrix(1) @ flat).reshape(v.shape))
+    assert (g.ring_extension() != g._ring_matrix()).nnz == 0
+    assert g.ring_extension() is make_grid(40.0, N).ring_extension()
+
+
+@pytest.mark.parametrize("N", [7, 33, 35])
+def test_masks_and_ring_extension_do_not_depend_on_the_radius(N):
+    unit = make_grid(1.0, N)
+    ring = unit._ring_matrix()
+    for r in (0.37, 2.5, 40.0, 1e-150):
+        g = make_grid(r, N)
+        assert np.array_equal(g.mask, unit.mask)
+        assert np.array_equal(g.interior, unit.interior)
+        assert (g._ring_matrix() != ring).nnz == 0
+
+
+@pytest.mark.parametrize("N", [7, 11, 33, 35])
+def test_ring_extension_commutes_with_the_lattice_reflections(N):
+    ext = make_grid(1.0, N).ring_extension()
+    v = np.random.default_rng(N).standard_normal((N, N))
+
+    def extend(a):
+        return (ext @ a.ravel()).reshape(N, N)
+
+    for flip in (lambda a: a[::-1, :], lambda a: a[:, ::-1]):
+        assert np.array_equal(extend(flip(v)), flip(extend(v)))
+
+
+@pytest.mark.parametrize("N", [9, 33])
+@pytest.mark.parametrize("r", [0.37, 40.0])
+def test_scaled_differences_match_a_fresh_build(N, r):
+    g = make_grid(r, N)
+    v = np.random.default_rng(N).standard_normal((N, N, 2))
+    want = (g._diff_matrix(0) @ v.reshape(N * N, -1)).reshape(v.shape)
+    assert np.allclose(g.dx_apply(v), want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("factor", [1e-320, 1e-170, np.inf, np.nan, 0.0, -2.0])
+def test_scaled_rejects_radii_the_lattice_cannot_represent(factor):
+    with pytest.raises(InvalidGrid):
+        make_grid(1.0, 9).scaled(factor)
