@@ -144,7 +144,7 @@ def brody_reparametrize(f: DiskMap, c: float) -> ReparamResult:
         transform = lambda z: t0 * z                     # noqa: E731
     else:
         transform = lambda z: t0 * swap(z)               # noqa: E731
-    f_tilde = resample(f, fresh, transform=transform, method="cubic")
+    f_tilde = resample(f, fresh, transform=transform)
     s_at_0 = _derivative_at_origin(f_tilde)
     s_sup, _ = sup_poincare_derivative(f_tilde)
     z0 = None if swap is None else zstar
@@ -203,8 +203,7 @@ class RescalingReport:
 
 
 def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
-                 n_max: int = 12, window_n: int | None = None,
-                 consecutive: int = 3) -> RescalingReport:
+                 n_max: int = 12, consecutive: int = 3) -> RescalingReport:
     """Run the rescaling pipeline over a family of disks with growing
     origin derivative and compare the normalized maps on the window of
     radius R.
@@ -237,11 +236,11 @@ def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
         rep = brody_reparametrize(g_map, 1.0)
         gt = rep.f_tilde
         if window is None:
-            window = make_grid(R, window_n or gt.grid.N)
+            window = make_grid(R, gt.grid.N)
         delta = None
         cover = gt.grid.r - 3 * gt.grid.h
         if cover >= R:
-            restricted = resample(gt, window, method="cubic")
+            restricted = resample(gt, window)
             if prev_restrict is not None:
                 # both maps are zero off the window's mask
                 diff = restricted.values - prev_restrict.values

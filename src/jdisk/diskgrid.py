@@ -2,11 +2,12 @@
 
 A ``DiskGrid`` is the Cartesian lattice over [-r, r]^2 with an odd node
 count per axis (so the origin is a node), restricted to the closed disk
-|z| <= r.  The interior mask |z| <= r - 2h marks where centered differences
-are trusted; the remaining boundary ring uses one-sided stencils pointing
-inward (second order where two inward neighbors exist).  All sup-type
-diagnostics are taken over the interior mask only, so the lower-order ring
-never pollutes convergence measurements.
+|z| <= r.  Derivatives are centred differences on the interior mask
+|z| <= r - 2h and read zero elsewhere.  The boundary ring between the two
+masks gets its values in one way only: ``ring_extension`` extrapolates them
+linearly from interior nodes.  Every sup-type diagnostic is taken over the
+interior mask.  Grids have at least 9 nodes per axis, the fewest for which
+the origin is interior and every ring node has an interior source.
 
 The lattice operators depend on N alone up to a power of r (differences
 scale like 1/r, the ring extension not at all), so one module cache keeps
@@ -46,10 +47,7 @@ class DiskGrid:
         rr = self.r * self.r
         self.mask = self.R2 <= rr * (1.0 + _MASK_SLACK)
         rin = self.r - 2.0 * self.h
-        if rin > 0:
-            self.interior = self.mask & (self.R2 <= rin * rin * (1.0 + _MASK_SLACK))
-        else:
-            self.interior = np.zeros_like(self.mask)
+        self.interior = self.mask & (self.R2 <= rin * rin * (1.0 + _MASK_SLACK))
         self._center = (self.N - 1) // 2
 
     @property
@@ -85,65 +83,15 @@ class DiskGrid:
             ops[name] = build(self if self.r == 1.0 else DiskGrid(1.0, self.N))
         return ops[name]
 
-    # Difference operators act on flattened (N*N, c) arrays; rows for nodes
-    # outside the mask are zero.
+    # Difference operators act on flattened (N*N, c) arrays; they take
+    # centred differences at interior nodes, and every other row is empty.
     def _diff_matrix(self, axis: int) -> sp.csr_matrix:
         N, h = self.N, self.h
-        coord = self.X if axis == 0 else self.Y
-        idx = np.arange(N * N).reshape(N, N)
-
-        def neighbor(j, k, d):
-            return (j + d, k) if axis == 0 else (j, k + d)
-
-        rows, cols, vals = [], [], []
-
-        jj, kk = np.nonzero(self.interior)
-        for d, w in ((1, 0.5 / h), (-1, -0.5 / h)):
-            nj, nk = neighbor(jj, kk, d)
-            rows.append(idx[jj, kk])
-            cols.append(idx[nj, nk])
-            vals.append(np.full(jj.shape, w))
-
-        # boundary ring: one-sided stencils pointing inward, second order
-        # where two inward neighbors exist (first order would leave an
-        # h-independent noise floor in densities built from derivatives)
-        ring = self.mask & ~self.interior
-        jj, kk = np.nonzero(ring)
-        if jj.size:
-            c = coord[jj, kk]
-            prefer = np.where(c > 0, -1, 1)
-
-            def available(d, step=1):
-                nj, nk = neighbor(jj, kk, d * step)
-                ok = (nj >= 0) & (nj < N) & (nk >= 0) & (nk < N)
-                res = np.zeros(jj.shape, dtype=bool)
-                res[ok] = self.mask[nj[ok], nk[ok]]
-                return res
-
-            ok1 = available(prefer)
-            ok2 = available(-prefer)
-            dirs = np.where(ok1, prefer, np.where(ok2, -prefer, 0))
-            deep = available(dirs, step=2) & (dirs != 0)
-
-            sel = (dirs != 0) & deep
-            if sel.any():
-                js, ks, ds = jj[sel], kk[sel], dirs[sel]
-                n1 = neighbor(js, ks, ds)
-                n2 = neighbor(js, ks, 2 * ds)
-                rows.extend([idx[js, ks]] * 3)
-                cols.extend([idx[js, ks], idx[n1], idx[n2]])
-                vals.extend([-1.5 * ds / h, 2.0 * ds / h, -0.5 * ds / h])
-            sel = (dirs != 0) & ~deep
-            if sel.any():
-                js, ks, ds = jj[sel], kk[sel], dirs[sel]
-                n1 = neighbor(js, ks, ds)
-                rows.extend([idx[js, ks]] * 2)
-                cols.extend([idx[n1], idx[js, ks]])
-                vals.extend([ds / h, -ds / h])
-
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals).astype(np.float64)
+        node = np.flatnonzero(self.interior)
+        step = N if axis == 0 else 1
+        rows = np.concatenate([node, node])
+        cols = np.concatenate([node + step, node - step])
+        vals = np.repeat([0.5 / h, -0.5 / h], node.size)
         return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
 
     def _ring_matrix(self) -> sp.csr_matrix:
@@ -159,33 +107,21 @@ class DiskGrid:
         for j, k in zip(jj, kk):
             # axis and sign from the indices, so every radius picks alike
             if abs(2 * j - c2) >= abs(2 * k - c2):
-                step = (-1 if 2 * j > c2 else 1, 0)
+                dj, dk = (-1 if 2 * j > c2 else 1), 0
             else:
-                step = (0, -1 if 2 * k > c2 else 1)
-            a = None
-            ja, ka = j, k
-            dist = 0
-            for _ in range(8):
-                ja, ka = ja + step[0], ka + step[1]
+                dj, dk = 0, (-1 if 2 * k > c2 else 1)
+            # walk inward to the first interior node; for N >= 9 there is one
+            dist = 1
+            while not self.interior[j + dist * dj, k + dist * dk]:
                 dist += 1
-                if not (0 <= ja < N and 0 <= ka < N):
-                    break
-                if self.interior[ja, ka]:
-                    a = (ja, ka, dist)
-                    break
-            if a is None:
-                rows.append(idx[j, k])
-                cols.append(idx[j, k])
-                vals.append(1.0)
-                continue
-            jb, kb = a[0] + step[0], a[1] + step[1]
-            if 0 <= jb < N and 0 <= kb < N and self.interior[jb, kb]:
+            ja, ka = j + dist * dj, k + dist * dk
+            if self.interior[ja + dj, ka + dk]:
                 rows.extend([idx[j, k], idx[j, k]])
-                cols.extend([idx[a[0], a[1]], idx[jb, kb]])
-                vals.extend([1.0 + a[2], -float(a[2])])
+                cols.extend([idx[ja, ka], idx[ja + dj, ka + dk]])
+                vals.extend([1.0 + dist, -float(dist)])
             else:
                 rows.append(idx[j, k])
-                cols.append(idx[a[0], a[1]])
+                cols.append(idx[ja, ka])
                 vals.append(1.0)
         return sp.coo_matrix(
             (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
@@ -194,10 +130,9 @@ class DiskGrid:
     def ring_extension(self) -> sp.csr_matrix:
         """Operator replacing boundary-ring samples of a nodal field by the
         linear inward extrapolation of its interior values (along the
-        dominant lattice axis).  Fields assembled from ring derivatives
-        carry O(h)-level noise; solvers extend their densities through this
-        operator so the noise never feeds back into the interior.  It does
-        not depend on r."""
+        dominant lattice axis); ring rows read interior nodes only.  Fields
+        built from derivatives are zero on the ring, so solvers fill their
+        densities there through this operator.  It does not depend on r."""
         return self.unit_operator("ring", lambda unit: unit._ring_matrix())
 
     def _difference(self, axis: int, values: np.ndarray) -> np.ndarray:
@@ -211,12 +146,10 @@ class DiskGrid:
         return self._difference(0, values)
 
     def dx_at_center(self, values: np.ndarray) -> np.ndarray:
-        """``dx_apply(values)`` at the origin node alone; an interior origin
-        takes the centred difference there without building the operator,
-        in the same arithmetic: unit-radius weights, then division by r."""
+        """``dx_apply(values)`` at the origin node alone: the centred
+        difference there without building the operator, in the same
+        arithmetic (unit-radius weights, then division by r)."""
         j, k = self.center_index
-        if not self.interior[j, k]:
-            return self.dx_apply(values)[j, k]
         w = 0.5 / (2.0 / (self.N - 1))
         out = (-w) * values[j - 1, k] + w * values[j + 1, k]
         return out if self.r == 1.0 else out / self.r
@@ -229,10 +162,11 @@ class DiskGrid:
 
 
 def make_grid(r: float, N: int) -> DiskGrid:
-    """Build the disk lattice; N must be odd and at least 3, and r positive
-    with r * r a finite normal float (the masks compare squared radii)."""
-    if not (isinstance(N, (int, np.integer)) and N % 2 == 1 and N >= 3):
-        raise InvalidGrid(f"node count per axis must be an odd integer >= 3, got {N!r}")
+    """Build the disk lattice; N must be odd and at least 9 (below that the
+    origin or some ring node has no interior source), and r positive with
+    r * r a finite normal float (the masks compare squared radii)."""
+    if not (isinstance(N, (int, np.integer)) and N % 2 == 1 and N >= 9):
+        raise InvalidGrid(f"node count per axis must be an odd integer >= 9, got {N!r}")
     if not (np.isfinite(r) and r > 0 and np.finfo(float).tiny <= r * r < np.inf):
         raise InvalidGrid(f"radius must be positive with a finite normal square, got {r!r}")
     return DiskGrid(float(r), int(N))
@@ -271,12 +205,6 @@ class DiskMap:
         if self.convention is None:
             self.convention = ComplexConvention(vals.shape[2] // 2)
 
-    @classmethod
-    def from_function(cls, grid: DiskGrid, fn, n: int = 1) -> "DiskMap":
-        """Sample fn(Z) -> (N, N, 2n) on the grid."""
-        vals = np.asarray(fn(grid.Z), dtype=np.float64)
-        return cls(grid, vals, ComplexConvention(n))
-
     @property
     def n(self) -> int:
         return self.values.shape[2] // 2
@@ -291,11 +219,8 @@ class DiskMap:
         c = self.grid.center_index
         return self.values[c[0], c[1], :].copy()
 
-    def sup_norm(self, interior_only: bool = False) -> float:
-        region = self.grid.interior if interior_only else self.grid.mask
-        if not region.any():
-            return 0.0
-        return float(np.max(np.abs(self.values[region])))
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(self.values[self.grid.mask])))
 
     def sample(self, points, method: str = "bilinear") -> np.ndarray:
         """Interpolate at points (complex array or (m, 2)); returns (m, 2n).
@@ -377,27 +302,29 @@ def eval_interp(u: DiskMap, z) -> np.ndarray:
     return out[0]
 
 
-def resample(source: DiskMap, grid: DiskGrid, transform=None,
-             method: str = "cubic") -> DiskMap:
-    """Sample ``source`` (optionally precomposed with ``transform``) at the
-    retained nodes of ``grid``; off-disk lattice corners are never touched."""
+def resample(source: DiskMap, grid: DiskGrid, transform=None) -> DiskMap:
+    """Cubic samples of ``source`` (optionally precomposed with
+    ``transform``) at the retained nodes of ``grid``; off-disk lattice
+    corners are never touched."""
     pts = grid.Z[grid.mask]
     if transform is not None:
         pts = transform(pts)
     vals = np.zeros((grid.N, grid.N, source.values.shape[-1]))
-    vals[grid.mask] = source.sample(pts, method=method)
+    vals[grid.mask] = source.sample(pts, method="cubic")
     return DiskMap(grid, vals, source.convention)
 
 
 def d_dz(u: DiskMap) -> DiskMap:
-    """Wirtinger derivative (d/dx - i d/dy)/2, per complex component."""
+    """Wirtinger derivative (d/dx - i d/dy)/2, per complex component, at
+    interior nodes; it reads 0 on the boundary ring and off the disk."""
     ux = u.grid.dx_apply(u.values)
     uy = u.grid.dy_apply(u.values)
     return DiskMap(u.grid, 0.5 * (ux - u.convention.mul_i(uy)), u.convention)
 
 
 def d_dzbar(u: DiskMap) -> DiskMap:
-    """Conjugate Wirtinger derivative (d/dx + i d/dy)/2."""
+    """Conjugate Wirtinger derivative (d/dx + i d/dy)/2; zero where
+    ``d_dz`` is."""
     ux = u.grid.dx_apply(u.values)
     uy = u.grid.dy_apply(u.values)
     return DiskMap(u.grid, 0.5 * (ux + u.convention.mul_i(uy)), u.convention)

@@ -24,6 +24,8 @@ from .errors import (Diverged, InvalidChain, InvalidParams, NewtonFailed,
 from .solver import DiskSolution, SolverConfig, cr_residual, derivative_disk, two_point_disk
 from .structure import DomainDescriptor, StructureField
 
+_ENDPOINT_TOL = 1e-8     # largest accepted gap between a link's end and its target
+
 
 @dataclass
 class ChainLink:
@@ -69,7 +71,6 @@ class KobayashiOptions:
     grid_n: int = 33
     grid_r: float = 1.0
     residual_cap: float = 1e-2
-    endpoint_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.k_max >= 1:
@@ -168,7 +169,7 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
                 ok = (cand.disk.residual <= opts.residual_cap
                       and _image_in_domain(cand.disk.v, dom)
                       and dom.point_gap(eval_interp(cand.disk.v, cand.b), cand.dst)
-                      <= opts.endpoint_tol)
+                      <= _ENDPOINT_TOL)
                 log.append((k, t, cand.cost if ok else math.inf))
                 if ok:
                     link = cand

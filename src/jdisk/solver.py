@@ -69,13 +69,13 @@ class DiskSolution:
     step_deltas: list = field(default_factory=list)
     newton_steps: int = 0
 
-    def contraction_ratios(self, floor: float = 1e-13) -> list:
-        return _ratios(self.step_deltas, floor)
+    def contraction_ratios(self) -> list:
+        return _ratios(self.step_deltas)
 
 
-def _ratios(deltas: list, floor: float = 1e-13) -> list:
-    """Step-delta ratios over steps whose previous delta exceeds ``floor``."""
-    return [cur / prev for prev, cur in zip(deltas, deltas[1:]) if prev > floor]
+def _ratios(deltas: list) -> list:
+    """Step-delta ratios over steps whose previous delta exceeds 1e-13."""
+    return [cur / prev for prev, cur in zip(deltas, deltas[1:]) if prev > 1e-13]
 
 
 def cr_residual(J: StructureField, v: DiskMap) -> float:
@@ -86,8 +86,6 @@ def cr_residual(J: StructureField, v: DiskMap) -> float:
     """
     g = v.grid
     inner = g.interior
-    if not inner.any():
-        return 0.0
     dzb = d_dzbar(v).values[inner]
     dz = d_dz(v).values[inner]
     pts = v.values[inner]
@@ -157,8 +155,8 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
         dz_vals = d_dz(v).values[mask]
         w_vals = np.zeros_like(v.values)
         w_vals[mask] = np.einsum("mij,mj->mi", q, dz_vals)
-        # ring derivatives carry boundary noise; extend the density from
-        # the interior instead (the final certificate is cr_residual)
+        # derivatives are zero on the boundary ring; fill the density there
+        # from the interior (the final certificate is cr_residual)
         flat = w_vals.reshape(grid.N * grid.N, -1)
         w_vals = (extend @ flat).reshape(w_vals.shape)
         correction = cg_apply(op, DiskMap(grid, w_vals, v.convention))
@@ -209,9 +207,11 @@ def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
     q0 = np.asarray(q0, dtype=np.float64)
     if not 0.0 < t < 1.0:
         raise InvalidParams(f"t must lie in (0, 1), got {t}")
-    if t > grid.r - grid.h:
+    # the bilinear cell at t must lie in the disk; sampling snaps t to a node
+    # within 1e-9 h, and the cell of the node r - h has a corner off the disk
+    if t >= grid.r - grid.h * (1.0 + 1e-9):
         raise InvalidParams(
-            f"t={t} is beyond the interpolation limit {grid.r - grid.h:.4g} of the grid")
+            f"t={t} is not below the interpolation limit {grid.r - grid.h:.4g} of the grid")
     if np.array_equal(p0, q0):
         return _constant_solution(J, p0, grid)
 

@@ -14,7 +14,7 @@ which measures the deviation of ``J`` from the constant standard structure
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +63,6 @@ class ComplexConvention:
     def to_complex(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         return v[..., 0::2] + 1j * v[..., 1::2]
-
-    def from_complex(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=np.complex128)
-        out = np.empty(w.shape[:-1] + (2 * w.shape[-1],), dtype=np.float64)
-        out[..., 0::2] = w.real
-        out[..., 1::2] = w.imag
-        return out
 
     def __repr__(self):
         return f"ComplexConvention(n={self.n})"
@@ -145,8 +138,6 @@ class StructureField:
     domain: DomainDescriptor
     eval_fn: object
     name: str = "custom"
-    params: dict = field(default_factory=dict)
-    smoothness_note: str = "assumed twice continuously differentiable"
     cond_cap: float = 1e8
 
     def eval(self, points: np.ndarray) -> np.ndarray:
@@ -330,8 +321,7 @@ def _conjugation_eval(conv: ComplexConvention, epsilon: float, b_field):
 
 
 def gallery(name: str, n: int = 1, epsilon: float = 0.1, perturbation="sin",
-            radius: float = math.inf, center=None, validate: bool = True,
-            tol: float = 1e-10) -> StructureField:
+            radius: float = math.inf) -> StructureField:
     """Build one of the named example structures.
 
     ``standard``        constant Jst on a chart ball.
@@ -353,7 +343,7 @@ def gallery(name: str, n: int = 1, epsilon: float = 0.1, perturbation="sin",
     if periodic:
         domain = DomainDescriptor("flat-torus", conv.dim)
     else:
-        domain = DomainDescriptor("chart-ball", conv.dim, center=center, radius=radius)
+        domain = DomainDescriptor("chart-ball", conv.dim, radius=radius)
 
     if name in ("standard", "torus-flat"):
         jst = conv.jst_f
@@ -361,14 +351,12 @@ def gallery(name: str, n: int = 1, epsilon: float = 0.1, perturbation="sin",
         def eval_fn(points: np.ndarray) -> np.ndarray:
             return np.broadcast_to(jst, (points.shape[0],) + jst.shape).copy()
 
-        params = {"n": n}
-        fld = StructureField(conv, domain, eval_fn, name=name, params=params)
+        fld = StructureField(conv, domain, eval_fn, name=name)
     else:
         if not 0.0 <= epsilon < 1.0:
             raise InvalidParams(f"epsilon must lie in [0, 1), got {epsilon}")
         if callable(perturbation):
             b_field = perturbation
-            shape_name = getattr(perturbation, "__name__", "callable")
         else:
             sigma = _named_shape(perturbation, periodic)
             e00 = np.zeros((conv.dim, conv.dim))
@@ -377,18 +365,14 @@ def gallery(name: str, n: int = 1, epsilon: float = 0.1, perturbation="sin",
             def b_field(points: np.ndarray) -> np.ndarray:
                 return sigma(points)[..., None, None] * e00
 
-            shape_name = perturbation
-        params = {"n": n, "epsilon": epsilon, "perturbation": shape_name}
         fld = StructureField(conv, domain, _conjugation_eval(conv, epsilon, b_field),
-                             name=name, params=params)
+                             name=name)
 
-    if validate:
-        lattice = _validation_lattice(domain, conv.dim)
-        report = validate_structure(fld, lattice, tol=tol)
-        if not report.passed:
-            raise InvalidParams(
-                f"gallery {name!r} failed validation: max residual "
-                f"{report.max_residual:.3e}, {len(report.invalid_samples)} invalid samples")
+    report = validate_structure(fld, _validation_lattice(domain, conv.dim))
+    if not report.passed:
+        raise InvalidParams(
+            f"gallery {name!r} failed validation: max residual "
+            f"{report.max_residual:.3e}, {len(report.invalid_samples)} invalid samples")
     return fld
 
 

@@ -178,6 +178,8 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
     ["brody", "--structure", "torus-flat", "--n-max", "0"],
     ["brody", "--structure", "torus-flat", "--tol", "0"],
     ["brody", "--structure", "torus-flat", "--tol=-1e-8"],
+    ["validate", "--N", "7"],
+    ["disk", "--p", "0,0", "--q", "0.1,0", "--N", "9", "--t", "0.75"],
 ])
 def test_main_bad_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -110,6 +110,14 @@ def test_options_reject_an_empty_search():
         KobayashiOptions(t_grid=())
 
 
+@pytest.mark.parametrize("t", [0.75, 0.999])
+def test_search_rejects_a_node_the_grid_cannot_read(J_std, t):
+    # N = 9 reads v(t) only for t below r - h = 0.75
+    with pytest.raises(InvalidParams):
+        estimate_distance(J_std, np.zeros(2), np.array([0.1, 0.0]),
+                          KobayashiOptions(grid_n=9, t_grid=(t,)))
+
+
 def test_triangle_via_concatenation(J_std):
     p = np.zeros(2)
     q = np.array([0.2, 0.0])

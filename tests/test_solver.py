@@ -143,6 +143,14 @@ def test_two_point_disk_rejects_bad_t(J_std, g65):
         two_point_disk(J_std, p, q, 1.5, SolverConfig(), g65)
     with pytest.raises(InvalidParams):
         two_point_disk(J_std, p, q, 0.999, SolverConfig(), g65)
+    # at t = r - h (or within the node snap of it) the bilinear cell at t
+    # has a corner off the disk; just below it the solve goes through
+    g9 = make_grid(1.0, 9)
+    for t, grid in ((0.75, g9), (0.75 - 1e-12, g9), (1.0 - 1.0 / 32, g65)):
+        with pytest.raises(InvalidParams):
+            two_point_disk(J_std, p, q, t, SolverConfig(), grid)
+    sol = two_point_disk(J_std, p, q, 0.74, SolverConfig(), g9)
+    assert np.allclose(eval_interp(sol.v, 0.74 + 0j), q, atol=1e-14)
 
 
 def test_failed_match_raises_after_one_picard_call(J_conj, g65, monkeypatch):
