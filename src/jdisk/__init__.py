@@ -8,9 +8,9 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, Diverged, GridMismatch, HypothesisViolated,
                      InvalidChain, InvalidGrid, InvalidParams, JDiskError,
-                     NewtonFailed, NoChainFound, NotHolomorphicMap,
-                     OutsideDisk, OutsideInterpolationRange, Singular,
-                     UnknownName, ZeroDerivative)
+                     NoChainFound, NotHolomorphicMap, OutsideDisk,
+                     OutsideInterpolationRange, Singular, UnknownName,
+                     ZeroDerivative)
 from .structure import (ComplexConvention, DomainDescriptor, StructureField,
                         ValidationReport, gallery, q_field, q_matrix,
                         validate_structure)

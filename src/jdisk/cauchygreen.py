@@ -21,19 +21,20 @@ and source, so the bulk of the operator is a 2-D convolution, evaluated
 with cached FFTs; the result reproduces a dense node-by-node weight matrix
 without storing one.
 
-Boundary treatment.  Cells straddling the circle carry the exact fraction
-of their area inside the disk (closed-form circle-rectangle overlap).  For
-targets with |z| <= r - h and rim cells within an index radius growing
-like N/5, the
-convolved (fraction x full-cell) weight is replaced by the exact kernel
-integral over the clipped region (contour pieces: clipped cell edges plus
-circular arcs), and the disk slivers living in cells whose center is off
-the mask are added with the density borrowed from the nearest retained
-node.  The differencing of the transform is exquisitely sensitive to any
-h-scale quadrature defect at h-scale distance (such a defect leaves an
-h-independent residual plateau), which is why the rim handling is exact;
-the finite correction radius leaves a floor around 1e-5, far below the
-discretization error at the grid sizes this library targets.
+Boundary treatment.  Every cell the circle cuts is described by one list
+of contour pieces (clipped cell edges plus circular arcs), which gives
+both its inside area and its exact kernel integral; the four edges of an
+uncut cell are the same integrator's input for the full-cell weights.  A
+cut cell is carried by the nearest retained node, itself when retained,
+with its inside area added to that node's fraction in the convolution.
+For targets with |z| <= r - h and rim cells within an index radius growing
+like N/5, the convolved (fraction x full-cell) weight is replaced by the
+exact kernel integral over the clipped regions.  The differencing of the
+transform is exquisitely sensitive to any h-scale quadrature defect at
+h-scale distance (such a defect leaves an h-independent residual
+plateau), which is why the rim handling is exact; the finite correction
+radius leaves a floor around 1e-5, far below the discretization error at
+the grid sizes this library targets.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ from .diskgrid import DiskGrid, DiskMap, d_dzbar
 from .errors import GridMismatch
 
 _EDGE_GAUSS = 24       # quadrature points per cell edge
+# lattice offsets by distance, scan order among ties: a cut cell's column is
+# the first of them that is a retained node, the same at every radius
+_NEAREST = sorted(((dj, dk) for dj in (-1, 0, 1) for dk in (-1, 0, 1)),
+                  key=lambda o: o[0] ** 2 + o[1] ** 2)
 
 
 def _correction_radius(N: int) -> int:
@@ -57,69 +62,6 @@ def _correction_radius(N: int) -> int:
     radius**-4; growing the radius with N keeps that floor shrinking at
     least as fast as the stencil truncation."""
     return max(4, N // 5)
-
-
-def _sqrt_area_antideriv(x: float, r: float) -> float:
-    """Antiderivative of sqrt(r^2 - t^2), clamped to the circle's extent."""
-    x = min(max(x, -r), r)
-    rest = max(r * r - x * x, 0.0)
-    return 0.5 * (x * np.sqrt(rest) + r * r * np.arcsin(x / r))
-
-
-def _circle_cell_overlap(x0: float, x1: float, y0: float, y1: float, r: float) -> float:
-    """Exact area of [x0,x1] x [y0,y1] intersected with the disk |z| <= r.
-
-    The vertical extent of the intersection at abscissa x is
-    min(y1, g(x)) - max(y0, -g(x)) with g = sqrt(r^2 - x^2); the min/max
-    selections only switch where g crosses |y0| or |y1|, so the integral
-    splits into pieces with closed-form antiderivatives.
-    """
-    a, b = max(x0, -r), min(x1, r)
-    if a >= b:
-        return 0.0
-    cuts = {a, b}
-    for c in (y0, y1):
-        rest = r * r - c * c
-        if rest > 0:
-            s = np.sqrt(rest)
-            for x in (-s, s):
-                if a < x < b:
-                    cuts.add(float(x))
-    xs = sorted(cuts)
-    area = 0.0
-    for lo, hi in zip(xs, xs[1:]):
-        mid = 0.5 * (lo + hi)
-        gm = np.sqrt(max(r * r - mid * mid, 0.0))
-        upper = min(y1, gm)
-        lower = max(y0, -gm)
-        if upper <= lower:
-            continue
-        if gm < y1:   # upper boundary is the circle on this piece
-            area += _sqrt_area_antideriv(hi, r) - _sqrt_area_antideriv(lo, r)
-        else:
-            area += y1 * (hi - lo)
-        if -gm > y0:  # lower boundary is the circle
-            area += _sqrt_area_antideriv(hi, r) - _sqrt_area_antideriv(lo, r)
-        else:
-            area -= y0 * (hi - lo)
-    return area
-
-
-def _cell_integral_grid(D: np.ndarray, h: float, gauss_nodes, gauss_weights) -> np.ndarray:
-    """Exact integral of 1/(d - eta) over the square cell [-h/2, h/2]^2 for
-    every displacement d in the array D (d off the cell), boundary form."""
-    a = h / 2.0
-    verts = [complex(-a, -a), complex(a, -a), complex(a, a), complex(-a, a)]
-    total = np.zeros(D.shape, dtype=np.complex128)
-    for i in range(4):
-        start, end = verts[i], verts[(i + 1) % 4]
-        mid = 0.5 * (start + end)
-        half = 0.5 * (end - start)
-        eta = mid + half * gauss_nodes
-        coeff = gauss_weights * np.conj(eta) * half
-        for c, e in zip(coeff, eta):
-            total += c / (D - e)
-    return total / 2j
 
 
 def _clipped_cell_pieces(x0, x1, y0, y1, r):
@@ -161,7 +103,9 @@ def _clipped_cell_pieces(x0, x1, y0, y1, r):
                 if abs(abs(P) - r) < 1e-9 * r:
                     circle_hits.append(float(np.angle(P)))
     if circle_hits:
-        angles = sorted(set(np.round(circle_hits, 13)))
+        hits = sorted(circle_hits)
+        # a corner on the circle is hit from both of its edges
+        angles = [th for th, prev in zip(hits, [-np.inf] + hits) if th - prev > 1e-12]
         m = len(angles)
         for i in range(m):
             th0 = angles[i]
@@ -177,9 +121,9 @@ def _clipped_cell_pieces(x0, x1, y0, y1, r):
 
 def _clipped_region_integral_many(ds: np.ndarray, pieces, r,
                                   gauss_nodes, gauss_weights) -> np.ndarray:
-    """Integral of 1/(d - eta) over the clipped region described by
-    ``pieces``, simultaneously for every d in ``ds`` (all off the
-    region's boundary)."""
+    """Integral of 1/(d - eta) over the region bounded by ``pieces`` (one or
+    more closed contours), simultaneously for every d in the 1-D array
+    ``ds`` (all off the contours)."""
     ds = np.asarray(ds, dtype=np.complex128)
     total = np.zeros(ds.shape, dtype=np.complex128)
     for piece in pieces:
@@ -195,12 +139,13 @@ def _clipped_region_integral_many(ds: np.ndarray, pieces, r,
             half = 0.5 * (th1 - th0)
             eta = r * np.exp(1j * (mid + half * gauss_nodes))
             coeff = gauss_weights * (1j * eta * half) * np.conj(eta)
-        total += np.sum(coeff[None, :] / (ds[:, None] - eta[None, :]), axis=-1)
+        w = ds[None, :] - eta[:, None]
+        total += np.divide(coeff[:, None], w, out=w).sum(axis=0)
     return total / 2j
 
 
 def _region_area(pieces, r) -> float:
-    """Area of the clipped region from the same contour, for self checks."""
+    """Area of the clipped region described by ``pieces``."""
     total = 0.0 + 0.0j
     for piece in pieces:
         if piece[0] == "seg":
@@ -225,15 +170,16 @@ class CGOperator:
     def __init__(self, grid: DiskGrid):
         self.N, self.r, self.mask = grid.N, grid.r, grid.mask
         self._scale = 1.0
-        N, h = grid.N, grid.h
-        self.frac = self._area_fractions(grid)
+        N, h, r = grid.N, grid.h, grid.r
 
         nodes, weights = leggauss(_EDGE_GAUSS)
-        offs = np.arange(-(N - 1), N)
-        DJ, DK = np.meshgrid(offs, offs, indexing="ij")
-        D = h * (DJ + 1j * DK).astype(np.complex128)
+        # the cell at the origin is uncut, so its pieces are its four edges
+        edges = _clipped_cell_pieces(-h / 2, h / 2, -h / 2, h / 2, r)
+        offs = h * np.arange(-(N - 1), N)
+        D = offs[:, None] + 1j * offs[None, :]
         D[N - 1, N - 1] = np.inf              # keep the self entry finite
-        kernel = _cell_integral_grid(D, h, nodes, weights) / np.pi
+        kernel = np.stack([_clipped_region_integral_many(row, edges, r, nodes, weights)
+                           for row in D]) / np.pi
         kernel[N - 1, N - 1] = 0.0            # singular self cell: exact integral is 0
         self.kernel = kernel
 
@@ -244,104 +190,59 @@ class CGOperator:
     def _build_rim_correction(self, grid: DiskGrid, gnodes, gweights):
         """Boundary-exactness machinery.
 
-        Every rim source column (a straddling cell, possibly plus disk
-        slivers donated from cells whose center is off the mask) carries
-        its total inside-area as an effective fraction in the convolution,
-        so the far field is monopole-exact.  For targets with |z| <= r - h
-        within a fixed index radius of the column, the convolution's
-        contribution is swapped for the exact kernel integrals over the
-        clipped regions.  The leftover beyond the radius is a dipole-level
-        quadrature error, far below the stencil truncation."""
+        Every cell the circle cuts is described by its contour pieces and
+        carried by one source column: the nearest retained node, which is
+        the cell itself when it is retained.  A column carries the total
+        inside-area of its cells as an effective fraction in the
+        convolution, so the far field is monopole-exact.  For targets with
+        |z| <= r - h within a fixed index radius of the column, the
+        convolution's contribution is swapped for the exact kernel integrals
+        over the clipped regions.  The leftover beyond the radius is a
+        dipole-level quadrature error, far below the stencil truncation."""
         N, h, r = grid.N, grid.h, grid.r
         half = 0.5 * h
-        cell_area = h * h
         trusted = grid.mask & (grid.R2 <= (r - h) ** 2 * (1.0 + 1e-12))
-
-        def cell_pieces(j, k):
-            x, y = grid.X[j, k], grid.Y[j, k]
-            return _clipped_cell_pieces(x - half, x + half, y - half, y + half, r)
-
-        # column -> list of exact regions it represents beyond its own
-        # full-cell kernel entry; straddling columns replace their own cell
-        regions: dict = {}
-        own_replaced: dict = {}
-        self.conv_frac = np.where(grid.mask, self.frac, 0.0).copy()
-
-        jj, kk = np.nonzero(grid.mask & (self.frac < 1.0))
-        for js, ks in zip(jj, kk):
-            pieces = cell_pieces(js, ks)
-            if pieces:
-                regions.setdefault((js, ks), []).append(pieces)
-                own_replaced[(js, ks)] = True
-
         near2 = (np.maximum(np.abs(grid.X) - half, 0.0) ** 2
                  + np.maximum(np.abs(grid.Y) - half, 0.0) ** 2)
-        jj, kk = np.nonzero(~grid.mask & (near2 < r * r))
-        for js, ks in zip(jj, kk):
-            donor = None
-            best = np.inf
-            for dj in (-1, 0, 1):
-                for dk in (-1, 0, 1):
-                    ja, ka = js + dj, ks + dk
-                    if 0 <= ja < N and 0 <= ka < N and grid.mask[ja, ka]:
-                        dist = (grid.X[ja, ka] - grid.X[js, ks]) ** 2 \
-                            + (grid.Y[ja, ka] - grid.Y[js, ks]) ** 2
-                        if dist < best - 1e-15:
-                            best = dist
-                            donor = (ja, ka)
-            if donor is None:
-                continue
-            pieces = cell_pieces(js, ks)
-            if not pieces:
-                continue
-            regions.setdefault(donor, []).append(pieces)
-            self.conv_frac[donor] += _region_area(pieces, r) / cell_area
+        far2 = (np.abs(grid.X) + half) ** 2 + (np.abs(grid.Y) + half) ** 2
+        full = grid.mask & (far2 <= r * r)
+        self.frac = full.astype(float)
+        self.conv_frac = self.frac.copy()
+
+        regions: dict = {}     # column -> contour pieces of the cut cells it carries
+        for j, k in zip(*np.nonzero((near2 < r * r) & ~full)):
+            # for N >= 9 every cut cell has a retained node among its neighbours
+            column = next((j + dj, k + dk) for dj, dk in _NEAREST
+                          if 0 <= j + dj < N and 0 <= k + dk < N and grid.mask[j + dj, k + dk])
+            x, y = grid.X[j, k], grid.Y[j, k]
+            pieces = _clipped_cell_pieces(x - half, x + half, y - half, y + half, r)
+            area = _region_area(pieces, r) / (h * h)
+            if column == (j, k):
+                self.frac[j, k] = area
+            self.conv_frac[column] += area
+            regions.setdefault(column, []).extend(pieces)
 
         rows, cols, vals = [], [], []
         m = _correction_radius(N)
-        for (js, ks), piece_lists in regions.items():
+        for (js, ks), pieces in regions.items():
             jlo, jhi = max(js - m, 0), min(js + m, N - 1)
             klo, khi = max(ks - m, 0), min(ks + m, N - 1)
             jt, kt = np.nonzero(trusted[jlo:jhi + 1, klo:khi + 1])
-            if jt.size == 0:
-                continue
             jt = jt + jlo
             kt = kt + klo
             d = grid.X[jt, kt] + 1j * grid.Y[jt, kt]
-            exact = np.zeros(d.shape, dtype=np.complex128)
-            for pieces in piece_lists:
-                exact += _clipped_region_integral_many(d, pieces, r,
-                                                       gnodes, gweights) / np.pi
+            exact = _clipped_region_integral_many(d, pieces, r, gnodes, gweights) / np.pi
             kern = self.kernel[N - 1 + jt - js, N - 1 + kt - ks]
-            conv_part = self.conv_frac[js, ks] * kern
-            if not own_replaced.get((js, ks), False):
-                # full donor cell: its own kernel entry stays, only the
-                # donated sliver mass is being swapped for exact regions
-                conv_part = conv_part - kern
+            # a full column keeps its own kernel entry: only the slivers it
+            # carries are swapped for their exact regions
+            conv_part = (self.conv_frac[js, ks] - full[js, ks]) * kern
             rows.append(jt * N + kt)
             cols.append(np.full(jt.size, js * N + ks))
             vals.append(exact - conv_part)
 
-        if not rows:
-            return None
         return sp.coo_matrix((np.concatenate(vals),
                               (np.concatenate(rows), np.concatenate(cols))),
                              shape=(N * N, N * N)).tocsr()
-
-    @staticmethod
-    def _area_fractions(grid: DiskGrid) -> np.ndarray:
-        h, r = grid.h, grid.r
-        half = 0.5 * h
-        # farthest cell corner inside the disk -> whole cell counts
-        far2 = (np.abs(grid.X) + half) ** 2 + (np.abs(grid.Y) + half) ** 2
-        frac = np.where(grid.mask, 1.0, 0.0)
-        jj, kk = np.nonzero(grid.mask & (far2 > r * r))
-        cell_area = h * h
-        for j, k in zip(jj, kk):
-            x, y = grid.X[j, k], grid.Y[j, k]
-            frac[j, k] = _circle_cell_overlap(x - half, x + half,
-                                              y - half, y + half, r) / cell_area
-        return frac
 
     def cell_weight(self, dj: int, dk: int) -> complex:
         """Weight applied to a unit-fraction source cell at index offset
@@ -356,8 +257,7 @@ class CGOperator:
         psi = self.conv_frac * raw
         conv = ifft2(fft2(psi, s=(self._pad, self._pad)) * self._kernel_fft)
         out = conv[N - 1:2 * N - 1, N - 1:2 * N - 1]
-        if self._rim_correction is not None:
-            out = out + (self._rim_correction @ raw.ravel()).reshape(N, N)
+        out = out + (self._rim_correction @ raw.ravel()).reshape(N, N)
         if self._scale != 1.0:
             out = out * self._scale
         return np.where(self.mask, out, 0.0)

@@ -523,10 +523,9 @@ def run(config: dict):
         raise ConfigError(str(exc)) from exc
     except JDiskError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        cause = exc.__cause__
-        if isinstance(cause, Diverged):   # a failed matched solve
-            report["error"].update(_jsonify({"last_deltas": cause.deltas,
-                                             "worst_ratio": cause.ratio}))
+        if isinstance(exc, Diverged):
+            report["error"].update(_jsonify({"last_deltas": exc.deltas,
+                                             "worst_ratio": exc.ratio}))
         code = 3
     report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return code, report

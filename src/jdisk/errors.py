@@ -47,11 +47,6 @@ class Diverged(JDiskError):
         self.ratio = ratio
 
 
-class NewtonFailed(JDiskError):
-    """A disk solve with prescribed point or derivative data failed; the
-    ``Diverged`` or ``Singular`` of its fixed-point loop is the cause."""
-
-
 class ZeroDerivative(JDiskError):
     """Rescaling requires a nonzero derivative at the origin."""
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diskgrid import DiskGrid, DiskMap, eval_interp, make_grid, poincare_distance
-from .errors import (Diverged, InvalidChain, InvalidParams, NewtonFailed,
-                     NoChainFound, NotHolomorphicMap, Singular)
-from .solver import DiskSolution, SolverConfig, cr_residual, derivative_disk, two_point_disk
+from .errors import (Diverged, InvalidChain, InvalidParams, NoChainFound,
+                     NotHolomorphicMap, Singular)
+from .solver import (DiskSolution, SolverConfig, check_node, cr_residual, derivative_disk,
+                     two_point_disk)
 from .structure import DomainDescriptor, StructureField
 
 _ENDPOINT_TOL = 1e-8     # largest accepted gap between a link's end and its target
@@ -137,7 +138,9 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     and a t below the grid step falls inside the first cell, so ``upper``
     bounds the pseudo-distance only up to the discretization error.  The
     search log records one (k, t, cost) triple per attempted link solve,
-    with infinite cost for rejected attempts.
+    with infinite cost for rejected attempts.  A ``t_grid`` node that
+    ``check_node`` rejects on the search grid raises ``InvalidParams``
+    before any solve.
     """
     opts = opts or KobayashiOptions()
     p = np.asarray(p, dtype=np.float64)
@@ -147,6 +150,8 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
         return DistanceEstimate(0.0, Chain([], [p], dom), [])
 
     grid = make_grid(opts.grid_r, opts.grid_n)
+    for t in opts.t_grid:
+        check_node(t, grid)
     t_values = sorted(opts.t_grid)
     delta = dom.shortest_delta(p, q)
 
@@ -163,7 +168,7 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
             for t in t_values:
                 try:
                     cand = _solve_link(J, waypoints[i], waypoints[i + 1], t, opts.cfg, grid)
-                except (Diverged, NewtonFailed, Singular):
+                except (Diverged, Singular):
                     log.append((k, t, math.inf))
                     continue
                 ok = (cand.disk.residual <= opts.residual_cap
@@ -248,7 +253,7 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
             return True
         try:
             sol = derivative_disk(J, p, lam * nu, cfg, grid)
-        except (Diverged, NewtonFailed, Singular):
+        except (Diverged, Singular):
             probes.append((lam, False))
             return False
         ok = _image_in_domain(sol.v, dom)

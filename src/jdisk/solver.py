@@ -21,8 +21,13 @@ import numpy as np
 
 from .cauchygreen import cg_apply, cg_build
 from .diskgrid import DiskGrid, DiskMap, d_dz, d_dzbar, eval_interp
-from .errors import Diverged, InvalidParams, NewtonFailed, Singular
+from .errors import Diverged, InvalidParams
 from .structure import ComplexConvention, StructureField, q_field
+
+# a fixed-point iteration has diverged once the sup norm of its iterate
+# grows by _DIVERGENCE_FACTOR within _DIVERGENCE_WINDOW steps
+_DIVERGENCE_WINDOW = 5
+_DIVERGENCE_FACTOR = 2.0
 
 
 @dataclass
@@ -34,15 +39,12 @@ class SolverConfig:
     their target in disk units, so there epsilon only sets the stopping
     test: a sup change of v below ``epsilon * tol_fixpoint``.  At most
     ``max_iter`` steps are taken, and the iteration is declared diverged
-    when its sup norm grows by ``divergence_factor`` within
-    ``divergence_window`` steps.
+    when its sup norm doubles within 5 steps.
     """
 
     epsilon: float = 0.1
     tol_fixpoint: float = 1e-10
     max_iter: int = 80
-    divergence_window: int = 5
-    divergence_factor: float = 2.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
@@ -132,9 +134,8 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     The iteration stops once the sup change of v falls below
     ``eps * cfg.tol_fixpoint``.  Raises ``Diverged``, carrying the last step
     deltas and the worst contraction ratio, when the iteration budget is
-    exhausted or the iterate norm grows by ``cfg.divergence_factor`` over a
-    trailing window; ``Singular`` when the dilatation matrix fails along an
-    iterate.
+    exhausted or the iterate norm doubles within 5 steps; ``Singular`` when
+    the dilatation matrix fails along an iterate.
     """
     eps = cfg.epsilon
     grid = h.grid
@@ -168,12 +169,12 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
         norms.append(v.sup_norm())
         if delta < eps * cfg.tol_fixpoint:
             return DiskSolution(v, cr_residual(J, v), k, deltas)
-        if k >= cfg.divergence_window:
+        if k >= _DIVERGENCE_WINDOW:
             # the floor is 1e-6 in units of h, like the stopping test
-            ref = max(norms[k - cfg.divergence_window], eps * 1e-6)
-            if norms[k] > cfg.divergence_factor * ref:
+            ref = max(norms[k - _DIVERGENCE_WINDOW], eps * 1e-6)
+            if norms[k] > _DIVERGENCE_FACTOR * ref:
                 raise _diverged(f"iterate norm grew from {ref:.3e} to {norms[k]:.3e} "
-                                f"within {cfg.divergence_window} steps", deltas)
+                                f"within {_DIVERGENCE_WINDOW} steps", deltas)
     raise _diverged(f"no contraction after {cfg.max_iter} iterations "
                     f"(last delta {deltas[-1]:.3e})", deltas)
 
@@ -185,26 +186,9 @@ def _constant_solution(J: StructureField, p: np.ndarray, grid: DiskGrid) -> Disk
     return DiskSolution(v, cr_residual(J, v), 0)
 
 
-def _matched_solve(J: StructureField, cfg: SolverConfig, seed, observe,
-                   data: np.ndarray) -> DiskSolution:
-    """Disk v with ``observe(v) = data``: one ``picard_solve`` whose target
-    is matched to the data at every step.  A failed solve raises
-    ``NewtonFailed`` with the ``Diverged`` or ``Singular`` as its cause."""
-    try:
-        return picard_solve(J, cfg, seed(data), match=(seed, observe, data))
-    except (Diverged, Singular) as exc:
-        raise NewtonFailed(f"disk solve failed: {exc}") from exc
-
-
-def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
-                   grid: DiskGrid) -> DiskSolution:
-    """Holomorphic disk through p0 at z = 0 and q0 at z = t.
-
-    Both points are matched to round-off: v(0) exactly, v(t) through the
-    bilinear interpolation of ``eval_interp``.
-    """
-    p0 = np.asarray(p0, dtype=np.float64)
-    q0 = np.asarray(q0, dtype=np.float64)
+def check_node(t: float, grid: DiskGrid) -> None:
+    """Raise ``InvalidParams`` unless ``two_point_disk`` can match a point
+    at z = t on ``grid``: t in (0, 1) and below r - h."""
     if not 0.0 < t < 1.0:
         raise InvalidParams(f"t must lie in (0, 1), got {t}")
     # the bilinear cell at t must lie in the disk; sampling snaps t to a node
@@ -212,29 +196,50 @@ def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
     if t >= grid.r - grid.h * (1.0 + 1e-9):
         raise InvalidParams(
             f"t={t} is not below the interpolation limit {grid.r - grid.h:.4g} of the grid")
+
+
+def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
+                   grid: DiskGrid) -> DiskSolution:
+    """Holomorphic disk through p0 at z = 0 and q0 at z = t.
+
+    Both points are matched to round-off: v(0) exactly, v(t) through the
+    bilinear interpolation of ``eval_interp``.  A failed solve raises the
+    ``Diverged`` or ``Singular`` of ``picard_solve``.
+    """
+    p0 = np.asarray(p0, dtype=np.float64)
+    q0 = np.asarray(q0, dtype=np.float64)
+    check_node(t, grid)
     if np.array_equal(p0, q0):
         return _constant_solution(J, p0, grid)
 
-    dim = p0.size
-    return _matched_solve(
-        J, cfg, lambda y: affine_target(y[:dim], y[dim:], t, grid),
-        lambda v: np.concatenate([v.value_at_center(), eval_interp(v, complex(t, 0.0))]),
-        np.concatenate([p0, q0]))
+    dim, data = p0.size, np.concatenate([p0, q0])
+
+    def seed(y):
+        return affine_target(y[:dim], y[dim:], t, grid)
+
+    def observe(v):
+        return np.concatenate([v.value_at_center(), eval_interp(v, complex(t, 0.0))])
+
+    return picard_solve(J, cfg, seed(data), match=(seed, observe, data))
 
 
 def derivative_disk(J: StructureField, p, w, cfg: SolverConfig,
                     grid: DiskGrid) -> DiskSolution:
     """Holomorphic disk with v(0) = p and dv/dz(0) = w (complex derivative,
     real representation), both matched to round-off, dv/dz(0) through the
-    centred differences of ``d_dz``."""
+    centred differences of ``d_dz``.  Fails like ``two_point_disk``."""
     p = np.asarray(p, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if not np.any(w):
         return _constant_solution(J, p, grid)
 
-    dim = p.size
+    dim, data = p.size, np.concatenate([p, w])
     center = grid.center_index
-    return _matched_solve(
-        J, cfg, lambda y: _line_seed(y[:dim], y[dim:], grid),
-        lambda v: np.concatenate([v.value_at_center(), d_dz(v).values[center]]),
-        np.concatenate([p, w]))
+
+    def seed(y):
+        return _line_seed(y[:dim], y[dim:], grid)
+
+    def observe(v):
+        return np.concatenate([v.value_at_center(), d_dz(v).values[center]])
+
+    return picard_solve(J, cfg, seed(data), match=(seed, observe, data))

@@ -5,9 +5,11 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
 from jdisk import diskgrid
-from jdisk.cauchygreen import CGOperator, cg_apply, cg_build, cg_residual
+from jdisk.cauchygreen import (CGOperator, _clipped_cell_pieces, _region_area, cg_apply,
+                               cg_build, cg_residual)
 from jdisk.diskgrid import DiskGrid, DiskMap, d_dzbar, make_grid
 from jdisk.errors import GridMismatch
 from jdisk.kobayashi import KobayashiOptions, estimate_distance
@@ -24,6 +26,30 @@ def cell_integral_2d_oracle(d, h, m=32):
     X, Y = np.meshgrid(x, x, indexing="ij")
     W = np.outer(wx, wx)
     return np.sum(W / (d - (X + 1j * Y)))
+
+
+def overlap_area_oracle(x0, x1, y0, y1, r):
+    """Area of [x0, x1] x [y0, y1] inside |z| <= r: adaptive quadrature of
+    the height of the overlap over x, split where that height has kinks."""
+    def height(x):
+        g = np.sqrt(max(r * r - x * x, 0.0))
+        return max(0.0, min(y1, g) - max(y0, -g))
+
+    a, b = max(x0, -r), min(x1, r)
+    kinks = [s * np.sqrt(r * r - c * c) for c in (y0, y1) if abs(c) < r for s in (-1, 1)]
+    kinks = [x for x in kinks if a < x < b]
+    value, _ = quad(height, a, b, points=kinks or None, epsabs=1e-14 * (x1 - x0) ** 2,
+                    epsrel=1e-13, limit=200)
+    return value
+
+
+def cut_cells(g):
+    """Index pairs of the lattice cells that meet the disk without lying in it."""
+    half = 0.5 * g.h
+    near2 = (np.maximum(np.abs(g.X) - half, 0.0) ** 2
+             + np.maximum(np.abs(g.Y) - half, 0.0) ** 2)
+    far2 = (np.abs(g.X) + half) ** 2 + (np.abs(g.Y) + half) ** 2
+    return list(zip(*np.nonzero((near2 < g.r ** 2) & (far2 > g.r ** 2))))
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +103,34 @@ def test_boundary_cells_weighted_by_inside_fraction(op33, g33):
     # the effective source mass matches the disk area to rounding
     covered = op33.conv_frac.sum() * g.h * g.h
     assert covered == pytest.approx(np.pi * g.r ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [9, 33, 129, 257])
+@pytest.mark.parametrize("r", [0.37, 1.0, 2.5])
+def test_contour_area_of_every_cut_cell_matches_quadrature(N, r):
+    g = make_grid(r, N)
+    half, cell = 0.5 * g.h, g.h * g.h
+    cells = cut_cells(g)
+    assert len(cells) >= 4 * (N - 1)
+    for j, k in cells:
+        x0, x1 = g.X[j, k] - half, g.X[j, k] + half
+        y0, y1 = g.Y[j, k] - half, g.Y[j, k] + half
+        got = _region_area(_clipped_cell_pieces(x0, x1, y0, y1, r), r)
+        assert abs(got - overlap_area_oracle(x0, x1, y0, y1, r)) <= 1e-10 * cell, (j, k)
+
+
+def test_rim_columns_and_fractions_do_not_depend_on_the_radius():
+    # cut cells are assigned to columns in lattice steps, so even at
+    # r = 1e-7, where squared node distances are about 4e-17, the columns
+    # are those of r = 1
+    N = 33
+    unit = CGOperator(make_grid(1.0, N))
+    columns = np.unique(unit._rim_correction.indices)
+    for r in (1e-7, 0.37, 2.5, 40.0):
+        op = CGOperator(make_grid(r, N))
+        assert np.array_equal(np.unique(op._rim_correction.indices), columns), r
+        assert np.max(np.abs(op.conv_frac - unit.conv_frac)) <= 1e-11, r
+        assert np.max(np.abs(op.frac - unit.frac)) <= 1e-11, r
 
 
 def test_transform_of_zero_is_zero(op33, g33):

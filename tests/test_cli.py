@@ -180,6 +180,10 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
     ["brody", "--structure", "torus-flat", "--tol=-1e-8"],
     ["validate", "--N", "7"],
     ["disk", "--p", "0,0", "--q", "0.1,0", "--N", "9", "--t", "0.75"],
+    ["disk", "--structure", "conjugated", "--epsilon", "0.1", "--p", "0,0", "--q", "0.1,0",
+     "--N", "33", "--cfg", "divergence_factor=-1"],
+    ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "divergence_window=5"],
+    ["distance", "--p", "0,0", "--q", "0.1,0", "--N", "9", "--t-grid", "0.5,0.75", "--k-max", "1"],
 ])
 def test_main_bad_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -236,7 +240,7 @@ def test_divergence_state_is_in_the_error_section():
                         "params": {"p": [0.3, 0.1], "q": [-0.2, 0.4]}})
     assert code == 3
     error = report["error"]
-    assert error["type"] == "NewtonFailed"
+    assert error["type"] == "Diverged"
     deltas = error["last_deltas"]
     assert len(deltas) == 3 and all(d > 0 for d in deltas)
     assert error["worst_ratio"] == max(deltas[1] / deltas[0], deltas[2] / deltas[1])

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from jdisk import solver
 from jdisk.diskgrid import make_grid
 from jdisk.errors import InvalidChain, InvalidParams, NoChainFound, NotHolomorphicMap
 from jdisk.kobayashi import (KobayashiOptions, chain_cost, concatenate_chains,
                              derivative_bound, estimate_distance,
                              pushforward_chain, validate_chain)
-from jdisk.solver import SolverConfig
+from jdisk.solver import SolverConfig, picard_solve
 from jdisk.structure import gallery
 
 
@@ -116,6 +117,23 @@ def test_search_rejects_a_node_the_grid_cannot_read(J_std, t):
     with pytest.raises(InvalidParams):
         estimate_distance(J_std, np.zeros(2), np.array([0.1, 0.0]),
                           KobayashiOptions(grid_n=9, t_grid=(t,)))
+
+
+@pytest.mark.parametrize("t_grid", [(0.5, 0.75), (0.75, 0.5), (0.5, 0.0)])
+def test_search_checks_every_node_before_solving(J_std, t_grid, monkeypatch):
+    # t = 0.5 is accepted at N = 9, so a sweep that checked each node only
+    # when it reached it would stop there and return a chain
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return picard_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "picard_solve", counted)
+    with pytest.raises(InvalidParams):
+        estimate_distance(J_std, np.zeros(2), np.array([0.1, 0.0]),
+                          KobayashiOptions(grid_n=9, t_grid=t_grid, k_max=1))
+    assert calls == []
 
 
 def test_triangle_via_concatenation(J_std):
