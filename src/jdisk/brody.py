@@ -21,7 +21,7 @@ from .diskgrid import (DiskGrid, DiskMap, make_grid, mobius_swap, node_max,
 from .errors import (HypothesisViolated, InvalidParams,
                      OutsideInterpolationRange, ZeroDerivative)
 from .solver import SolverConfig, cr_residual, derivative_disk
-from .structure import ComplexConvention, StructureField
+from .structure import StructureField
 
 # A scaling root this close to 1 is round-off of the root t0 = 1.
 _UNIT_ROOT_SNAP = 2e-6
@@ -94,7 +94,6 @@ class ReparamResult:
     s_sup: float
     c: float
     tol_brody: float
-    shrink: float = 1.0
 
     @property
     def within_tolerance(self) -> bool:
@@ -108,8 +107,8 @@ def brody_reparametrize(f: DiskMap, c: float) -> ReparamResult:
     Requires |f'(0)| >= c.  The scaling parameter t0 is the smallest root
     of s(t) = c, capped at 1; when t0 < 1 the sup location is swapped to
     the origin by a disk automorphism and the composition is resampled on a
-    slightly smaller disk (boundary cells cannot be interpolated),
-    recording the shrink factor.
+    slightly smaller disk (boundary cells cannot be interpolated), whose
+    radius ``f_tilde.grid.r`` records the shrink.
 
     The root is exact: node w_i with n_i = |f'(w_i)| contributes
     n_i (t - |w_i|^2 / (t r^2)) once |w_i| < t r, which rises from 0 in t,
@@ -139,7 +138,6 @@ def brody_reparametrize(f: DiskMap, c: float) -> ReparamResult:
     swap = None if abs(zstar) < 1e-12 else mobius_swap(zstar, g.r)
     rho = _safe_radius(g.r, g.h, t0, abs(zstar) if swap is not None else 0.0)
     fresh = make_grid(rho, g.N)
-    shrink = rho / g.r
     if swap is None:
         transform = lambda z: t0 * z                     # noqa: E731
     else:
@@ -148,7 +146,7 @@ def brody_reparametrize(f: DiskMap, c: float) -> ReparamResult:
     s_at_0 = _derivative_at_origin(f_tilde)
     s_sup, _ = sup_poincare_derivative(f_tilde)
     z0 = None if swap is None else zstar
-    return ReparamResult(f_tilde, t0, z0, s_at_0, s_sup, c, tol_brody, shrink)
+    return ReparamResult(f_tilde, t0, z0, s_at_0, s_sup, c, tol_brody)
 
 
 def rescale_step(f: DiskMap):
@@ -163,7 +161,7 @@ def rescale_step(f: DiskMap):
     if r_n <= 0.0:
         raise ZeroDerivative("map has zero derivative at the origin")
     g_grid = f.grid.scaled(r_n)
-    return DiskMap(g_grid, f.values.copy(), f.convention), r_n
+    return DiskMap(g_grid, f.values.copy()), r_n
 
 
 @dataclass
@@ -189,8 +187,6 @@ class LineCandidate:
 class RescalingReport:
     steps: list
     final: LineCandidate | None
-    window_radius: float
-    tol: float
     message: str = ""
 
     @property
@@ -261,8 +257,7 @@ def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
             break
 
     if last_restrict is None:
-        return RescalingReport(steps, None, R, tol,
-                               message=f"window never covered after {n_seen} steps")
+        return RescalingReport(steps, None, f"window never covered after {n_seen} steps")
     final = LineCandidate(
         samples=last_restrict,
         derivative_at_0=_derivative_at_origin(last_restrict),
@@ -271,20 +266,18 @@ def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
         achieved_delta=steps[-1].delta,
     )
     msg = "" if converged else f"no convergence after {n_seen} steps"
-    return RescalingReport(steps, final, R, tol, message=msg)
+    return RescalingReport(steps, final, msg)
 
 
 def dilation_family(grid: DiskGrid, n: int = 1, base: float = 4.0,
                     factor: float = 2.0, count: int = 12):
     """Disks z -> lambda z with geometrically growing lambda, first complex
     component only."""
-    conv = ComplexConvention(n)
-    direction = np.zeros(2 * n)
-    direction[0] = 1.0
-    unit = conv.cmul(grid.Z, direction)
+    unit = np.zeros((grid.N, grid.N, 2 * n))
+    unit[..., 0], unit[..., 1] = grid.X, grid.Y
     lam = base
     for _ in range(count):
-        yield DiskMap(grid, lam * unit, conv)
+        yield DiskMap(grid, lam * unit)
         lam *= factor
 
 

@@ -285,7 +285,7 @@ def cg_apply(op: CGOperator, phi: DiskMap) -> DiskMap:
         w = op.apply_complex(phi.component_complex(m))
         out[..., 2 * m] = w.real
         out[..., 2 * m + 1] = w.imag
-    return DiskMap(phi.grid, out, phi.convention)
+    return DiskMap(phi.grid, out)
 
 
 def cg_residual(op: CGOperator, phi: DiskMap) -> float:

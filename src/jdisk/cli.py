@@ -34,7 +34,7 @@ from .errors import (ConfigError, Diverged, InvalidGrid, InvalidParams, JDiskErr
 from .kobayashi import (KobayashiOptions, chain_cost, derivative_bound,
                         estimate_distance, pushforward_chain)
 from .solver import SolverConfig, affine_target, derivative_disk, two_point_disk
-from .structure import ComplexConvention, gallery, q_field, validate_structure
+from .structure import gallery, q_field, validate_structure
 
 # Kinds: each converts a value from a JSON config or a flag string, or
 # raises ConfigError.  ``dim`` is the real dimension 2n of the structure.
@@ -257,8 +257,7 @@ def _cmd_validate(config, J, grid, cfg, rng):
     report = validate_structure(J, samples)
     results = report.to_dict()
     op = cg_build(grid)
-    ones = DiskMap(grid, np.stack([np.ones_like(grid.X), np.zeros_like(grid.X)], axis=-1),
-                   ComplexConvention(1))
+    ones = DiskMap(grid, np.stack([np.ones_like(grid.X), np.zeros_like(grid.X)], axis=-1))
     results["cg_residual_constant_density"] = cg_residual(op, ones)
     return results, 0 if report.passed else 3
 
@@ -388,8 +387,7 @@ def _cmd_selftest(config, J, grid, cfg, rng):
     # transform inverts the conjugate derivative
     g = make_grid(1.0, 33)
     op = cg_build(g)
-    conv1 = ComplexConvention(1)
-    ones = DiskMap(g, np.stack([np.ones_like(g.X), np.zeros_like(g.X)], axis=-1), conv1)
+    ones = DiskMap(g, np.stack([np.ones_like(g.X), np.zeros_like(g.X)], axis=-1))
     res_const = cg_residual(op, ones)
     record("cauchy-transform-residual", res_const < 0.1, res_const, 0.1)
     p1 = cg_apply(op, ones)
@@ -441,7 +439,7 @@ def _cmd_selftest(config, J, grid, cfg, rng):
     record("mobius-involution", inv_err < 1e-12, inv_err, 1e-12)
 
     g65 = make_grid(1.0, 65)
-    sq = DiskMap(g65, np.stack([(g65.Z ** 2).real, (g65.Z ** 2).imag], axis=-1), conv1)
+    sq = DiskMap(g65, np.stack([(g65.Z ** 2).real, (g65.Z ** 2).imag], axis=-1))
     s_val = scaling_sup(sq, 1.0)
     err = abs(s_val - 4.0 / (3.0 * math.sqrt(3.0)))
     record("weighted-derivative-analytic", err < 1e-3, err, 1e-3)

@@ -17,7 +17,7 @@ the unit-radius operators of a few recent N for grids of every radius.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -191,7 +191,6 @@ class DiskMap:
 
     grid: DiskGrid
     values: np.ndarray
-    convention: ComplexConvention = field(default=None)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -199,18 +198,13 @@ class DiskMap:
             raise InvalidParams(f"values must have shape (N, N, 2n), got {vals.shape}")
         if vals.shape[2] % 2 or vals.shape[2] < 2:
             raise InvalidParams("last axis must have even length 2n")
-        if not np.all(np.isfinite(vals[self.grid.mask])):
-            raise InvalidParams("map has non-finite values at retained nodes")
         self.values = np.where(self.grid.mask[..., None], vals, 0.0)
-        if self.convention is None:
-            self.convention = ComplexConvention(vals.shape[2] // 2)
+        if not np.isfinite(self.values).all():
+            raise InvalidParams("map has non-finite values at retained nodes")
 
     @property
     def n(self) -> int:
         return self.values.shape[2] // 2
-
-    def copy(self) -> "DiskMap":
-        return DiskMap(self.grid, self.values.copy(), self.convention)
 
     def component_complex(self, m: int) -> np.ndarray:
         return self.values[..., 2 * m] + 1j * self.values[..., 2 * m + 1]
@@ -311,7 +305,7 @@ def resample(source: DiskMap, grid: DiskGrid, transform=None) -> DiskMap:
         pts = transform(pts)
     vals = np.zeros((grid.N, grid.N, source.values.shape[-1]))
     vals[grid.mask] = source.sample(pts, method="cubic")
-    return DiskMap(grid, vals, source.convention)
+    return DiskMap(grid, vals)
 
 
 def d_dz(u: DiskMap) -> DiskMap:
@@ -319,7 +313,7 @@ def d_dz(u: DiskMap) -> DiskMap:
     interior nodes; it reads 0 on the boundary ring and off the disk."""
     ux = u.grid.dx_apply(u.values)
     uy = u.grid.dy_apply(u.values)
-    return DiskMap(u.grid, 0.5 * (ux - u.convention.mul_i(uy)), u.convention)
+    return DiskMap(u.grid, 0.5 * (ux - ComplexConvention.mul_i(uy)))
 
 
 def d_dzbar(u: DiskMap) -> DiskMap:
@@ -327,7 +321,7 @@ def d_dzbar(u: DiskMap) -> DiskMap:
     ``d_dz`` is."""
     ux = u.grid.dx_apply(u.values)
     uy = u.grid.dy_apply(u.values)
-    return DiskMap(u.grid, 0.5 * (ux + u.convention.mul_i(uy)), u.convention)
+    return DiskMap(u.grid, 0.5 * (ux + ComplexConvention.mul_i(uy)))
 
 
 def poincare_distance(a, b, r: float = 1.0) -> float:
@@ -428,5 +422,5 @@ def from_json_obj(obj: dict) -> DiskMap:
     g = make_grid(obj["grid"]["r"], obj["grid"]["N"])
     vals = np.zeros((g.N, g.N, 2 * obj["n"]))
     vals[g.mask] = np.asarray(obj["values"], dtype=np.float64)
-    return DiskMap(g, vals, ComplexConvention(obj["n"]))
+    return DiskMap(g, vals)
 

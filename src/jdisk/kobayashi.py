@@ -1,14 +1,15 @@
 """Chain-based estimation of the holomorphic pseudo-distance.
 
 A chain joins two points through waypoints, each consecutive pair realized
-by a solved disk evaluated at source parameter a = 0 and target parameter
-b = t; its cost is the hyperbolic distance between the parameters, so the
-total cost of any certified chain is an upper bound on the pseudo-distance
-by definition.  The search explores waypoints equally spaced along the
-chart segment (shortest lattice representative on a torus) and sweeps the
-interpolation node t per link, keeping the cheapest chain found.  The
-returned bound is monotone: enlarging ``k_max`` or refining ``t_grid`` can
-only grow the candidate set.
+by a solved disk evaluated at source parameter 0 and target parameter
+b = t.  A link's cost is the hyperbolic distance between the parameters in
+the disk it was solved on, arctanh(t / r) for radius r, so the total cost
+of any certified chain is an upper bound on the pseudo-distance by
+definition (Kobayashi, Hyperbolic Complex Spaces, 1998).  The search
+explores waypoints equally spaced along the chart segment (shortest
+lattice representative on a torus) and sweeps the interpolation node t per
+link, keeping the cheapest chain found.  The returned bound is monotone:
+enlarging ``k_max`` or refining ``t_grid`` can only grow the candidate set.
 """
 
 from __future__ import annotations
@@ -30,18 +31,23 @@ _ENDPOINT_TOL = 1e-8     # largest accepted gap between a link's end and its tar
 
 @dataclass
 class ChainLink:
+    """A disk joining ``src`` at parameter 0 to ``dst`` at parameter ``b``."""
+
     disk: DiskSolution
-    a: complex
     b: complex
-    cost: float
     src: np.ndarray
     dst: np.ndarray
+
+    @property
+    def cost(self) -> float:
+        """Hyperbolic distance from 0 to ``b`` = t in the disk of the link's
+        own radius r, arctanh(t / r)."""
+        return poincare_distance(0, self.b, r=self.disk.v.grid.r)
 
 
 @dataclass
 class Chain:
     links: list
-    waypoints: list
     domain: DomainDescriptor
 
     @property
@@ -51,9 +57,13 @@ class Chain:
 
 @dataclass
 class DistanceEstimate:
-    upper: float
     best_chain: Chain
     search_log: list
+
+    @property
+    def upper(self) -> float:
+        """The cost of ``best_chain``."""
+        return self.best_chain.total_cost
 
 
 @dataclass
@@ -95,7 +105,7 @@ def validate_chain(chain: Chain, tol_endpoint: float = 1e-6) -> None:
     """Certify every link: declared endpoints are hit by the stored disk."""
     dom = chain.domain
     for i, link in enumerate(chain.links):
-        va = eval_interp(link.disk.v, link.a)
+        va = link.disk.v.value_at_center()
         vb = eval_interp(link.disk.v, link.b)
         if dom.point_gap(va, link.src) > tol_endpoint:
             raise InvalidChain(f"link {i} misses its source point")
@@ -110,27 +120,16 @@ def concatenate_chains(c1: Chain, c2: Chain, tol: float = 1e-8) -> Chain:
         raise InvalidChain("chains live on different domain kinds")
     if c1.links and c2.links and c1.domain.point_gap(c1.links[-1].dst, c2.links[0].src) > tol:
         raise InvalidChain("chains do not meet at a common waypoint")
-    return Chain(c1.links + c2.links, c1.waypoints + c2.waypoints[1:], c1.domain)
-
-
-def _image_in_domain(v: DiskMap, dom: DomainDescriptor) -> bool:
-    if dom.is_torus or not math.isfinite(dom.radius):
-        return True
-    return dom.contains(v.values[v.grid.mask])
-
-
-def _solve_link(J, src, dst, t, cfg, grid):
-    sol = two_point_disk(J, src, dst, t, cfg, grid)
-    cost = poincare_distance(0.0, t, r=1.0)
-    return ChainLink(sol, 0j, complex(t, 0.0), cost, np.asarray(src, float),
-                     np.asarray(dst, float))
+    return Chain(c1.links + c2.links, c1.domain)
 
 
 def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = None) -> DistanceEstimate:
     """Cheapest certified chain joining p and q.
 
     ``upper`` is the cost of the returned chain, whatever the search
-    pruned.  What is certified is the chain of *discretized* disks: every
+    pruned; a link accepted at node t costs arctanh(t / r), its hyperbolic
+    length in the disk of the search grid's radius r = ``grid_r``.  What is
+    certified is the chain of *discretized* disks: every
     accepted link has its target endpoint, read off the grid by bilinear
     interpolation at t, within the endpoint tolerance; its ``cr_residual``,
     a sup over grid nodes only, at most ``residual_cap``; and its image at
@@ -147,7 +146,7 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     q = np.asarray(q, dtype=np.float64)
     dom = J.domain
     if dom.point_gap(p, q) == 0.0:
-        return DistanceEstimate(0.0, Chain([], [p], dom), [])
+        return DistanceEstimate(Chain([], dom), [])
 
     grid = make_grid(opts.grid_r, opts.grid_n)
     for t in opts.t_grid:
@@ -161,39 +160,35 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     for k in range(1, opts.k_max + 1):
         waypoints = [p + (i / k) * delta for i in range(k + 1)]
         links = []
-        feasible = True
-        worst_t = 0.0
         for i in range(k):
             link = None
             for t in t_values:
                 try:
-                    cand = _solve_link(J, waypoints[i], waypoints[i + 1], t, opts.cfg, grid)
+                    sol = two_point_disk(J, waypoints[i], waypoints[i + 1], t, opts.cfg, grid)
                 except (Diverged, Singular):
                     log.append((k, t, math.inf))
                     continue
-                ok = (cand.disk.residual <= opts.residual_cap
-                      and _image_in_domain(cand.disk.v, dom)
-                      and dom.point_gap(eval_interp(cand.disk.v, cand.b), cand.dst)
+                cand = ChainLink(sol, complex(t, 0.0), waypoints[i], waypoints[i + 1])
+                ok = (sol.residual <= opts.residual_cap
+                      and dom.contains(sol.v.values[grid.mask])
+                      and dom.point_gap(eval_interp(sol.v, cand.b), cand.dst)
                       <= _ENDPOINT_TOL)
                 log.append((k, t, cand.cost if ok else math.inf))
                 if ok:
                     link = cand
                     break
             if link is None:
-                feasible = False
                 break
             links.append(link)
-            worst_t = max(worst_t, link.b.real)
-        if not feasible:
-            continue
-        chain = Chain(links, waypoints, dom)
-        key = (chain.total_cost, k, worst_t)
-        if best is None or key < best_key:
-            best, best_key = chain, key
+        else:
+            chain = Chain(links, dom)
+            key = (chain.total_cost, k, max(link.b.real for link in links))
+            if best is None or key < best_key:
+                best, best_key = chain, key
     if best is None:
         raise NoChainFound(
             f"no (k <= {opts.k_max}, t in {tuple(t_values)}) chain joins the points")
-    return DistanceEstimate(best.total_cost, best, log)
+    return DistanceEstimate(best, log)
 
 
 def pushforward_chain(chain: Chain, f, J_target: StructureField,
@@ -216,9 +211,8 @@ def pushforward_chain(chain: Chain, f, J_target: StructureField,
         sol = DiskSolution(v_new, resid, link.disk.iterations)
         src = np.asarray(f(link.src[None, :]))[0]
         dst = np.asarray(f(link.dst[None, :]))[0]
-        new_links.append(ChainLink(sol, link.a, link.b, link.cost, src, dst))
-    waypoints = [np.asarray(f(np.asarray(w, float)[None, :]))[0] for w in chain.waypoints]
-    return Chain(new_links, waypoints, J_target.domain)
+        new_links.append(ChainLink(sol, link.b, src, dst))
+    return Chain(new_links, J_target.domain)
 
 
 def derivative_bound(J: StructureField, p, nu, lambda_max: float,
@@ -256,7 +250,7 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
         except (Diverged, Singular):
             probes.append((lam, False))
             return False
-        ok = _image_in_domain(sol.v, dom)
+        ok = dom.contains(sol.v.values[grid.mask])
         probes.append((lam, ok))
         return ok
 

@@ -103,17 +103,13 @@ def affine_target(p: np.ndarray, q: np.ndarray, t: float, grid: DiskGrid) -> Dis
     q = np.asarray(q, dtype=np.float64)
     if not 0.0 < t < 1.0:
         raise InvalidParams(f"interpolation node t must lie in (0, 1), got {t}")
-    conv = ComplexConvention(p.size // 2)
-    vals = p + conv.cmul(grid.Z / t, q - p)
-    return DiskMap(grid, vals, conv)
+    return DiskMap(grid, p + ComplexConvention.cmul(grid.Z / t, q - p))
 
 
 def _line_seed(p: np.ndarray, w: np.ndarray, grid: DiskGrid) -> DiskMap:
     p = np.asarray(p, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    conv = ComplexConvention(p.size // 2)
-    vals = p + conv.cmul(grid.Z, w)
-    return DiskMap(grid, vals, conv)
+    return DiskMap(grid, p + ComplexConvention.cmul(grid.Z, w))
 
 
 def _diverged(message: str, deltas: list) -> Diverged:
@@ -140,32 +136,33 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     eps = cfg.epsilon
     grid = h.grid
     op = cg_build(grid)
-    mask = grid.mask
-    labels = np.stack([grid.X[mask], grid.Y[mask]], axis=-1)
+    mask, inner = grid.mask, grid.interior
+    labels = np.stack([grid.X[inner], grid.Y[inner]], axis=-1)
     extend = grid.ring_extension()
     if match is None:
         fixed = eps * h.values
-        v = DiskMap(grid, fixed, h.convention)
+        v = DiskMap(grid, fixed)
     else:
         seed, observe, data = match
         v = h
     deltas: list = []
     norms: list = [v.sup_norm()]
     for k in range(1, cfg.max_iter + 1):
-        q = q_field(J, v.values[mask], labels=labels)
-        dz_vals = d_dz(v).values[mask]
+        # derivatives are zero on the boundary ring, so the density is
+        # formed at interior nodes and extended to the ring from them (the
+        # final certificate is cr_residual)
+        q = q_field(J, v.values[inner], labels=labels)
+        dz_vals = d_dz(v).values[inner]
         w_vals = np.zeros_like(v.values)
-        w_vals[mask] = np.einsum("mij,mj->mi", q, dz_vals)
-        # derivatives are zero on the boundary ring; fill the density there
-        # from the interior (the final certificate is cr_residual)
+        w_vals[inner] = np.einsum("mij,mj->mi", q, dz_vals)
         flat = w_vals.reshape(grid.N * grid.N, -1)
         w_vals = (extend @ flat).reshape(w_vals.shape)
-        correction = cg_apply(op, DiskMap(grid, w_vals, v.convention))
+        correction = cg_apply(op, DiskMap(grid, w_vals))
         target = fixed if match is None else seed(data - observe(correction)).values
         new_vals = target + correction.values
         delta = float(np.max(np.abs(new_vals[mask] - v.values[mask])))
         deltas.append(delta)
-        v = DiskMap(grid, new_vals, v.convention)
+        v = DiskMap(grid, new_vals)
         norms.append(v.sup_norm())
         if delta < eps * cfg.tol_fixpoint:
             return DiskSolution(v, cr_residual(J, v), k, deltas)
@@ -182,7 +179,7 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
 def _constant_solution(J: StructureField, p: np.ndarray, grid: DiskGrid) -> DiskSolution:
     p = np.asarray(p, dtype=np.float64)
     vals = np.broadcast_to(p, (grid.N, grid.N, p.size)).copy()
-    v = DiskMap(grid, vals, ComplexConvention(p.size // 2))
+    v = DiskMap(grid, vals)
     return DiskSolution(v, cr_residual(J, v), 0)
 
 

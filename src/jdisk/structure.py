@@ -20,13 +20,17 @@ import numpy as np
 
 from .errors import InvalidParams, Singular, UnknownName
 
+_LATTICE_AXIS = 5            # validation lattice points per axis
+_LATTICE_MOST = 5 ** 6       # validation points at most (the whole n = 3 lattice)
+
 
 class ComplexConvention:
     """Identification of C^n with R^{2n} in interleaved order (x1, y1, ..., xn, yn).
 
-    ``jst`` is the block-diagonal integer matrix with 2x2 blocks
-    ``[[0, -1], [1, 0]]``; multiplying a real vector by ``jst`` equals
-    multiplying the corresponding complex vector by ``i``.
+    ``jst_f`` is the block-diagonal matrix with 2x2 blocks ``[[0, -1], [1, 0]]``;
+    multiplying a real vector by ``jst_f`` equals multiplying the
+    corresponding complex vector by ``i``.  The vector operations read n off
+    the last axis of their input, so they need no instance.
     """
 
     def __init__(self, n: int):
@@ -35,14 +39,14 @@ class ComplexConvention:
             raise InvalidParams(f"complex dimension must be >= 1, got {n}")
         self.n = n
         self.dim = 2 * n
-        jst = np.zeros((self.dim, self.dim), dtype=np.int64)
+        jst = np.zeros((self.dim, self.dim))
         for k in range(n):
-            jst[2 * k, 2 * k + 1] = -1
-            jst[2 * k + 1, 2 * k] = 1
-        self.jst = jst
-        self.jst_f = jst.astype(np.float64)
+            jst[2 * k, 2 * k + 1] = -1.0
+            jst[2 * k + 1, 2 * k] = 1.0
+        self.jst_f = jst
 
-    def mul_i(self, v: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def mul_i(v: np.ndarray) -> np.ndarray:
         """Multiply real-represented vectors (..., 2n) by i."""
         v = np.asarray(v, dtype=np.float64)
         out = np.empty_like(v)
@@ -50,7 +54,8 @@ class ComplexConvention:
         out[..., 1::2] = v[..., 0::2]
         return out
 
-    def cmul(self, z, v: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def cmul(z, v: np.ndarray) -> np.ndarray:
         """Multiply real-represented vectors by a complex scalar (broadcasts).
 
         ``z`` may be a scalar or an array; the result has shape
@@ -58,9 +63,10 @@ class ComplexConvention:
         """
         z = np.asarray(z, dtype=np.complex128)
         v = np.asarray(v, dtype=np.float64)
-        return z.real[..., None] * v + z.imag[..., None] * self.mul_i(v)
+        return z.real[..., None] * v + z.imag[..., None] * ComplexConvention.mul_i(v)
 
-    def to_complex(self, v: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def to_complex(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         return v[..., 0::2] + 1j * v[..., 1::2]
 
@@ -72,25 +78,18 @@ class ComplexConvention:
 class DomainDescriptor:
     """Where a structure field lives.
 
-    ``chart-ball``: the Euclidean ball ``|p - center| <= radius`` in R^{2n}
-    (radius may be ``inf`` for a full chart).  ``flat-torus``: R^{2n} modulo
-    the unit lattice Z^{2n}; maps are carried in the universal cover and
-    point comparison reduces modulo the lattice.
+    ``chart-ball``: the Euclidean ball ``|p| <= radius`` about the origin of
+    R^{2n} (radius may be ``inf`` for a full chart).  ``flat-torus``: R^{2n}
+    modulo the unit lattice Z^{2n}; maps are carried in the universal cover
+    and point comparison reduces modulo the lattice.
     """
 
     kind: str
-    dim: int
-    center: np.ndarray | None = None
     radius: float = math.inf
 
     def __post_init__(self):
         if self.kind not in ("chart-ball", "flat-torus"):
             raise InvalidParams(f"unknown domain kind {self.kind!r}")
-        if self.center is None:
-            self.center = np.zeros(self.dim)
-        self.center = np.asarray(self.center, dtype=np.float64)
-        if self.center.shape != (self.dim,):
-            raise InvalidParams("domain center has wrong dimension")
         if not self.radius > 0:
             raise InvalidParams("chart-ball radius must be positive")
 
@@ -121,7 +120,7 @@ class DomainDescriptor:
         if self.is_torus or not math.isfinite(self.radius):
             return True
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        dist = np.linalg.norm(points - self.center, axis=-1)
+        dist = np.linalg.norm(points, axis=-1)
         return bool(np.all(dist <= self.radius + slack))
 
 
@@ -341,9 +340,9 @@ def gallery(name: str, n: int = 1, epsilon: float = 0.1, perturbation="sin",
     conv = ComplexConvention(n)
     periodic = name.startswith("torus")
     if periodic:
-        domain = DomainDescriptor("flat-torus", conv.dim)
+        domain = DomainDescriptor("flat-torus")
     else:
-        domain = DomainDescriptor("chart-ball", conv.dim, radius=radius)
+        domain = DomainDescriptor("chart-ball", radius=radius)
 
     if name in ("standard", "torus-flat"):
         jst = conv.jst_f
@@ -376,14 +375,17 @@ def gallery(name: str, n: int = 1, epsilon: float = 0.1, perturbation="sin",
     return fld
 
 
-def _validation_lattice(domain: DomainDescriptor, dim: int, per_axis: int = 5) -> np.ndarray:
+def _validation_lattice(domain: DomainDescriptor, dim: int) -> np.ndarray:
+    """Points of the ``_LATTICE_AXIS ** dim`` lattice over the domain in
+    row-major order; above ``_LATTICE_MOST`` points, that many of them at
+    evenly spaced flat indices from the first to the last, so the set stays
+    small for every dimension and is the whole lattice up to n = 3."""
     if domain.is_torus:
-        axis = np.linspace(0.0, 1.0, per_axis, endpoint=False)
+        axis = np.linspace(0.0, 1.0, _LATTICE_AXIS, endpoint=False)
     else:
         b = 1.0 if not math.isfinite(domain.radius) else 0.9 * domain.radius
-        axis = np.linspace(-b, b, per_axis)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    if not domain.is_torus:
-        pts = pts + domain.center
-    return pts
+        axis = np.linspace(-b, b, _LATTICE_AXIS)
+    total = _LATTICE_AXIS ** dim
+    count = min(total, _LATTICE_MOST)
+    flat = np.arange(count) * (total - 1) // (count - 1)
+    return axis[np.stack(np.unravel_index(flat, (_LATTICE_AXIS,) * dim), axis=-1)]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from jdisk.diskgrid import DiskMap, make_grid
-from jdisk.structure import ComplexConvention
 
 
 @pytest.fixture
@@ -14,7 +13,7 @@ def complex_map(grid, fn):
     """Build an n=1 DiskMap from a complex-valued function of z."""
     w = np.asarray(fn(grid.Z), dtype=np.complex128)
     vals = np.stack([w.real, w.imag], axis=-1)
-    return DiskMap(grid, vals, ComplexConvention(1))
+    return DiskMap(grid, vals)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from jdisk.cauchygreen import (CGOperator, _clipped_cell_pieces, _region_area, c
 from jdisk.diskgrid import DiskGrid, DiskMap, d_dzbar, make_grid
 from jdisk.errors import GridMismatch
 from jdisk.kobayashi import KobayashiOptions, estimate_distance
-from jdisk.structure import ComplexConvention, gallery
+from jdisk.structure import gallery
 
 from conftest import complex_map
 
@@ -119,6 +119,38 @@ def test_contour_area_of_every_cut_cell_matches_quadrature(N, r):
         assert abs(got - overlap_area_oracle(x0, x1, y0, y1, r)) <= 1e-10 * cell, (j, k)
 
 
+@pytest.mark.parametrize("box", [(-3.0, 3.0, -4.0, 4.0), (-3.0, 3.0, -4.0, 10.0)])
+def test_a_corner_on_the_circle_is_one_circle_hit(box):
+    # the circle of radius 5 passes exactly through the corners (+-3, +-4),
+    # and each such corner is hit from both of its edges; counted twice, it
+    # closes a whole circle whose midpoint, the opposite corner, is in the box
+    r = 5.0
+    got = _region_area(_clipped_cell_pieces(*box, r), r)
+    assert abs(got - overlap_area_oracle(*box, r)) <= 1e-12 * r * r
+
+
+def test_a_sliver_goes_to_the_nearest_retained_node():
+    # N = 9, r = 1: the cut cell (0, 6) at (-1, 0.5) lies off the disk, and
+    # of its neighbours only (1, 6), one axis step away, and (1, 5), a
+    # diagonal step that comes first in scan order, are retained.  The cut
+    # cell (1, 7) at (-0.75, 0.75), also off the disk, has two retained axis
+    # neighbours, (1, 6) and (2, 7), and the tie goes to the first in scan
+    # order.  (1, 6) is cut itself, so it keeps its own inside area and
+    # carries both slivers.
+    g = make_grid(1.0, 9)
+    op = CGOperator(g)
+    half = 0.5 * g.h
+
+    def area(j, k):
+        x, y = g.X[j, k], g.Y[j, k]
+        return overlap_area_oracle(x - half, x + half, y - half, y + half, 1.0) / g.h ** 2
+
+    assert g.mask[1, 6] and g.mask[1, 5] and not (g.mask[0, 6] or g.mask[1, 7])
+    assert abs(op.frac[1, 6] - area(1, 6)) <= 1e-10
+    assert abs(op.conv_frac[1, 6] - (area(1, 6) + area(0, 6) + area(1, 7))) <= 1e-10
+    assert op.frac[1, 5] == 1.0
+
+
 def test_rim_columns_and_fractions_do_not_depend_on_the_radius():
     # cut cells are assigned to columns in lattice steps, so even at
     # r = 1e-7, where squared node distances are about 4e-17, the columns
@@ -135,7 +167,7 @@ def test_rim_columns_and_fractions_do_not_depend_on_the_radius():
 
 def test_transform_of_zero_is_zero(op33, g33):
     g = g33
-    zero = DiskMap(g, np.zeros((g.N, g.N, 2)), ComplexConvention(1))
+    zero = DiskMap(g, np.zeros((g.N, g.N, 2)))
     out = cg_apply(op33, zero)
     assert np.all(out.values == 0.0)
     assert cg_residual(op33, zero) == 0.0
@@ -162,7 +194,7 @@ def test_transform_matches_dense_row_summation():
     vals = np.zeros((g.N, g.N, 2))
     vals[g.mask, 0] = phi_c.real
     vals[g.mask, 1] = phi_c.imag
-    phi = DiskMap(g, vals, ComplexConvention(1))
+    phi = DiskMap(g, vals)
     got = cg_apply(op, phi).component_complex(0)[g.mask]
     want = dense @ phi_c
     assert np.max(np.abs(got - want)) < 1e-12
@@ -233,7 +265,7 @@ def test_linearity(grid65, rng):
     phi = complex_map(grid65, lambda z: np.sin(z.real) + 1j * z.imag)
     psi = complex_map(grid65, lambda z: z ** 2)
     a, b = 0.7, -1.3
-    combo = DiskMap(grid65, a * phi.values + b * psi.values, phi.convention)
+    combo = DiskMap(grid65, a * phi.values + b * psi.values)
     lhs = cg_apply(op, combo).values
     rhs = a * cg_apply(op, phi).values + b * cg_apply(op, psi).values
     assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -69,6 +69,22 @@ def test_distance_command_flat_bound():
     assert report["results"]["upper"] <= np.arctanh(0.05) + 1e-9
 
 
+@pytest.mark.parametrize("r, t_grid", [("0.5", "0.05,0.1,0.15,0.2,0.25,0.4"),
+                                       ("2", "0.1,0.2,0.3,0.4,0.5,0.6")])
+def test_distance_command_measures_link_costs_in_the_grid_radius(r, t_grid, capsys):
+    # the unit-ball distance from 0 to 0.3 is arctanh(0.3) at every grid radius
+    assert main(["distance", "--structure", "standard", "--radius", "1", "--r", r,
+                 "--p", "0,0", "--q", "0.3,0", "--t-grid", t_grid, "--k-max", "1"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert abs(results["upper"] - math.atanh(0.3)) <= 1e-15
+    assert [link["cost"] for link in results["links"]] == [results["upper"]]
+
+
+def test_validate_command_at_the_largest_dimension(capsys):
+    assert main(["validate", "--structure", "conjugated", "--n", "8", "--samples", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["passed"] is True
+
+
 def test_distance_solver_failure_exit_code():
     code, report = run({"command": "distance",
                         "structure": {"name": "standard", "n": 1, "radius": 0.2},

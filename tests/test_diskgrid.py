@@ -145,7 +145,7 @@ def test_interpolation_reproduces_affine_two_point_form(grid33):
     p = np.array([0.3, -0.2])
     q = np.array([-0.1, 0.5])
     vals = p + conv.cmul(2 * grid33.Z, q - p)
-    u = DiskMap(grid33, vals, conv)
+    u = DiskMap(grid33, vals)
     assert np.allclose(eval_interp(u, 0.5 + 0j), q, atol=1e-14)
     assert np.allclose(eval_interp(u, 0j), p, atol=1e-15)
 

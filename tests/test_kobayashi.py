@@ -54,6 +54,21 @@ def test_flat_chart_bound_shrinks_with_t(J_std):
     validate_chain(est.best_chain)
 
 
+@pytest.mark.parametrize("grid_r, t_grid", [(0.5, (0.05, 0.1, 0.15, 0.2, 0.25, 0.4)),
+                                             (2.0, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))])
+def test_link_cost_is_measured_in_the_radius_of_its_disk(grid_r, t_grid):
+    # in the unit ball the pseudo-distance from 0 to 0.3 is arctanh(0.3); the
+    # affine disk of radius r through both points stays in the ball from
+    # t = 0.3 r on, where its cost arctanh(t / r) attains that distance
+    J = gallery("standard", radius=1.0)
+    est = estimate_distance(J, np.zeros(2), np.array([0.3, 0.0]),
+                            KobayashiOptions(k_max=1, grid_r=grid_r, t_grid=t_grid))
+    assert abs(est.upper - np.arctanh(0.3)) <= 1e-15
+    (link,) = est.best_chain.links
+    assert link.b == pytest.approx(0.3 * grid_r)
+    assert link.cost == est.upper == chain_cost(est.best_chain)
+
+
 def test_monotone_in_search_breadth(J_std):
     p, q = np.zeros(2), np.array([0.4, 0.2])
     coarse = estimate_distance(J_std, p, q, quick_opts(t_grid=(0.5, 0.25), k_max=1))
@@ -162,8 +177,6 @@ def test_pushforward_preserves_cost_exactly(J_std, J_torus):
     assert all(link.disk.residual < 1e-10 for link in pushed.links)
 
     est2 = estimate_distance(J_std, np.zeros(2), np.array([0.3, 0.0]), quick_opts())
-    conv = est2.best_chain.links[0].disk.v.convention
-
     def double(v):  # complex-linear map z -> 2z in the real representation
         return 2.0 * v
 

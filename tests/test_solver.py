@@ -8,6 +8,7 @@ from jdisk.errors import Diverged, InvalidParams
 from jdisk.solver import (SolverConfig, affine_target, cr_residual,
                           derivative_disk, picard_solve, two_point_disk)
 from jdisk.structure import ComplexConvention, gallery
+from jdisk.structure import ComplexConvention, gallery, q_field
 
 from conftest import complex_map
 
@@ -174,6 +175,20 @@ def test_failed_match_raises_after_one_picard_call(J_conj, g65, monkeypatch):
         assert exc.ratio == exc.deltas[1] / exc.deltas[0]
 
 
+def test_dilatation_is_evaluated_at_interior_nodes_only(J_conj, g65, monkeypatch):
+    # the density's ring rows come from ring_extension, so no Picard step
+    # evaluates q on the ring; the final cr_residual reads interior nodes too
+    sizes = []
+
+    def counted(J, points, labels=None):
+        sizes.append(len(points))
+        return q_field(J, points, labels=labels)
+
+    monkeypatch.setattr(solver, "q_field", counted)
+    sol = two_point_disk(J_conj, np.zeros(2), np.array([0.1, 0.0]), 0.5, SolverConfig(), g65)
+    assert sizes == [int(g65.interior.sum())] * (sol.iterations + 1)
+
+
 def test_slow_contraction_converges_above_the_residual_cap():
     # J eps 0.9 with a long gap contracts slowly (worst ratio about 0.94):
     # it converges within the default budget of 80 steps, but the disk is
@@ -190,8 +205,7 @@ def test_derivative_disk_standard_exact(J_std, g65):
     p = np.array([0.2, -0.1])
     w = np.array([0.3, 0.4])
     sol = derivative_disk(J_std, p, w, SolverConfig(), g65)
-    conv = ComplexConvention(1)
-    target = DiskMap(g65, p + conv.cmul(g65.Z, w), conv)
+    target = DiskMap(g65, p + ComplexConvention.cmul(g65.Z, w))
     assert np.max(np.abs(sol.v.values - target.values)) < 1e-12
 
 
@@ -222,7 +236,7 @@ def test_limits_of_low_residual_maps_have_low_residual(J_conj, g65):
     bump = complex_map(g65, lambda z: np.sin(np.pi * z.real) * np.sin(np.pi * z.imag) + 0j)
     resids = []
     for k in range(1, 7):
-        vk = DiskMap(g65, base.values + 2.0 ** -k * 0.01 * bump.values, base.convention)
+        vk = DiskMap(g65, base.values + 2.0 ** -k * 0.01 * bump.values)
         resids.append(cr_residual(J_conj, vk))
     delta = max(resids)
     assert cr_residual(J_conj, base) <= delta + 0.01
@@ -290,8 +304,7 @@ def test_matched_derivative_loop_agrees_with_a_nested_solve(eps, lam):
     p, w = np.array([0.1, 0.0]), lam * np.array([1.0, 0.3])
     sol = derivative_disk(J, p, w, cfg, g)
     ref = _nested_reference(
-        J, cfg, lambda y: DiskMap(g, y[:2] + ComplexConvention(1).cmul(g.Z, y[2:]),
-                                  ComplexConvention(1)),
+        J, cfg, lambda y: DiskMap(g, y[:2] + ComplexConvention.cmul(g.Z, y[2:])),
         lambda v: np.concatenate([v.value_at_center(), d_dz(v).values[c]]),
         np.concatenate([p, w]))
     assert np.max(np.abs(sol.v.values - ref.values)) < 1e-8

@@ -1,17 +1,20 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
 from jdisk.errors import InvalidParams, Singular, UnknownName
 from jdisk.structure import (ComplexConvention, DomainDescriptor,
-                             StructureField, gallery, q_field, q_matrix,
-                             validate_structure)
+                             StructureField, _validation_lattice, gallery,
+                             q_field, q_matrix, validate_structure)
 
 
-def test_jst_squares_to_minus_identity_in_integer_arithmetic():
+def test_jst_squares_to_minus_identity_exactly():
     for n in (1, 2, 3):
-        conv = ComplexConvention(n)
-        assert conv.jst.dtype == np.int64
-        assert np.array_equal(conv.jst @ conv.jst, -np.eye(2 * n, dtype=np.int64))
+        jst = ComplexConvention(n).jst_f
+        assert np.array_equal(jst, np.round(jst))
+        assert np.array_equal(jst @ jst, -np.eye(2 * n))
 
 
 def test_jst_action_matches_multiplication_by_i(rng):
@@ -43,7 +46,7 @@ def test_validate_standard_structure_exact():
 
 def test_validate_identity_field_fails():
     conv = ComplexConvention(1)
-    dom = DomainDescriptor("chart-ball", 2)
+    dom = DomainDescriptor("chart-ball")
     J = StructureField(conv, dom, lambda pts: np.broadcast_to(
         np.eye(2), (pts.shape[0], 2, 2)).copy(), name="identity")
     report = validate_structure(J, np.zeros((5, 2)), tol=1e-10)
@@ -64,7 +67,7 @@ def test_validate_conjugated_structure_residual_small(rng):
 
 def test_validation_reports_bad_samples_without_crashing():
     conv = ComplexConvention(1)
-    dom = DomainDescriptor("chart-ball", 2)
+    dom = DomainDescriptor("chart-ball")
 
     def evil(pts):
         if np.any(pts[:, 0] > 0.5):
@@ -86,7 +89,7 @@ def test_q_matrix_vanishes_for_standard():
 
 def test_q_matrix_singular_at_minus_jst():
     conv = ComplexConvention(1)
-    dom = DomainDescriptor("chart-ball", 2)
+    dom = DomainDescriptor("chart-ball")
     J = StructureField(conv, dom, lambda pts: np.broadcast_to(
         -conv.jst_f, (pts.shape[0], 2, 2)).copy(), name="minus-standard")
     with pytest.raises(Singular):
@@ -96,7 +99,7 @@ def test_q_matrix_singular_at_minus_jst():
 def _constant_field(jmats, cond_cap=1e8):
     """A custom field whose value at the i-th of len(jmats) points is jmats[i]."""
     conv = ComplexConvention(jmats.shape[-1] // 2)
-    return StructureField(conv, DomainDescriptor("chart-ball", conv.dim),
+    return StructureField(conv, DomainDescriptor("chart-ball"),
                           lambda pts: jmats[:pts.shape[0]], cond_cap=cond_cap)
 
 
@@ -213,6 +216,31 @@ def test_q_vanishes_iff_structure_is_standard(rng):
     assert np.all((qnorm < tiny) == (jdev < tiny))
 
 
+@pytest.mark.parametrize("kind, radius", [("chart-ball", math.inf), ("chart-ball", 2.0),
+                                          ("flat-torus", math.inf)])
+def test_validation_lattice_is_whole_up_to_n3_and_bounded_above(kind, radius):
+    dom = DomainDescriptor(kind, radius=radius)
+    axis = np.unique(_validation_lattice(dom, 2)[:, 0])
+    assert axis.size == 5
+    for dim in (2, 4, 6):
+        grids = np.meshgrid(*([axis] * dim), indexing="ij")
+        whole = np.stack([g.ravel() for g in grids], axis=-1)
+        assert np.array_equal(_validation_lattice(dom, dim), whole)
+    for dim in (8, 16):
+        pts = _validation_lattice(dom, dim)
+        assert pts.shape == (5 ** 6, dim)
+        assert np.array_equal(pts[0], np.full(dim, axis[0]))
+        assert np.array_equal(pts[-1], np.full(dim, axis[-1]))
+        assert all(np.array_equal(np.unique(pts[:, i]), axis) for i in range(dim))
+
+
+def test_gallery_builds_quickly_at_the_largest_dimension():
+    start = time.perf_counter()
+    J = gallery("conjugated", n=8)
+    assert time.perf_counter() - start < 2.0
+    assert J.convention.dim == 16
+
+
 def test_gallery_unknown_name_and_bad_params():
     with pytest.raises(UnknownName):
         gallery("nope")
@@ -246,7 +274,7 @@ def test_torus_perturbed_periodicity(rng):
 
 
 def test_torus_domain_wraps_and_measures_gaps():
-    dom = DomainDescriptor("flat-torus", 2)
+    dom = DomainDescriptor("flat-torus")
     a = np.array([0.1, 0.9])
     b = np.array([0.95, 0.05])
     assert dom.point_gap(a, b) == pytest.approx(np.hypot(0.15, 0.15))
@@ -254,6 +282,6 @@ def test_torus_domain_wraps_and_measures_gaps():
 
 
 def test_chart_ball_containment():
-    dom = DomainDescriptor("chart-ball", 2, radius=1.0)
+    dom = DomainDescriptor("chart-ball", radius=1.0)
     assert dom.contains(np.array([[0.6, 0.8]]))
     assert not dom.contains(np.array([[1.2, 0.0]]))
