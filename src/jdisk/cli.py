@@ -308,6 +308,7 @@ def _cmd_distance(config, J, grid, cfg, rng):
         "links": [{"t": link.b.real, "cost": link.cost,
                    "residual": link.disk.residual} for link in est.best_chain.links],
         "search_log": [[k, t, c] for k, t, c in est.search_log],
+        "pruned": [[k, i, t, lower] for k, i, t, lower in est.pruned],
     }, 0
 
 

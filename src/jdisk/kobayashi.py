@@ -8,8 +8,12 @@ of any certified chain is an upper bound on the pseudo-distance by
 definition (Kobayashi, Hyperbolic Complex Spaces, 1998).  The search
 explores waypoints equally spaced along the chart segment (shortest
 lattice representative on a torus) and sweeps the interpolation node t per
-link, keeping the cheapest chain found.  The returned bound is monotone:
-enlarging ``k_max`` or refining ``t_grid`` can only grow the candidate set.
+link, keeping the cheapest chain found.  Every link costs at least
+arctanh(t_min / r), so a k-link chain costs at least k arctanh(t_min / r);
+the search skips the link solves that this bound shows cannot beat the best
+chain so far, and returns the chain the full search would.  The returned
+bound is monotone: enlarging ``k_max`` or refining ``t_grid`` can only grow
+the candidate set.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ class Chain:
 class DistanceEstimate:
     best_chain: Chain
     search_log: list
+    pruned: list = field(default_factory=list)
 
     @property
     def upper(self) -> float:
@@ -137,7 +142,17 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     and a t below the grid step falls inside the first cell, so ``upper``
     bounds the pseudo-distance only up to the discretization error.  The
     search log records one (k, t, cost) triple per attempted link solve,
-    with infinite cost for rejected attempts.  A ``t_grid`` node that
+    with infinite cost for rejected attempts.
+
+    The search is an exact branch and bound.  Before solving link i of a
+    k-link chain at node t it sums the accepted links' costs, t's cost and
+    k - i - 1 copies of f = arctanh(t_min / r), the least cost of a link; no
+    chain completed from there costs less.  If that sum reaches the best
+    cost so far, the rest of k is skipped (larger nodes cost more, and a tie
+    goes to the best chain's smaller k) and ``pruned`` records
+    (k, i, t, lower).  An entry (k, 0, t_min, lower) means k f is already
+    out of reach, so it also ends the search over every larger k.  The
+    result is the chain the unpruned search returns.  A ``t_grid`` node that
     ``check_node`` rejects on the search grid raises ``InvalidParams``
     before any solve.
     """
@@ -154,15 +169,32 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     t_values = sorted(opts.t_grid)
     delta = dom.shortest_delta(p, q)
 
+    # a link accepted at node t costs cost_t, the same float ChainLink.cost
+    # gives, and no link costs less than f, the cost of the smallest node
+    costs = [poincare_distance(0, complex(t, 0.0), r=grid.r) for t in t_values]
+    f = costs[0]
+
     best: Chain | None = None
     best_key = None
     log: list = []
+    pruned: list = []
     for k in range(1, opts.k_max + 1):
         waypoints = [p + (i / k) * delta for i in range(k + 1)]
         links = []
+        prefix = 0
         for i in range(k):
             link = None
-            for t in t_values:
+            for t, cost_t in zip(t_values, costs):
+                if best is not None:
+                    # summed in the order of Chain.total_cost, so no chain
+                    # completed from here costs less than lower; a tie
+                    # loses too, since best has fewer links
+                    lower = prefix + cost_t
+                    for _ in range(k - i - 1):
+                        lower += f
+                    if lower >= best.total_cost:
+                        pruned.append((k, i, t, lower))
+                        break
                 try:
                     sol = two_point_disk(J, waypoints[i], waypoints[i + 1], t, opts.cfg, grid)
                 except (Diverged, Singular):
@@ -180,15 +212,19 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
             if link is None:
                 break
             links.append(link)
+            prefix += link.cost
         else:
             chain = Chain(links, dom)
             key = (chain.total_cost, k, max(link.b.real for link in links))
             if best is None or key < best_key:
                 best, best_key = chain, key
+        if pruned and pruned[-1][:3] == (k, 0, t_values[0]):
+            # k f is out of reach, and so is every larger multiple
+            break
     if best is None:
         raise NoChainFound(
             f"no (k <= {opts.k_max}, t in {tuple(t_values)}) chain joins the points")
-    return DistanceEstimate(best, log)
+    return DistanceEstimate(best, log, pruned)
 
 
 def pushforward_chain(chain: Chain, f, J_target: StructureField,

@@ -210,9 +210,13 @@ def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
         return _constant_solution(J, p0, grid)
 
     dim, data = p0.size, np.concatenate([p0, q0])
+    # affine_target's basis z / t, formed once; only p and q - p change
+    basis = grid.Z / t
+    zr, zi = basis.real[..., None], basis.imag[..., None]
 
     def seed(y):
-        return affine_target(y[:dim], y[dim:], t, grid)
+        p, d = y[:dim], y[dim:] - y[:dim]
+        return DiskMap(grid, p + (zr * d + zi * ComplexConvention.mul_i(d)))
 
     def observe(v):
         return np.concatenate([v.value_at_center(), eval_interp(v, complex(t, 0.0))])

@@ -202,7 +202,7 @@ def validate_structure(J: StructureField, samples: np.ndarray, tol: float = 1e-1
 
     if mats.shape[0]:
         resid = np.max(np.abs(np.einsum("mij,mjk->mik", mats, mats) + eye))
-        cond_max = float(np.max(_dilatation(J, mats)[0]))
+        cond_max = float(np.max(_cond_numbers(J.convention.jst_f + mats)))
     else:
         resid, cond_max = math.inf, math.inf
     passed = (not invalid) and resid <= tol
@@ -210,36 +210,43 @@ def validate_structure(J: StructureField, samples: np.ndarray, tol: float = 1e-1
                             samples.shape[0], invalid)
 
 
+def _cond_numbers(m: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers of a stack (m, 2n, 2n) of ``Jst + J``.
+
+    For n = 1 they come in closed form: with ``a, b, c, d`` the entries of
+    ``Jst + J``, its singular values are ``(sqrt(F + 2|det|) +- sqrt(F - 2|det|)) / 2``
+    with ``F = a^2 + b^2 + c^2 + d^2``, so the condition number
+    ``s_max^2 / |det|`` is the exact 2-norm one ``np.linalg.cond`` gives.
+    """
+    if m.shape[-1] > 2:
+        return np.linalg.cond(m)
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    det = a * d - b * c
+    frob2 = a * a + b * b + c * c + d * d
+    two_det = 2.0 * np.abs(det)
+    # F - 2|det| = (s_max - s_min)^2 >= 0 up to rounding
+    s_max = 0.5 * (np.sqrt(frob2 + two_det) + np.sqrt(np.maximum(frob2 - two_det, 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(det == 0, np.inf, s_max * s_max / np.abs(det))
+
+
 def _dilatation(J: StructureField, mats: np.ndarray):
     """Condition numbers of ``Jst + J`` over a stack (m, 2n, 2n) of values of
     ``J``, and the dilatations ``(Jst + J)^{-1} (Jst - J)``, or None in their
     place when a condition number is non-finite or above ``J.cond_cap``.
-
-    For n = 1 both come in closed form: with ``a, b, c, d`` the entries of
-    ``Jst + J``, its singular values are ``(sqrt(F + 2|det|) +- sqrt(F - 2|det|)) / 2``
-    with ``F = a^2 + b^2 + c^2 + d^2``, so the condition number
-    ``s_max^2 / |det|`` is the exact 2-norm one ``np.linalg.cond`` gives, and
-    the inverse is the adjugate over the determinant.
+    For n = 1 the inverse is the adjugate over the determinant.
     """
     jst = J.convention.jst_f
     m = jst + mats
-    if J.convention.n > 1:
-        conds = np.linalg.cond(m)
-    else:
-        a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-        det = a * d - b * c
-        frob2 = a * a + b * b + c * c + d * d
-        two_det = 2.0 * np.abs(det)
-        # F - 2|det| = (s_max - s_min)^2 >= 0 up to rounding
-        s_max = 0.5 * (np.sqrt(frob2 + two_det) + np.sqrt(np.maximum(frob2 - two_det, 0.0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            conds = np.where(det == 0, np.inf, s_max * s_max / np.abs(det))
+    conds = _cond_numbers(m)
     worst = np.max(conds)   # nan wherever a condition number is nan
     if not (np.isfinite(worst) and worst <= J.cond_cap):
         return conds, None
     rhs = jst - mats
     if J.convention.n > 1:
         return conds, np.linalg.solve(m, rhs)
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    det = a * d - b * c
     r00, r01, r10, r11 = rhs[:, 0, 0], rhs[:, 0, 1], rhs[:, 1, 0], rhs[:, 1, 1]
     q = np.empty_like(rhs)
     q[:, 0, 0] = (d * r00 - b * r10) / det

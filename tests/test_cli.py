@@ -69,6 +69,20 @@ def test_distance_command_flat_bound():
     assert report["results"]["upper"] <= np.arctanh(0.05) + 1e-9
 
 
+def test_distance_command_reports_pruned_attempts():
+    # the one-link chain at t = 0.05 costs f, so every two-link chain costs
+    # at least 2 f and the search stops at k = 2 without a solve
+    code, report = run({"command": "distance",
+                        "structure": {"name": "standard", "n": 1},
+                        "params": {"p": [0.0, 0.0], "q": [0.3, 0.0],
+                                   "t_grid": [0.05, 0.25, 0.5], "k_max": 3}})
+    assert code == 0
+    results = report["results"]
+    f = results["upper"]
+    assert results["search_log"] == [[1, 0.05, f]]
+    assert results["pruned"] == [[2, 0, 0.05, f + f]]
+
+
 @pytest.mark.parametrize("r, t_grid", [("0.5", "0.05,0.1,0.15,0.2,0.25,0.4"),
                                        ("2", "0.1,0.2,0.3,0.4,0.5,0.6")])
 def test_distance_command_measures_link_costs_in_the_grid_radius(r, t_grid, capsys):

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from jdisk import solver
-from jdisk.diskgrid import make_grid
-from jdisk.errors import InvalidChain, InvalidParams, NoChainFound, NotHolomorphicMap
-from jdisk.kobayashi import (KobayashiOptions, chain_cost, concatenate_chains,
-                             derivative_bound, estimate_distance,
+from jdisk import kobayashi, solver
+from jdisk.diskgrid import eval_interp, make_grid
+from jdisk.errors import (Diverged, InvalidChain, InvalidParams, NoChainFound,
+                          NotHolomorphicMap, Singular)
+from jdisk.kobayashi import (Chain, ChainLink, KobayashiOptions, chain_cost,
+                             concatenate_chains, derivative_bound, estimate_distance,
                              pushforward_chain, validate_chain)
-from jdisk.solver import SolverConfig, picard_solve
+from jdisk.solver import SolverConfig, picard_solve, two_point_disk
 from jdisk.structure import gallery
 
 
@@ -92,6 +95,97 @@ def test_search_log_records_attempts(J_std):
     ks, ts, costs = zip(*est.search_log)
     assert all(k == 1 for k in ks)
     assert min(costs) == est.upper
+
+
+def _exhaustive_search(J, p, q, opts):
+    """The chain search without pruning: every (k, link, t) attempt is solved."""
+    dom, grid = J.domain, make_grid(opts.grid_r, opts.grid_n)
+    delta = dom.shortest_delta(p, q)
+    best, best_key, log = None, None, []
+    for k in range(1, opts.k_max + 1):
+        waypoints = [p + (i / k) * delta for i in range(k + 1)]
+        links = []
+        for i in range(k):
+            for t in sorted(opts.t_grid):
+                try:
+                    sol = two_point_disk(J, waypoints[i], waypoints[i + 1], t, opts.cfg, grid)
+                except (Diverged, Singular):
+                    log.append((k, t, math.inf))
+                    continue
+                link = ChainLink(sol, complex(t, 0.0), waypoints[i], waypoints[i + 1])
+                ok = (sol.residual <= opts.residual_cap
+                      and dom.contains(sol.v.values[grid.mask])
+                      and dom.point_gap(eval_interp(sol.v, link.b), link.dst) <= 1e-8)
+                log.append((k, t, link.cost if ok else math.inf))
+                if ok:
+                    links.append(link)
+                    break
+            else:
+                break
+        else:
+            chain = Chain(links, dom)
+            key = (chain.total_cost, k, max(link.b.real for link in links))
+            if best is None or key < best_key:
+                best, best_key = chain, key
+    return best, log
+
+
+def _conjugated_inputs(epsilon, seed, count=3):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = rng.uniform(-0.3, 0.3, size=2)
+        gap, angle = rng.uniform(0.1, 0.5), rng.uniform(0.0, 2.0 * np.pi)
+        yield (gallery("conjugated", epsilon=epsilon), p,
+               p + gap * np.array([np.cos(angle), np.sin(angle)]), KobayashiOptions())
+
+
+_SEARCH_INPUTS = [
+    *_conjugated_inputs(0.2, seed=1),
+    *_conjugated_inputs(0.5, seed=2),
+    (gallery("standard"), np.array([0.1, -0.2]), np.array([-0.3, 0.25]), quick_opts()),
+    # no single link fits in the unit ball, so the best chain has two
+    (gallery("standard", radius=1.0), np.zeros(2), np.array([0.6, 0.0]), quick_opts()),
+    (gallery("torus-flat"), np.zeros(2), np.array([0.9, 0.3]), quick_opts(k_max=3)),
+]
+
+
+@pytest.mark.parametrize("J, p, q, opts", _SEARCH_INPUTS,
+                         ids=[f"{J.name}-{i}" for i, (J, *_) in enumerate(_SEARCH_INPUTS)])
+def test_pruned_search_returns_the_exhaustive_best_chain(J, p, q, opts):
+    ref, ref_log = _exhaustive_search(J, p, q, opts)
+    est = estimate_distance(J, p, q, opts)
+    assert est.upper == ref.total_cost
+    assert len(est.best_chain.links) == len(ref.links)
+    for link, ref_link in zip(est.best_chain.links, ref.links):
+        assert link.b == ref_link.b
+        assert np.array_equal(link.disk.v.values, ref_link.disk.v.values)
+    # pruning only drops attempts; the ones it makes come in the same order
+    remaining = iter(ref_log)
+    assert all(entry in remaining for entry in est.search_log)
+    assert len(est.search_log) + len(est.pruned) <= len(ref_log)
+    for k, i, t, lower in est.pruned:
+        assert lower >= est.upper
+
+
+def test_search_skips_the_links_that_cannot_beat_the_best(monkeypatch):
+    # the benchmark's warm-up op: k = 1 is rejected at t = 0.05 and accepted
+    # at 0.1, k = 2 costs 2 f at 0.05, and three links cost at least 3 f
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return two_point_disk(*args, **kwargs)
+
+    monkeypatch.setattr(kobayashi, "two_point_disk", counted)
+    J = gallery("conjugated", epsilon=0.2)
+    p = np.zeros(2)
+    q = p + 0.3 * np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
+    est = estimate_distance(J, p, q, KobayashiOptions())
+    assert calls == [0.05, 0.1, 0.05, 0.05]
+    assert len(est.search_log) == 4
+    ((k, i, t, lower),) = est.pruned
+    assert (k, i, t) == (3, 0, 0.05)
+    assert lower >= est.upper
 
 
 def test_torus_distance_vanishes_with_t(J_torus):

@@ -137,6 +137,26 @@ def test_two_point_disk_counters_are_pinned(J_conj):
     assert (sol.iterations, len(sol.step_deltas), sol.newton_steps) == (7, 7, 0)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_two_point_seed_is_the_affine_target(n, monkeypatch, rng):
+    # the seed forms z / t once per solve; its targets must be affine_target's
+    # to the bit, at the start and for every later right-hand side
+    captured = []
+
+    def capture(J, cfg, h, match=None):
+        captured.append((h, match))
+
+    monkeypatch.setattr(solver, "picard_solve", capture)
+    grid, t = make_grid(1.0, 33), 0.25
+    p, q = rng.normal(size=2 * n), rng.normal(size=2 * n)
+    two_point_disk(gallery("standard", n=n), p, q, t, SolverConfig(), grid)
+    ((h, (seed, _, data)),) = captured
+    assert np.array_equal(h.values, affine_target(p, q, t, grid).values)
+    for y in (data, rng.normal(size=4 * n)):
+        expect = affine_target(y[:2 * n], y[2 * n:], t, grid).values
+        assert np.array_equal(seed(y).values, expect)
+
+
 def test_two_point_disk_rejects_bad_t(J_std, g65):
     p = np.array([0.1, 0.0])
     q = np.array([0.3, 0.0])

@@ -65,6 +65,22 @@ def test_validate_conjugated_structure_residual_small(rng):
     assert report.passed
 
 
+def test_validation_reads_condition_numbers_without_solving(rng, monkeypatch):
+    # validate_structure reports only condition numbers, so for n >= 2 it
+    # must not solve for the dilatation matrices
+    J = gallery("conjugated", n=2, epsilon=0.1)
+    pts = rng.uniform(-1, 1, size=(50, 4))
+    expect = float(np.max(np.linalg.cond(J.convention.jst_f + J.eval(pts))))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("validate_structure solved for the dilatation")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    report = validate_structure(J, pts, tol=1e-12)
+    assert report.passed
+    assert report.cond_max == expect
+
+
 def test_validation_reports_bad_samples_without_crashing():
     conv = ComplexConvention(1)
     dom = DomainDescriptor("chart-ball")
