@@ -93,12 +93,13 @@ class ReparamResult:
     s_at_0: float
     s_sup: float
     c: float
-    tol_brody: float
 
     @property
     def within_tolerance(self) -> bool:
-        return (abs(self.s_sup - self.s_at_0) <= self.tol_brody
-                and abs(self.s_at_0 - self.c) <= self.tol_brody)
+        """Both equalities hold to max(1e-3, h / 2r) of ``f_tilde.grid``."""
+        g = self.f_tilde.grid
+        tol = max(1e-3, 0.5 * g.h / g.r)
+        return abs(self.s_sup - self.s_at_0) <= tol and abs(self.s_at_0 - self.c) <= tol
 
 
 def brody_reparametrize(f: DiskMap, c: float) -> ReparamResult:
@@ -129,10 +130,9 @@ def brody_reparametrize(f: DiskMap, c: float) -> ReparamResult:
     if t0 >= 1.0 - _UNIT_ROOT_SNAP:
         t0 = 1.0
     s_t0, wstar = _scaling_max(g, norms, t0)
-    tol_brody = max(1e-3, 0.5 * g.h / g.r)
     if t0 == 1.0 and wstar == 0j:
         # interior nodes lie inside |w| < r, so s(1) is the weighted sup
-        return ReparamResult(f, 1.0, None, c0, s_t0, c, tol_brody)
+        return ReparamResult(f, 1.0, None, c0, s_t0, c)
     zstar = wstar / t0
 
     swap = None if abs(zstar) < 1e-12 else mobius_swap(zstar, g.r)
@@ -146,7 +146,7 @@ def brody_reparametrize(f: DiskMap, c: float) -> ReparamResult:
     s_at_0 = _derivative_at_origin(f_tilde)
     s_sup, _ = sup_poincare_derivative(f_tilde)
     z0 = None if swap is None else zstar
-    return ReparamResult(f_tilde, t0, z0, s_at_0, s_sup, c, tol_brody)
+    return ReparamResult(f_tilde, t0, z0, s_at_0, s_sup, c)
 
 
 def rescale_step(f: DiskMap):
@@ -180,7 +180,6 @@ class LineCandidate:
     derivative_at_0: float
     cr_residual: float
     converged: bool
-    achieved_delta: float | None
 
 
 @dataclass
@@ -263,7 +262,6 @@ def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
         derivative_at_0=_derivative_at_origin(last_restrict),
         cr_residual=cr_residual(J, last_restrict),
         converged=converged,
-        achieved_delta=steps[-1].delta,
     )
     msg = "" if converged else f"no convergence after {n_seen} steps"
     return RescalingReport(steps, final, msg)

@@ -216,8 +216,12 @@ def _normalize(config) -> dict:
 
 
 def _jsonify(obj):
+    """JSON values of a report: a result record becomes an object of its fields
+    in declared order, a tuple a list, and inf or nan a string ("inf", "nan")."""
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.bool_, bool)):
@@ -255,11 +259,10 @@ def _cmd_validate(config, J, grid, cfg, rng):
         b = 1.0 if not math.isfinite(J.domain.radius) else 0.9 * J.domain.radius
         samples = rng.uniform(-b, b, size=(count, dim))
     report = validate_structure(J, samples)
-    results = report.to_dict()
     op = cg_build(grid)
     ones = DiskMap(grid, np.stack([np.ones_like(grid.X), np.zeros_like(grid.X)], axis=-1))
-    results["cg_residual_constant_density"] = cg_residual(op, ones)
-    return results, 0 if report.passed else 3
+    return ({**_jsonify(report), "cg_residual_constant_density": cg_residual(op, ones)},
+            0 if report.passed else 3)
 
 
 @contextlib.contextmanager
@@ -307,21 +310,15 @@ def _cmd_distance(config, J, grid, cfg, rng):
         "upper": est.upper,
         "links": [{"t": link.b.real, "cost": link.cost,
                    "residual": link.disk.residual} for link in est.best_chain.links],
-        "search_log": [[k, t, c] for k, t, c in est.search_log],
-        "pruned": [[k, i, t, lower] for k, i, t, lower in est.pruned],
+        "search_log": est.search_log,
+        "pruned": est.pruned,
     }, 0
 
 
 def _cmd_bound(config, J, grid, cfg, rng):
     params = config["params"]
-    report = derivative_bound(J, params["p"], params["nu"], params["lambda_max"],
-                              cfg=cfg, grid=grid, bisect_tol=params["bisect_tol"])
-    return {
-        "lambda_lower": report.lambda_lower,
-        "lambda_max": report.lambda_max,
-        "unbounded_suspected": report.unbounded_suspected,
-        "probes": [[lam, ok] for lam, ok in report.probes],
-    }, 0
+    return derivative_bound(J, params["p"], params["nu"], params["lambda_max"],
+                            cfg=cfg, grid=grid, bisect_tol=params["bisect_tol"]), 0
 
 
 def _cmd_brody(config, J, grid, cfg, rng):
@@ -338,18 +335,13 @@ def _cmd_brody(config, J, grid, cfg, rng):
                               n_max=params["n_max"])
         if csv and report.final is not None:
             to_csv(report.final.samples, csv)
-    results = {
-        "converged": report.converged,
-        "message": report.message,
-        "steps": [{"n": s.n, "r_n": s.r_n, "sup_derivative": s.sup_derivative,
-                   "recentered": s.recentered, "t0": s.t0, "delta": s.delta}
-                  for s in report.steps],
-    }
+    results = {"converged": report.converged, "message": report.message,
+               "steps": report.steps}
     if report.final is not None:
         results["line"] = {
             "derivative_at_0": report.final.derivative_at_0,
             "cr_residual": report.final.cr_residual,
-            "achieved_delta": report.final.achieved_delta,
+            "achieved_delta": report.steps[-1].delta,
         }
         if csv:
             results["csv"] = config["output"]["csv"]

@@ -373,16 +373,12 @@ def node_max(vals: np.ndarray, grid: DiskGrid, sel: np.ndarray):
     return float(vals[tied[k]]), complex(X[k], Y[k])
 
 
-def sup_poincare_derivative(f: DiskMap, weight_radius: float | None = None):
-    """Maximum over interior nodes of |df/dx(z)| (r^2 - |z|^2) / r^2.
-
-    Returns ``(s, zstar)`` with the attaining node, ties broken as in
-    ``node_max``.  ``weight_radius`` overrides the radius used in the
-    weight (the grid's own radius by default), which is what makes the
-    quantity comparable across maps sampled on shrunken domains.
-    """
+def sup_poincare_derivative(f: DiskMap):
+    """Maximum over interior nodes of |df/dx(z)| (r^2 - |z|^2) / r^2, r the
+    grid's radius, as ``(s, zstar)`` with the attaining node, ties broken as
+    in ``node_max``."""
     g = f.grid
-    r = g.r if weight_radius is None else float(weight_radius)
+    r = g.r
     norms = np.linalg.norm(g.dx_apply(f.values), axis=-1)
     weight = (r * r - g.R2) / (r * r)
     return node_max(norms[g.interior] * weight[g.interior], g, g.interior)

@@ -175,7 +175,6 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     f = costs[0]
 
     best: Chain | None = None
-    best_key = None
     log: list = []
     pruned: list = []
     for k in range(1, opts.k_max + 1):
@@ -214,10 +213,8 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
             links.append(link)
             prefix += link.cost
         else:
-            chain = Chain(links, dom)
-            key = (chain.total_cost, k, max(link.b.real for link in links))
-            if best is None or key < best_key:
-                best, best_key = chain, key
+            # beats best: its last link passed lower < best.total_cost, lower is its cost
+            best = Chain(links, dom)
         if pruned and pruned[-1][:3] == (k, 0, t_values[0]):
             # k f is out of reach, and so is every larger multiple
             break
@@ -244,7 +241,7 @@ def pushforward_chain(chain: Chain, f, J_target: StructureField,
         if resid > residual_tol:
             raise NotHolomorphicMap(
                 f"composed link {i} has residual {resid:.3e} > {residual_tol:.1e}")
-        sol = DiskSolution(v_new, resid, link.disk.iterations)
+        sol = DiskSolution(v_new, resid, link.disk.step_deltas)
         src = np.asarray(f(link.src[None, :]))[0]
         dst = np.asarray(f(link.dst[None, :]))[0]
         new_links.append(ChainLink(sol, link.b, src, dst))

@@ -58,18 +58,22 @@ class SolverConfig:
 class DiskSolution:
     """Result of a disk solve.
 
-    ``v`` is the disk and ``residual`` its ``cr_residual``.  ``iterations``
-    counts every fixed-point step of the solve, and ``step_deltas`` holds
-    their sup-norm increments of v (contraction diagnostics), one per step.
-    ``newton_steps`` is always 0: matching happens inside the fixed point,
-    and the field stays only for readers of the old outer-loop counter.
+    ``v`` is the disk and ``residual`` its ``cr_residual``.  ``step_deltas``
+    holds the sup-norm increments of v (contraction diagnostics), one per
+    fixed-point step, so ``iterations``, their count, counts every step of
+    the solve.  ``newton_steps`` is a class constant 0, not a field: matching
+    happens inside the fixed point, and it stays for readers of the old
+    outer-loop counter.
     """
 
     v: DiskMap
     residual: float
-    iterations: int
     step_deltas: list = field(default_factory=list)
-    newton_steps: int = 0
+    newton_steps = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.step_deltas)
 
     def contraction_ratios(self) -> list:
         return _ratios(self.step_deltas)
@@ -104,12 +108,6 @@ def affine_target(p: np.ndarray, q: np.ndarray, t: float, grid: DiskGrid) -> Dis
     if not 0.0 < t < 1.0:
         raise InvalidParams(f"interpolation node t must lie in (0, 1), got {t}")
     return DiskMap(grid, p + ComplexConvention.cmul(grid.Z / t, q - p))
-
-
-def _line_seed(p: np.ndarray, w: np.ndarray, grid: DiskGrid) -> DiskMap:
-    p = np.asarray(p, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    return DiskMap(grid, p + ComplexConvention.cmul(grid.Z, w))
 
 
 def _diverged(message: str, deltas: list) -> Diverged:
@@ -165,7 +163,7 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
         v = DiskMap(grid, new_vals)
         norms.append(v.sup_norm())
         if delta < eps * cfg.tol_fixpoint:
-            return DiskSolution(v, cr_residual(J, v), k, deltas)
+            return DiskSolution(v, cr_residual(J, v), deltas)
         if k >= _DIVERGENCE_WINDOW:
             # the floor is 1e-6 in units of h, like the stopping test
             ref = max(norms[k - _DIVERGENCE_WINDOW], eps * 1e-6)
@@ -180,7 +178,7 @@ def _constant_solution(J: StructureField, p: np.ndarray, grid: DiskGrid) -> Disk
     p = np.asarray(p, dtype=np.float64)
     vals = np.broadcast_to(p, (grid.N, grid.N, p.size)).copy()
     v = DiskMap(grid, vals)
-    return DiskSolution(v, cr_residual(J, v), 0)
+    return DiskSolution(v, cr_residual(J, v))
 
 
 def check_node(t: float, grid: DiskGrid) -> None:
@@ -212,11 +210,10 @@ def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
     dim, data = p0.size, np.concatenate([p0, q0])
     # affine_target's basis z / t, formed once; only p and q - p change
     basis = grid.Z / t
-    zr, zi = basis.real[..., None], basis.imag[..., None]
 
     def seed(y):
-        p, d = y[:dim], y[dim:] - y[:dim]
-        return DiskMap(grid, p + (zr * d + zi * ComplexConvention.mul_i(d)))
+        p = y[:dim]
+        return DiskMap(grid, p + ComplexConvention.cmul(basis, y[dim:] - p))
 
     def observe(v):
         return np.concatenate([v.value_at_center(), eval_interp(v, complex(t, 0.0))])
@@ -238,7 +235,7 @@ def derivative_disk(J: StructureField, p, w, cfg: SolverConfig,
     center = grid.center_index
 
     def seed(y):
-        return _line_seed(y[:dim], y[dim:], grid)
+        return DiskMap(grid, y[:dim] + ComplexConvention.cmul(grid.Z, y[dim:]))
 
     def observe(v):
         return np.concatenate([v.value_at_center(), d_dz(v).values[center]])

@@ -22,6 +22,7 @@ from .errors import InvalidParams, Singular, UnknownName
 
 _LATTICE_AXIS = 5            # validation lattice points per axis
 _LATTICE_MOST = 5 ** 6       # validation points at most (the whole n = 3 lattice)
+_CONTAINS_SLACK = 1e-9       # distance beyond a chart-ball radius still inside it
 
 
 class ComplexConvention:
@@ -115,13 +116,13 @@ class DomainDescriptor:
         """Distance between two points (modulo the lattice on a torus)."""
         return float(np.linalg.norm(self.shortest_delta(a, b)))
 
-    def contains(self, points: np.ndarray, slack: float = 1e-9) -> bool:
-        """Whether every point lies in the domain (always true on a torus)."""
+    def contains(self, points: np.ndarray) -> bool:
+        """Whether every point lies in the domain, to ``_CONTAINS_SLACK`` (always on a torus)."""
         if self.is_torus or not math.isfinite(self.radius):
             return True
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         dist = np.linalg.norm(points, axis=-1)
-        return bool(np.all(dist <= self.radius + slack))
+        return bool(np.all(dist <= self.radius + _CONTAINS_SLACK))
 
 
 @dataclass
@@ -162,16 +163,6 @@ class ValidationReport:
     cond_max: float
     n_samples: int
     invalid_samples: list
-
-    def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "passed": self.passed,
-            "cond_max": self.cond_max,
-            "n_samples": self.n_samples,
-            "invalid_samples": [[int(i), msg] for i, msg in self.invalid_samples],
-        }
 
 
 def validate_structure(J: StructureField, samples: np.ndarray, tol: float = 1e-10) -> ValidationReport:

@@ -210,8 +210,7 @@ def test_extract_line_single_comparison_converges_on_a_delta():
     rep = extract_line(J, dilation_family(make_grid(1.0, 33)), R=2.0,
                        tol=1e-10, n_max=8, consecutive=1)
     assert rep.converged
-    assert rep.final.achieved_delta is not None and rep.final.achieved_delta < 1e-10
-    assert rep.deltas[-1] == rep.final.achieved_delta
+    assert rep.steps[-1].delta is not None and rep.steps[-1].delta < 1e-10
 
 
 def test_extract_line_perturbed_torus_ladder():

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jdisk import cli
+from jdisk.brody import RescalingReport
 from jdisk.cli import main, run
 from jdisk.errors import ConfigError
+from jdisk.kobayashi import BoundReport
 from jdisk.solver import SolverConfig
 
 
@@ -125,6 +127,20 @@ def test_brody_command_flat_torus():
     assert code == 0
     assert report["results"]["converged"] is True
     assert report["results"]["line"]["derivative_at_0"] == pytest.approx(1.0, abs=1e-6)
+    # steps are RescaleRecords; the line's delta is the last step's
+    steps = report["results"]["steps"]
+    assert list(steps[-1]) == ["n", "r_n", "sup_derivative", "recentered", "t0", "delta"]
+    assert report["results"]["line"]["achieved_delta"] == steps[-1]["delta"] is not None
+
+
+def test_jsonify_serializes_a_record_by_its_fields():
+    bound = cli._jsonify(BoundReport(2.0, math.inf, True, [(1.0, True), (2.0, False)]))
+    assert list(bound) == ["lambda_lower", "lambda_max", "unbounded_suspected", "probes"]
+    assert bound == {"lambda_lower": 2.0, "lambda_max": "inf", "unbounded_suspected": True,
+                     "probes": [[1.0, True], [2.0, False]]}
+    # RescalingReport's properties deltas and converged are not fields
+    assert cli._jsonify(RescalingReport([], None, "m")) == {
+        "steps": [], "final": None, "message": "m"}
 
 
 def test_selftest_deterministic_and_passing():

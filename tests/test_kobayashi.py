@@ -282,6 +282,14 @@ def test_pushforward_preserves_cost_exactly(J_std, J_torus):
     assert tgt.upper <= chain_cost(pushed2) + 1e-15
 
 
+def test_pushed_links_keep_their_step_deltas(J_torus):
+    est = estimate_distance(J_torus, np.zeros(2), np.array([0.5, 0.0]), quick_opts())
+    pushed = pushforward_chain(est.best_chain, lambda v: v + np.array([0.3, 0.7]), J_torus)
+    for src, link in zip(est.best_chain.links, pushed.links, strict=True):
+        assert link.disk.step_deltas == src.disk.step_deltas
+        assert link.disk.iterations == len(link.disk.step_deltas) == src.disk.iterations
+
+
 def test_pushforward_rejects_conjugation(J_std):
     est = estimate_distance(J_std, np.zeros(2), np.array([0.3, 0.0]), quick_opts())
 

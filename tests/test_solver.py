@@ -7,7 +7,6 @@ from jdisk.diskgrid import DiskMap, d_dz, eval_interp, make_grid
 from jdisk.errors import Diverged, InvalidParams
 from jdisk.solver import (SolverConfig, affine_target, cr_residual,
                           derivative_disk, picard_solve, two_point_disk)
-from jdisk.structure import ComplexConvention, gallery
 from jdisk.structure import ComplexConvention, gallery, q_field
 
 from conftest import complex_map
