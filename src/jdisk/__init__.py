@@ -16,7 +16,7 @@ from .structure import (ComplexConvention, DomainDescriptor, StructureField,
                         validate_structure)
 from .diskgrid import (DiskGrid, DiskMap, MobiusAutomorphism, d_dz, d_dzbar,
                        eval_interp, make_grid, mobius_swap, poincare_distance,
-                       sup_poincare_derivative, to_csv, to_json_obj)
+                       to_csv)
 from .cauchygreen import CGOperator, cg_apply, cg_build, cg_residual
 from .solver import (DiskSolution, SolverConfig, affine_target, cr_residual,
                      derivative_disk, picard_solve, two_point_disk)
@@ -26,4 +26,5 @@ from .kobayashi import (BoundReport, Chain, ChainLink, DistanceEstimate,
                         pushforward_chain, validate_chain)
 from .brody import (LineCandidate, ReparamResult, RescalingReport,
                     brody_reparametrize, derivative_ladder_family,
-                    dilation_family, extract_line, rescale_step, scaling_sup)
+                    dilation_family, extract_line, rescale_step, scaling_sup,
+                    sup_poincare_derivative)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diskgrid import (DiskGrid, DiskMap, make_grid, mobius_swap, node_max,
-                       resample, sup_poincare_derivative)
+from .diskgrid import DiskGrid, DiskMap, make_grid, mobius_swap, node_max, resample
 from .errors import (HypothesisViolated, InvalidParams,
                      OutsideInterpolationRange, ZeroDerivative)
 from .solver import SolverConfig, cr_residual, derivative_disk
@@ -83,6 +82,14 @@ def _scaling_max(g: DiskGrid, norms: np.ndarray, t: float):
     sel = g.interior & (g.R2 < (t * r) ** 2)
     weight = (r * r - g.R2[sel] / (t * t)) / (r * r)
     return node_max(t * norms[sel] * weight, g, sel)
+
+
+def sup_poincare_derivative(f: DiskMap):
+    """Maximum over interior nodes of |df/dx(z)| (r^2 - |z|^2) / r^2, r the
+    grid's radius, as ``(s, zstar)`` with the attaining node, ties broken as
+    in ``node_max``.  This is s(1): interior nodes lie inside |z| < r, and
+    at t = 1 the scaling terms reduce to these exactly."""
+    return _scaling_max(f.grid, _derivative_norms(f), 1.0)
 
 
 @dataclass
@@ -223,10 +230,7 @@ def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
     prev_restrict = None
     last_restrict = None
     streak = 0
-    converged = False
-    n_seen = 0
     for n, f in enumerate(disk_family, start=1):
-        n_seen = n
         g_map, r_n = rescale_step(f)
         rep = brody_reparametrize(g_map, 1.0)
         gt = rep.f_tilde
@@ -249,21 +253,19 @@ def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
             prev_restrict = None
             streak = 0
         steps.append(RescaleRecord(n, r_n, rep.s_sup, rep.z0 is not None, rep.t0, delta))
-        if streak >= consecutive:
-            converged = True
-            break
-        if n >= n_max:
+        if streak >= consecutive or n >= n_max:
             break
 
     if last_restrict is None:
-        return RescalingReport(steps, None, f"window never covered after {n_seen} steps")
+        return RescalingReport(steps, None, f"window never covered after {len(steps)} steps")
+    converged = streak >= consecutive
     final = LineCandidate(
         samples=last_restrict,
         derivative_at_0=_derivative_at_origin(last_restrict),
         cr_residual=cr_residual(J, last_restrict),
         converged=converged,
     )
-    msg = "" if converged else f"no convergence after {n_seen} steps"
+    msg = "" if converged else f"no convergence after {len(steps)} steps"
     return RescalingReport(steps, final, msg)
 
 

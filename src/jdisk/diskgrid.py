@@ -58,9 +58,10 @@ class DiskGrid:
     def center_index(self) -> tuple:
         return (self._center, self._center)
 
-    def nodes(self) -> np.ndarray:
-        """Coordinates (m, 2) of the retained nodes, row-major order."""
-        return np.stack([self.X[self.mask], self.Y[self.mask]], axis=-1)
+    def nodes(self, sel: np.ndarray) -> np.ndarray:
+        """Coordinates (m, 2) of the nodes that the mask ``sel`` (such as
+        ``mask`` or ``interior``) selects, in row-major order."""
+        return np.stack([self.X[sel], self.Y[sel]], axis=-1)
 
     def same_geometry(self, other) -> bool:
         """Same N and r as ``other``, a grid or a Cauchy operator."""
@@ -136,8 +137,7 @@ class DiskGrid:
         return self.unit_operator("ring", lambda unit: unit._ring_matrix())
 
     def _difference(self, axis: int, values: np.ndarray) -> np.ndarray:
-        # skipping the division at r = 1 keeps results there bit-identical
-        # to a fresh build
+        # dividing by r = 1 is exact; skipping it only saves a no-op pass
         D = self.unit_operator(("dx", "dy")[axis], lambda unit: unit._diff_matrix(axis))
         out = (D @ values.reshape(self.N * self.N, -1)).reshape(values.shape)
         return out if self.r == 1.0 else out / self.r
@@ -373,50 +373,10 @@ def node_max(vals: np.ndarray, grid: DiskGrid, sel: np.ndarray):
     return float(vals[tied[k]]), complex(X[k], Y[k])
 
 
-def sup_poincare_derivative(f: DiskMap):
-    """Maximum over interior nodes of |df/dx(z)| (r^2 - |z|^2) / r^2, r the
-    grid's radius, as ``(s, zstar)`` with the attaining node, ties broken as
-    in ``node_max``."""
-    g = f.grid
-    r = g.r
-    norms = np.linalg.norm(g.dx_apply(f.values), axis=-1)
-    weight = (r * r - g.R2) / (r * r)
-    return node_max(norms[g.interior] * weight[g.interior], g, g.interior)
-
-
-def to_csv(u: DiskMap, path_or_file) -> None:
-    """Write retained nodes as CSV rows: x, y, value components."""
+def to_csv(u: DiskMap, fh) -> None:
+    """Write the retained nodes to the open text file ``fh`` as CSV rows:
+    a header ``x,y,v0,...``, then each node's coordinates and values."""
     g = u.grid
-    cols = [g.X[g.mask], g.Y[g.mask]]
-    cols.extend(u.values[g.mask][:, i] for i in range(u.values.shape[2]))
-    data = np.stack(cols, axis=-1)
+    data = np.concatenate([g.nodes(g.mask), u.values[g.mask]], axis=-1)
     header = "x,y," + ",".join(f"v{i}" for i in range(u.values.shape[2]))
-    if hasattr(path_or_file, "write"):
-        np.savetxt(path_or_file, data, delimiter=",", header=header, comments="")
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            np.savetxt(fh, data, delimiter=",", header=header, comments="")
-
-
-def to_json_obj(u: DiskMap) -> dict:
-    """JSON envelope with grid metadata and node values."""
-    g = u.grid
-    return {
-        "kind": "diskmap",
-        "grid": {"r": g.r, "N": g.N, "h": g.h},
-        "n": u.n,
-        "pairing": "interleaved",
-        "interpolation": "bilinear",
-        "nodes": np.stack([g.X[g.mask], g.Y[g.mask]], axis=-1).tolist(),
-        "values": u.values[g.mask].tolist(),
-    }
-
-
-def from_json_obj(obj: dict) -> DiskMap:
-    if obj.get("kind") != "diskmap":
-        raise InvalidParams("not a diskmap envelope")
-    g = make_grid(obj["grid"]["r"], obj["grid"]["N"])
-    vals = np.zeros((g.N, g.N, 2 * obj["n"]))
-    vals[g.mask] = np.asarray(obj["values"], dtype=np.float64)
-    return DiskMap(g, vals)
-
+    np.savetxt(fh, data, delimiter=",", header=header, comments="")

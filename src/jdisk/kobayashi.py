@@ -93,6 +93,8 @@ class KobayashiOptions:
             raise InvalidParams(f"k_max must be at least 1, got {self.k_max}")
         if len(self.t_grid) == 0:
             raise InvalidParams("t_grid must hold at least one node")
+        if not self.residual_cap > 0:
+            raise InvalidParams(f"residual_cap must be positive, got {self.residual_cap}")
 
 
 def chain_cost(chain: Chain, tol: float = 1e-8) -> float:

@@ -84,6 +84,15 @@ def _ratios(deltas: list) -> list:
     return [cur / prev for prev, cur in zip(deltas, deltas[1:]) if prev > 1e-13]
 
 
+def _beltrami(J: StructureField, v: DiskMap, labels: np.ndarray) -> np.ndarray:
+    """The Beltrami term q(v) dv/dz at the interior nodes of v's grid, as
+    rows in row-major node order; ``labels`` are those nodes' coordinates,
+    ``v.grid.nodes(v.grid.interior)``."""
+    inner = v.grid.interior
+    q = q_field(J, v.values[inner], labels=labels)
+    return np.einsum("mij,mj->mi", q, d_dz(v).values[inner])
+
+
 def cr_residual(J: StructureField, v: DiskMap) -> float:
     """Sup over interior nodes of | dv/dzbar - q(v) dv/dz |.
 
@@ -91,22 +100,17 @@ def cr_residual(J: StructureField, v: DiskMap) -> float:
     solutions, O(h^2 + quadrature) for solver output.
     """
     g = v.grid
-    inner = g.interior
-    dzb = d_dzbar(v).values[inner]
-    dz = d_dz(v).values[inner]
-    pts = v.values[inner]
-    labels = np.stack([g.X[inner], g.Y[inner]], axis=-1)
-    q = q_field(J, pts, labels=labels)
-    resid = dzb - np.einsum("mij,mj->mi", q, dz)
+    resid = d_dzbar(v).values[g.interior] - _beltrami(J, v, g.nodes(g.interior))
     return float(np.max(np.linalg.norm(resid, axis=-1)))
 
 
 def affine_target(p: np.ndarray, q: np.ndarray, t: float, grid: DiskGrid) -> DiskMap:
-    """The affine disk h(z) = p + (z/t)(q - p); h(0) = p and h(t) = q."""
+    """The affine disk h(z) = p + (z/t)(q - p), h(0) = p and h(t) = q, for a
+    point 0 < t < r of the grid's disk (``check_node`` bounds matched solves)."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if not 0.0 < t < 1.0:
-        raise InvalidParams(f"interpolation node t must lie in (0, 1), got {t}")
+    if not 0.0 < t < grid.r:
+        raise InvalidParams(f"interpolation node t must lie in (0, {grid.r:.4g}), got {t}")
     return DiskMap(grid, p + ComplexConvention.cmul(grid.Z / t, q - p))
 
 
@@ -135,7 +139,7 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     grid = h.grid
     op = cg_build(grid)
     mask, inner = grid.mask, grid.interior
-    labels = np.stack([grid.X[inner], grid.Y[inner]], axis=-1)
+    labels = grid.nodes(inner)
     extend = grid.ring_extension()
     if match is None:
         fixed = eps * h.values
@@ -149,10 +153,8 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
         # derivatives are zero on the boundary ring, so the density is
         # formed at interior nodes and extended to the ring from them (the
         # final certificate is cr_residual)
-        q = q_field(J, v.values[inner], labels=labels)
-        dz_vals = d_dz(v).values[inner]
         w_vals = np.zeros_like(v.values)
-        w_vals[inner] = np.einsum("mij,mj->mi", q, dz_vals)
+        w_vals[inner] = _beltrami(J, v, labels)
         flat = w_vals.reshape(grid.N * grid.N, -1)
         w_vals = (extend @ flat).reshape(w_vals.shape)
         correction = cg_apply(op, DiskMap(grid, w_vals))
@@ -183,9 +185,10 @@ def _constant_solution(J: StructureField, p: np.ndarray, grid: DiskGrid) -> Disk
 
 def check_node(t: float, grid: DiskGrid) -> None:
     """Raise ``InvalidParams`` unless ``two_point_disk`` can match a point
-    at z = t on ``grid``: t in (0, 1) and below r - h."""
-    if not 0.0 < t < 1.0:
-        raise InvalidParams(f"t must lie in (0, 1), got {t}")
+    at z = t on ``grid``: 0 < t < r - h, r and h the grid's radius and step.
+    The bound scales with the grid, so on r > 1 a node t >= 1 is valid."""
+    if not t > 0.0:
+        raise InvalidParams(f"t must be positive, got {t}")
     # the bilinear cell at t must lie in the disk; sampling snaps t to a node
     # within 1e-9 h, and the cell of the node r - h has a corner off the disk
     if t >= grid.r - grid.h * (1.0 + 1e-9):

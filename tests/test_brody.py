@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from jdisk.brody import (brody_reparametrize, derivative_ladder_family,
-                         dilation_family, extract_line, rescale_step,
-                         scaling_sup)
-from jdisk.diskgrid import make_grid
+from jdisk.brody import (_derivative_norms, _scaling_max, brody_reparametrize,
+                         derivative_ladder_family, dilation_family, extract_line,
+                         rescale_step, scaling_sup, sup_poincare_derivative)
+from jdisk.diskgrid import make_grid, node_max
 from jdisk.errors import HypothesisViolated, InvalidParams, ZeroDerivative
 from jdisk.solver import SolverConfig
 from jdisk.structure import gallery
@@ -228,3 +228,18 @@ def test_extract_line_perturbed_torus_ladder():
     assert len(ds) >= 3
     assert all(a > b for a, b in zip(ds, ds[1:]))
     assert rep.final.derivative_at_0 > 0  # nontrivial by construction
+
+
+@pytest.mark.parametrize("r, N", [(1.0, 65), (1.0, 129), (2.5, 65)])
+def test_weighted_derivative_sup_is_the_scaling_sup_at_one(r, N):
+    # one formula: s(1), its node, and the weight (r^2 - |z|^2) / r^2 taken
+    # directly over the interior agree bit for bit
+    g = make_grid(r, N)
+    f = complex_map(g, lambda z: 4.0 * (z + 0.5 * z * z))
+    s, zstar = sup_poincare_derivative(f)
+    assert s == scaling_sup(f, 1.0)
+    assert (s, zstar) == _scaling_max(g, _derivative_norms(f), 1.0)
+    inner = g.interior
+    weight = (r * r - g.R2) / (r * r)
+    direct = node_max(_derivative_norms(f)[inner] * weight[inner], g, inner)
+    assert (s, zstar) == direct and s > 0.0

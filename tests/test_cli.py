@@ -96,6 +96,18 @@ def test_distance_command_measures_link_costs_in_the_grid_radius(r, t_grid, caps
     assert [link["cost"] for link in results["links"]] == [results["upper"]]
 
 
+def test_nodes_beyond_one_on_a_wide_grid_run(capsys):
+    # t is bounded by r - h of the grid, not by 1
+    assert main(["distance", "--structure", "standard", "--r", "2.5", "--p", "0,0",
+                 "--q", "0.3,0", "--t-grid", "1.5", "--k-max", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["upper"] == \
+        pytest.approx(math.atanh(0.6), abs=1e-15)
+    assert main(["disk", "--structure", "conjugated", "--r", "2.5", "--p", "0,0",
+                 "--q", "0.3,0.1", "--t", "1.5"]) == 0
+    endpoints = json.loads(capsys.readouterr().out)["results"]["endpoints"]
+    assert endpoints["value_at_t"] == [0.3, 0.1]
+
+
 def test_validate_command_at_the_largest_dimension(capsys):
     assert main(["validate", "--structure", "conjugated", "--n", "8", "--samples", "100"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["passed"] is True
@@ -230,6 +242,8 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
      "--N", "33", "--cfg", "divergence_factor=-1"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "divergence_window=5"],
     ["distance", "--p", "0,0", "--q", "0.1,0", "--N", "9", "--t-grid", "0.5,0.75", "--k-max", "1"],
+    ["distance", "--config", {"params": dict(_DISTANCE, residual_cap=-1)}],
+    ["disk", "--p", "0,0", "--q", "0.3,0.1", "--r", "2.5", "--t", "2.45"],
 ])
 def test_main_bad_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

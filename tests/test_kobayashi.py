@@ -220,6 +220,21 @@ def test_options_reject_an_empty_search():
         KobayashiOptions(t_grid=())
 
 
+@pytest.mark.parametrize("cap", [0.0, -1.0, float("nan")])
+def test_options_reject_a_residual_cap_that_is_not_positive(cap):
+    # no disk could pass such a cap, so it is refused before any solve
+    with pytest.raises(InvalidParams):
+        KobayashiOptions(residual_cap=cap)
+
+
+def test_search_uses_nodes_beyond_one_on_a_wide_grid(J_std):
+    # on r = 2.5 a node at t = 1.5 is valid and a link there costs arctanh(t / r)
+    est = estimate_distance(J_std, [0.0, 0.0], [0.3, 0.0],
+                            KobayashiOptions(grid_r=2.5, t_grid=(1.5,), k_max=1))
+    assert est.upper == pytest.approx(math.atanh(0.6), abs=1e-15)
+    validate_chain(est.best_chain, 1e-12)
+
+
 @pytest.mark.parametrize("t", [0.75, 0.999])
 def test_search_rejects_a_node_the_grid_cannot_read(J_std, t):
     # N = 9 reads v(t) only for t below r - h = 0.75

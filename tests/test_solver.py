@@ -173,6 +173,45 @@ def test_two_point_disk_rejects_bad_t(J_std, g65):
     assert np.allclose(eval_interp(sol.v, 0.74 + 0j), q, atol=1e-14)
 
 
+def test_two_point_disk_reads_nodes_beyond_one_on_a_wide_grid():
+    # the node bound is r - h of the grid, not 1: on r = 2.5 a node at
+    # t = 1.5 is read through a cell well inside the disk
+    J = gallery("conjugated", n=1)
+    g = make_grid(2.5, 33)
+    p, q = np.zeros(2), np.array([0.3, 0.1])
+    sol = two_point_disk(J, p, q, 1.5, SolverConfig(), g)
+    assert np.max(np.abs(sol.v.value_at_center() - p)) <= 1e-14
+    assert np.max(np.abs(eval_interp(sol.v, 1.5 + 0j) - q)) <= 1e-14
+    assert sol.residual < 1e-4
+    # t = 2.45 lies beyond r - h = 2.344, and affine targets need 0 < t < r
+    with pytest.raises(InvalidParams):
+        two_point_disk(J, p, q, 2.45, SolverConfig(), g)
+    assert np.allclose(eval_interp(affine_target(p, q, 1.5, g), 1.5 + 0j), q, atol=1e-14)
+    for t in (0.0, 2.5, float("nan")):
+        with pytest.raises(InvalidParams):
+            affine_target(p, q, t, g)
+
+
+def test_solver_and_certificate_share_one_beltrami_term(J_conj, g65, monkeypatch):
+    # every Picard step and the final cr_residual form q(v) dv/dz through
+    # _beltrami; the solve forms its node labels once
+    labels = []
+    beltrami = solver._beltrami
+
+    def counted(J, v, node_labels):
+        labels.append(node_labels)
+        return beltrami(J, v, node_labels)
+
+    monkeypatch.setattr(solver, "_beltrami", counted)
+    sol = two_point_disk(J_conj, np.zeros(2), np.array([0.1, 0.0]), 0.5, SolverConfig(), g65)
+    assert len(labels) == sol.iterations + 1
+    assert all(x is labels[0] for x in labels[:-1])
+    assert np.array_equal(labels[-1], g65.nodes(g65.interior))
+    inner = g65.interior
+    resid = solver.d_dzbar(sol.v).values[inner] - beltrami(J_conj, sol.v, labels[-1])
+    assert sol.residual == float(np.max(np.linalg.norm(resid, axis=-1)))
+
+
 def test_failed_match_raises_after_one_picard_call(J_conj, g65, monkeypatch):
     cfg = SolverConfig(epsilon=0.05, max_iter=2, tol_fixpoint=1e-15)
     calls = []
