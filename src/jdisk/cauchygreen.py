@@ -35,6 +35,13 @@ h-scale distance (such a defect leaves an h-independent residual
 plateau), which is why the rim handling is exact; the finite correction
 radius leaves a floor around 1e-5, far below the discretization error at
 the grid sizes this library targets.
+
+Symmetry.  N is odd and the origin is a node, so every mask is invariant
+under the 8 symmetries of the square (D4); the kernel is integrated on the
+octant 0 <= dk <= dj and each cut cell at its representative.  For a map L,
+I_{LA}(d) = conj(u) I_A(L^-1 d) when L z = u z and conj(u) conj(I_A(L^-1 d))
+when L z = u conj(z), exactly in floating point; values on a mirror line
+are made their own image, so the kernel and the fractions are D4-invariant.
 """
 
 from __future__ import annotations
@@ -62,6 +69,17 @@ def _correction_radius(N: int) -> int:
     radius**-4; growing the radius with N keeps that floor shrinking at
     least as fast as the stencil truncation."""
     return max(4, N // 5)
+
+
+def _rim_sets(grid: DiskGrid):
+    """Masks of the trusted targets (|z| <= r - h), full cells and cut cells."""
+    half, r = 0.5 * grid.h, grid.r
+    trusted = grid.mask & (grid.R2 <= (r - grid.h) ** 2 * (1.0 + 1e-12))
+    near2 = (np.maximum(np.abs(grid.X) - half, 0.0) ** 2
+             + np.maximum(np.abs(grid.Y) - half, 0.0) ** 2)
+    far2 = (np.abs(grid.X) + half) ** 2 + (np.abs(grid.Y) + half) ** 2
+    full = grid.mask & (far2 <= r * r)
+    return trusted, full, (near2 < r * r) & ~full
 
 
 def _clipped_cell_pieces(x0, x1, y0, y1, r):
@@ -175,70 +193,86 @@ class CGOperator:
         nodes, weights = leggauss(_EDGE_GAUSS)
         # the cell at the origin is uncut, so its pieces are its four edges
         edges = _clipped_cell_pieces(-h / 2, h / 2, -h / 2, h / 2, r)
-        offs = h * np.arange(-(N - 1), N)
-        D = offs[:, None] + 1j * offs[None, :]
-        D[N - 1, N - 1] = np.inf              # keep the self entry finite
-        kernel = np.stack([_clipped_region_integral_many(row, edges, r, nodes, weights)
-                           for row in D]) / np.pi
-        kernel[N - 1, N - 1] = 0.0            # singular self cell: exact integral is 0
-        self.kernel = kernel
+        # the octant 0 <= dk <= dj by rows; the singular self cell is exactly 0
+        octant = np.zeros((N, N), dtype=np.complex128)
+        for dj in range(1, N):
+            octant[dj, :dj + 1] = _clipped_region_integral_many(
+                h * (dj + 1j * np.arange(dj + 1)), edges, r, nodes, weights) / np.pi
+        octant[:, 0] = octant[:, 0].real                    # its own conj image
+        diag = np.diagonal(octant)                          # its own -i conj image
+        octant[np.diag_indices(N)] = 0.5 * (diag - 1j * np.conj(diag))
+        # unfold by K(i conj d) = -i conj K(d), K(conj d) = conj K(d), K(-conj d) = -conj K(d)
+        quadrant = np.where(np.tri(N, dtype=bool), octant, -1j * np.conj(octant.T))
+        right = np.hstack([np.conj(quadrant[:, :0:-1]), quadrant])     # dj >= 0
+        self.kernel = np.vstack([-np.conj(right[:0:-1]), right])
 
         self._pad = next_fast_len(2 * N - 1)
-        self._kernel_fft = fft2(kernel, s=(self._pad, self._pad))
+        self._kernel_fft = fft2(self.kernel, s=(self._pad, self._pad))
         self._rim_correction = self._build_rim_correction(grid, nodes, weights)
 
     def _build_rim_correction(self, grid: DiskGrid, gnodes, gweights):
-        """Boundary-exactness machinery.
-
-        Every cell the circle cuts is described by its contour pieces and
-        carried by one source column: the nearest retained node, which is
-        the cell itself when it is retained.  A column carries the total
-        inside-area of its cells as an effective fraction in the
-        convolution, so the far field is monopole-exact.  For targets with
-        |z| <= r - h within a fixed index radius of the column, the
-        convolution's contribution is swapped for the exact kernel integrals
-        over the clipped regions.  The leftover beyond the radius is a
-        dipole-level quadrature error, far below the stencil truncation."""
+        """The rim correction of the module docstring's boundary treatment.
+        Each octant representative is integrated on a box one step wider than
+        the correction radius; its untrusted nodes hold NaN, so sets that are
+        not D4-symmetric fail the build instead of reading zeros."""
         N, h, r = grid.N, grid.h, grid.r
-        half = 0.5 * h
-        trusted = grid.mask & (grid.R2 <= (r - h) ** 2 * (1.0 + 1e-12))
-        near2 = (np.maximum(np.abs(grid.X) - half, 0.0) ** 2
-                 + np.maximum(np.abs(grid.Y) - half, 0.0) ** 2)
-        far2 = (np.abs(grid.X) + half) ** 2 + (np.abs(grid.Y) + half) ** 2
-        full = grid.mask & (far2 <= r * r)
+        half, c, m = 0.5 * h, (N - 1) // 2, _correction_radius(N)
+        W = 2 * m + 3          # side of a representative's box
+        trusted, full, cut = _rim_sets(grid)
         self.frac = full.astype(float)
         self.conv_frac = self.frac.copy()
 
-        regions: dict = {}     # column -> contour pieces of the cut cells it carries
-        for j, k in zip(*np.nonzero((near2 < r * r) & ~full)):
+        reps: dict = {}        # octant representative -> (area, flat values on its box)
+        carried: dict = {}     # column -> cut cells it carries, with their representatives
+        padded = np.pad(trusted, m + 1)
+        for j, k in zip(*np.nonzero(cut)):
             # for N >= 9 every cut cell has a retained node among its neighbours
             column = next((j + dj, k + dk) for dj, dk in _NEAREST
                           if 0 <= j + dj < N and 0 <= k + dk < N and grid.mask[j + dj, k + dk])
-            x, y = grid.X[j, k], grid.Y[j, k]
-            pieces = _clipped_cell_pieces(x - half, x + half, y - half, y + half, r)
-            area = _region_area(pieces, r) / (h * h)
+            rep = (max(abs(j - c), abs(k - c)), min(abs(j - c), abs(k - c)))
+            if rep not in reps:
+                jr, kr = c + rep[0], c + rep[1]
+                pieces = _clipped_cell_pieces(grid.X[jr, kr] - half, grid.X[jr, kr] + half,
+                                              grid.Y[jr, kr] - half, grid.Y[jr, kr] + half, r)
+                jb, kb = np.nonzero(padded[jr:jr + W, kr:kr + W])
+                box = np.full((W, W), np.nan, dtype=np.complex128)
+                box[jb, kb] = _clipped_region_integral_many(
+                    grid.Z[jb + jr - m - 1, kb + kr - m - 1], pieces, r, gnodes, gweights) / np.pi
+                if rep[1] == 0:                             # its own conj image
+                    box = 0.5 * (box + np.conj(box[:, ::-1]))
+                if rep[0] == rep[1]:                        # its own -i conj image
+                    box = 0.5 * (box - 1j * np.conj(box.T))
+                reps[rep] = (_region_area(pieces, r) / (h * h), box.ravel())
             if column == (j, k):
-                self.frac[j, k] = area
-            self.conv_frac[column] += area
-            regions.setdefault(column, []).extend(pieces)
+                self.frac[j, k] = reps[rep][0]
+            self.conv_frac[column] += reps[rep][0]
+            carried.setdefault(column, []).append((j, k, rep))
 
         rows, cols, vals = [], [], []
-        m = _correction_radius(N)
-        for (js, ks), pieces in regions.items():
-            jlo, jhi = max(js - m, 0), min(js + m, N - 1)
-            klo, khi = max(ks - m, 0), min(ks + m, N - 1)
-            jt, kt = np.nonzero(trusted[jlo:jhi + 1, klo:khi + 1])
-            jt = jt + jlo
-            kt = kt + klo
-            d = grid.X[jt, kt] + 1j * grid.Y[jt, kt]
-            exact = _clipped_region_integral_many(d, pieces, r, gnodes, gweights) / np.pi
+        for (js, ks), cells in carried.items():
+            jt, kt = np.nonzero(padded[js + 1:js + 2 * m + 2, ks + 1:ks + 2 * m + 2])
+            jt, kt = jt + js - m, kt + ks - m
+            dj, dk = jt - c, kt - c
+            exact = np.zeros(jt.size, dtype=np.complex128)
+            for j, k, (ra, rb) in cells:
+                # the cell is L(rep): L^-1 flips the signs of a, b < 0, then
+                # swaps if |b| > |a|; (p, q) are the offsets of L^-1 t
+                sa, sb, swap = (-1 if j < c else 1), (-1 if k < c else 1), abs(k - c) > abs(j - c)
+                p, q = (sb * dk, sa * dj) if swap else (sa * dj, sb * dk)
+                v = reps[ra, rb][1][(p - ra + m + 1) * W + q - rb + m + 1]
+                # -i conj (swap), then -conj (a < 0), then conj (b < 0): conj(u) = -i sb or sa
+                v = np.conj(v) if swap ^ (sa < 0) ^ (sb < 0) else v
+                exact += (-1j * sb if swap else sa) * v
+            if np.isnan(exact).any():
+                raise RuntimeError(f"rim column {(js, ks)} reads a node the D4 maps do not keep")
             kern = self.kernel[N - 1 + jt - js, N - 1 + kt - ks]
             # a full column keeps its own kernel entry: only the slivers it
             # carries are swapped for their exact regions
             conv_part = (self.conv_frac[js, ks] - full[js, ks]) * kern
-            rows.append(jt * N + kt)
-            cols.append(np.full(jt.size, js * N + ks))
+            rows.append((jt * N + kt).astype(np.int32))
+            cols.append(np.full(jt.size, js * N + ks, dtype=np.int32))
             vals.append(exact - conv_part)
+        del reps               # the boxes go before the sparse conversion's peak
 
         return sp.coo_matrix((np.concatenate(vals),
                               (np.concatenate(rows), np.concatenate(cols))),

@@ -30,7 +30,7 @@ from .cauchygreen import cg_apply, cg_build, cg_residual
 from .diskgrid import (DiskMap, eval_interp, make_grid, mobius_swap,
                        poincare_distance, to_csv)
 from .errors import (ConfigError, Diverged, InvalidGrid, InvalidParams, JDiskError,
-                     UnknownName)
+                     Singular, UnknownName)
 from .kobayashi import (KobayashiOptions, chain_cost, derivative_bound,
                         estimate_distance, pushforward_chain)
 from .solver import SolverConfig, affine_target, derivative_disk, two_point_disk
@@ -517,6 +517,8 @@ def run(config: dict):
         if isinstance(exc, Diverged):
             report["error"].update(_jsonify({"last_deltas": exc.deltas,
                                              "worst_ratio": exc.ratio}))
+        if isinstance(exc, Singular):
+            report["error"]["where"] = _jsonify(exc.where)
         code = 3
     report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return code, report

@@ -15,7 +15,12 @@ class UnknownName(JDiskError):
 
 class Singular(JDiskError):
     """A linear system required by the structure algebra is not solvable
-    (condition number above the configured cap)."""
+    (condition number above the configured cap); ``where`` holds the point,
+    or the node label, where it fired."""
+
+    def __init__(self, message: str, where=None):
+        super().__init__(message)
+        self.where = where
 
 
 class InvalidGrid(JDiskError):

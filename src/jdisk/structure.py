@@ -261,16 +261,15 @@ def q_field(J: StructureField, points: np.ndarray, labels: np.ndarray | None = N
     """Batched dilatation matrices at (m, 2n) points.
 
     Raises ``Singular`` when the condition number of ``Jst + J`` at some
-    point is non-finite or above ``J.cond_cap``; ``labels`` (optional, same
-    leading length) improves the error message.
+    point is non-finite or above ``J.cond_cap``; its ``where`` is the label
+    of that point when ``labels`` (same leading length) is given.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     conds, q = _dilatation(J, J.eval(points))
     if q is None:
         worst = int(np.argmax(conds))
-        where = labels[worst] if labels is not None else points[worst]
-        raise Singular(
-            f"Jst + J ill conditioned (cond={conds[worst]:.3e}) at {np.asarray(where).tolist()}")
+        where = np.asarray(labels[worst] if labels is not None else points[worst]).tolist()
+        raise Singular(f"Jst + J ill conditioned (cond={conds[worst]:.3e}) at {where}", where)
     return q
 
 
@@ -298,7 +297,7 @@ def _conjugation_eval(conv: ComplexConvention, epsilon: float, b_field):
                 out = s @ conv.jst_f @ np.linalg.inv(s)
             except np.linalg.LinAlgError:
                 where = points[int(np.argmin(np.abs(np.linalg.det(s))))].tolist()
-                raise Singular(f"S = Id + eps*B is singular at {where}") from None
+                raise Singular(f"S = Id + eps*B is singular at {where}", where) from None
         else:
             # S Jst adj(S) / det(S) with Jst = [[0, -1], [1, 0]]
             s00, s01, s10, s11 = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
@@ -311,7 +310,7 @@ def _conjugation_eval(conv: ComplexConvention, epsilon: float, b_field):
             out[:, 1, 1] = -out[:, 0, 0]
         if not np.isfinite(out).all():
             where = points[int(np.argmin(np.isfinite(out).all(axis=(1, 2))))].tolist()
-            raise Singular(f"S = Id + eps*B is singular or J is not finite at {where}")
+            raise Singular(f"S = Id + eps*B is singular or J is not finite at {where}", where)
         return out
 
     return eval_fn

@@ -7,9 +7,10 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from jdisk import diskgrid
-from jdisk.cauchygreen import (CGOperator, _clipped_cell_pieces, _region_area, cg_apply,
-                               cg_build, cg_residual)
+from jdisk import cauchygreen, diskgrid
+from jdisk.cauchygreen import (_NEAREST, CGOperator, _clipped_cell_pieces,
+                               _clipped_region_integral_many, _region_area, _rim_sets,
+                               cg_apply, cg_build, cg_residual)
 from jdisk.diskgrid import DiskGrid, DiskMap, d_dzbar, make_grid
 from jdisk.errors import GridMismatch
 from jdisk.kobayashi import KobayashiOptions, estimate_distance
@@ -41,15 +42,6 @@ def overlap_area_oracle(x0, x1, y0, y1, r):
     value, _ = quad(height, a, b, points=kinks or None, epsabs=1e-14 * (x1 - x0) ** 2,
                     epsrel=1e-13, limit=200)
     return value
-
-
-def cut_cells(g):
-    """Index pairs of the lattice cells that meet the disk without lying in it."""
-    half = 0.5 * g.h
-    near2 = (np.maximum(np.abs(g.X) - half, 0.0) ** 2
-             + np.maximum(np.abs(g.Y) - half, 0.0) ** 2)
-    far2 = (np.abs(g.X) + half) ** 2 + (np.abs(g.Y) + half) ** 2
-    return list(zip(*np.nonzero((near2 < g.r ** 2) & (far2 > g.r ** 2))))
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +102,7 @@ def test_boundary_cells_weighted_by_inside_fraction(op33, g33):
 def test_contour_area_of_every_cut_cell_matches_quadrature(N, r):
     g = make_grid(r, N)
     half, cell = 0.5 * g.h, g.h * g.h
-    cells = cut_cells(g)
+    cells = list(zip(*np.nonzero(_rim_sets(g)[2])))
     assert len(cells) >= 4 * (N - 1)
     for j, k in cells:
         x0, x1 = g.X[j, k] - half, g.X[j, k] + half
@@ -165,6 +157,140 @@ def test_rim_columns_and_fractions_do_not_depend_on_the_radius():
         assert np.max(np.abs(op.frac - unit.frac)) <= 1e-11, r
 
 
+# The generators of the square's symmetry group D4 as (name, map of lattice
+# index pairs of an odd N, image of a value at the mapped point): a value
+# at L d is conj(u) v when L z = u z and conj(u) conj(v) when L z = u conj(z).
+def d4_generators(N):
+    n = N - 1
+    return [("i conj", lambda j, k: (k, j), lambda v: -1j * np.conj(v)),
+            ("conj", lambda j, k: (j, n - k), np.conj),
+            ("-conj", lambda j, k: (n - j, k), lambda v: -np.conj(v))]
+
+
+def carried_cells(g):
+    """Column -> set of cut cells it carries, by the build's nearest-node rule."""
+    _, _, cut = _rim_sets(g)
+    out = {}
+    for j, k in zip(*np.nonzero(cut)):
+        column = next((j + dj, k + dk) for dj, dk in _NEAREST
+                      if 0 <= j + dj < g.N and 0 <= k + dk < g.N and g.mask[j + dj, k + dk])
+        out.setdefault((int(column[0]), int(column[1])), set()).add((int(j), int(k)))
+    return out
+
+
+@pytest.mark.parametrize("N", list(range(9, 258, 2)) + [513, 1025])
+def test_cell_sets_are_d4_symmetric(N):
+    # the premise of the octant build: every set it reads is mapped onto
+    # itself by the square's symmetries
+    for r in (0.37, 1.0, 2.5):
+        g = make_grid(r, N)
+        for sel in (g.mask, *_rim_sets(g)):
+            assert np.array_equal(sel, sel.T), (N, r)
+            assert np.array_equal(sel, sel[::-1]), (N, r)
+            assert np.array_equal(sel, sel[:, ::-1]), (N, r)
+
+
+@pytest.mark.parametrize("N", [9, 33, 129])
+def test_kernel_and_fractions_are_exactly_d4_invariant(N):
+    op = CGOperator(make_grid(1.0, N))
+    for name, L, image in d4_generators(2 * N - 1):
+        assert np.array_equal(op.kernel[L(*np.indices(op.kernel.shape))], image(op.kernel)), name
+    for name, L, _ in d4_generators(N):
+        assert np.array_equal(op.frac[L(*np.indices((N, N)))], op.frac), name
+
+
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_rim_correction_is_d4_invariant_where_the_columns_are(r):
+    # the scan-order tie-break of _NEAREST is not symmetric, so a column's
+    # image need not carry the images of its cells; where it does, the
+    # column's image is the image of the column.  A column of one cell is
+    # one exact value transform; sums of several cells are added in scan
+    # order, which mirrors can reverse, so those agree to round-off
+    N = 33
+    g = make_grid(r, N)
+    op = CGOperator(g)
+    dense = op._rim_correction.toarray().reshape(N, N, N, N)
+    top = np.abs(dense).max()
+    carried = carried_cells(g)
+    tj, tk = np.indices((N, N))
+    compared = 0
+    for name, L, image in d4_generators(N):
+        for column, cells in carried.items():
+            mirrored = L(*column)
+            if {L(*cell) for cell in cells} != carried.get(mirrored):
+                continue
+            got = dense[(*L(tj, tk), *mirrored)]      # at (L t, L column)
+            want = image(dense[..., column[0], column[1]])
+            if len(cells) == 1:
+                assert np.array_equal(got, want), (name, column)
+                assert op.conv_frac[mirrored] == op.conv_frac[column]
+            assert np.max(np.abs(got - want)) <= 1e-15 * top, (name, column)
+            assert abs(op.conv_frac[mirrored] - op.conv_frac[column]) <= 1e-15
+            compared += 1
+    assert compared > 1.5 * len(carried)    # most of the 3 * len(carried) pairs
+
+
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_rim_columns_match_their_cells_own_integrals(r):
+    # every column against the integrals over its cells' own contour pieces,
+    # which guards each sign of the value transforms (a wrong one is off by
+    # the size of the entry); the cancelling contour terms and the cells'
+    # own, not mirrored, coordinates leave about 1e-13 of the largest entry
+    N = 33
+    g = make_grid(r, N)
+    op = CGOperator(g)
+    trusted, full, _ = _rim_sets(g)
+    rim = op._rim_correction.tocsc()
+    top = np.abs(rim.data).max()
+    nodes, weights = leggauss(cauchygreen._EDGE_GAUSS)
+    half, m = 0.5 * g.h, cauchygreen._correction_radius(N)
+    for (js, ks), cells in carried_cells(g).items():
+        box = np.zeros((N, N), dtype=bool)
+        box[max(js - m, 0):js + m + 1, max(ks - m, 0):ks + m + 1] = True
+        jt, kt = np.nonzero(trusted & box)
+        pieces = [piece for j, k in cells
+                  for piece in _clipped_cell_pieces(g.X[j, k] - half, g.X[j, k] + half,
+                                                    g.Y[j, k] - half, g.Y[j, k] + half, r)]
+        exact = _clipped_region_integral_many(g.Z[jt, kt], pieces, r, nodes, weights) / np.pi
+        kern = op.kernel[N - 1 + jt - js, N - 1 + kt - ks]
+        want = exact - (op.conv_frac[js, ks] - full[js, ks]) * kern
+        column = rim[:, js * N + ks]
+        assert np.array_equal(np.sort(column.indices), np.sort(jt * N + kt))
+        got = column.toarray().ravel()[jt * N + kt]
+        assert np.max(np.abs(got - want)) <= 1e-12 * top, (js, ks)
+
+
+def test_build_integrates_one_octant(monkeypatch):
+    # a deterministic work count: one kernel row per dj >= 1 and one call
+    # per octant representative of the cut cells
+    calls, targets = [], []
+
+    def counting(ds, *args):
+        calls.append(1)
+        targets.append(len(ds))
+        return _clipped_region_integral_many(ds, *args)
+
+    monkeypatch.setattr(cauchygreen, "_clipped_region_integral_many", counting)
+    N = 129
+    g = make_grid(1.0, N)
+    _, _, cut = _rim_sets(g)
+    c = (N - 1) // 2
+    octant_cut = int(np.count_nonzero(np.tril(cut[c:, c:])))
+    CGOperator(g)
+    assert octant_cut == 65
+    assert len(calls) <= (N - 1) + octant_cut
+    print(f"N = {N}: {len(calls)} integrator calls over {sum(targets)} targets")
+
+
+def test_an_asymmetric_trusted_set_fails_the_build():
+    # drop one trusted node of the first octant: its mirror images stay
+    # trusted and read it through their representatives' boxes
+    g = make_grid(1.0, 33)
+    g.R2[16 + 10, 16 + 3] = 4.0
+    with pytest.raises(RuntimeError, match="D4"):
+        CGOperator(g)
+
+
 def test_transform_of_zero_is_zero(op33, g33):
     g = g33
     zero = DiskMap(g, np.zeros((g.N, g.N, 2)))
@@ -185,10 +311,8 @@ def test_transform_matches_dense_row_summation():
         for b in range(m):
             dense[a, b] = op.cell_weight(jj[a] - jj[b], kk[a] - kk[b]) \
                 * op.conv_frac[jj[b], kk[b]]
-    if op._rim_correction is not None:
-        corr = op._rim_correction.toarray()
-        flat_a = jj * g.N + kk
-        dense += corr[np.ix_(flat_a, flat_a)]
+    flat_a = jj * g.N + kk
+    dense += op._rim_correction.toarray()[np.ix_(flat_a, flat_a)]
     rng = np.random.default_rng(7)
     phi_c = rng.normal(size=m) + 1j * rng.normal(size=m)
     vals = np.zeros((g.N, g.N, 2))

@@ -307,6 +307,34 @@ def test_divergence_state_is_in_the_error_section():
     json.dumps(report, allow_nan=False)
 
 
+def test_singular_structure_names_the_point_in_the_error_section(monkeypatch):
+    # a config names only builtin perturbations, all regular, so the gallery
+    # is handed B with S[0, 0] = 1 - p_0 / 0.3, which is exactly 0 on the
+    # line p_0 = 0.3 and nonzero on the gallery's validation lattice; the
+    # affine seed from p = (0.3, 0) puts the centre node on that line
+    eps = 0.5
+
+    def b_field(points):
+        b = np.zeros(points.shape + (points.shape[-1],))
+        b[:, 0, 0] = -points[:, 0] / (eps * 0.3)
+        return b
+
+    gallery = cli.gallery
+    monkeypatch.setattr(cli, "gallery",
+                        lambda name, **kw: gallery(name, **{**kw, "perturbation": b_field}))
+    code, report = run({"command": "disk",
+                        "structure": {"name": "conjugated", "epsilon": eps},
+                        "grid": {"N": 9},
+                        "params": {"p": [0.3, 0.0], "q": [0.4, 0.1]}})
+    assert code == 3
+    error = report["error"]
+    assert error["type"] == "Singular"
+    where = error["where"]
+    assert len(where) == 2 and where[0] == 0.3
+    assert str(error["where"]) in error["message"]
+    json.dumps(report, allow_nan=False)
+
+
 def test_flags_overlay_config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"structure": {"name": "conjugated", "epsilon": 0.2},

@@ -110,6 +110,9 @@ def test_q_matrix_singular_at_minus_jst():
         -conv.jst_f, (pts.shape[0], 2, 2)).copy(), name="minus-standard")
     with pytest.raises(Singular):
         q_matrix(J, np.zeros(2))
+    with pytest.raises(Singular) as info:
+        q_field(J, np.zeros((3, 2)), labels=np.array([[0.0, 0.1], [0.2, 0.3], [0.4, 0.5]]))
+    assert info.value.where == [0.0, 0.1]
 
 
 def _constant_field(jmats, cond_cap=1e8):
@@ -190,10 +193,12 @@ def test_singular_conjugation_raises_singular(n):
     J = gallery("conjugated", n=n, epsilon=eps, perturbation=b_field)
     pts = np.zeros((3, 2 * n))
     pts[1, 0] = 0.3
-    with pytest.raises(Singular):
+    with pytest.raises(Singular) as info:
         J.eval(pts)
-    with pytest.raises(Singular):
+    assert info.value.where == pts[1].tolist()
+    with pytest.raises(Singular) as info:
         q_field(J, pts)
+    assert info.value.where == pts[1].tolist()
 
 
 def test_q_matrix_matches_dense_inverse_oracle():
