@@ -146,10 +146,10 @@ def brody_reparametrize(f: DiskMap, c: float) -> ReparamResult:
     rho = _safe_radius(g.r, g.h, t0, abs(zstar) if swap is not None else 0.0)
     fresh = make_grid(rho, g.N)
     if swap is None:
-        transform = lambda z: t0 * z                     # noqa: E731
+        # the scaled lattice has the same mask, so this is lattice to lattice
+        f_tilde = DiskMap(fresh, resample(f, fresh.scaled(t0)).values)
     else:
-        transform = lambda z: t0 * swap(z)               # noqa: E731
-    f_tilde = resample(f, fresh, transform=transform)
+        f_tilde = resample(f, fresh, transform=lambda z: t0 * swap(z))
     s_at_0 = _derivative_at_origin(f_tilde)
     s_sup, _ = sup_poincare_derivative(f_tilde)
     z0 = None if swap is None else zstar

@@ -185,6 +185,18 @@ def _cr_weights(s: np.ndarray) -> np.ndarray:
     ])
 
 
+def _axis_cells(g: DiskGrid, x: np.ndarray):
+    """Cell index j and offset s in [0, 1] of coordinates ``x`` along one
+    lattice axis of ``g``, snapped to exact node coordinates so stored
+    values are returned verbatim.  Coordinates beyond the lattice clamp to
+    its end cells; every range check rejects such points."""
+    f = np.clip((x + g.r) / g.h, 0.0, g.N - 1.0)
+    rf = np.rint(f)
+    f = np.where(np.abs(f - rf) < 1e-9, rf, f)
+    j = np.clip(np.floor(f).astype(int), 0, g.N - 2)
+    return j, f - j
+
+
 @dataclass
 class DiskMap:
     """Grid samples of a map disk -> R^{2n}; values are zero off the disk."""
@@ -237,17 +249,9 @@ class DiskMap:
             raise OutsideInterpolationRange(
                 f"point {z} at |z|={abs(z):.6g} beyond interpolation limit {limit:.6g}")
 
-        fx = (pts.real + g.r) / g.h
-        fy = (pts.imag + g.r) / g.h
-        # Snap to exact node coordinates so stored values are returned verbatim.
-        rx, ry = np.rint(fx), np.rint(fy)
-        fx = np.where(np.abs(fx - rx) < 1e-9, rx, fx)
-        fy = np.where(np.abs(fy - ry) < 1e-9, ry, fy)
+        j, s = _axis_cells(g, pts.real)
+        k, t = _axis_cells(g, pts.imag)
         N = g.N
-        j = np.clip(np.floor(fx).astype(int), 0, N - 2)
-        k = np.clip(np.floor(fy).astype(int), 0, N - 2)
-        s = fx - j
-        t = fy - k
 
         node = j * N + k
         inside = g.mask.ravel()
@@ -266,16 +270,21 @@ class DiskMap:
             raise OutsideInterpolationRange(
                 f"cell around point {pts[i]} extends beyond the disk")
 
-        out = ((1 - s) * (1 - t)) * near(node, 0) + (s * (1 - t)) * near(node, N) \
-            + ((1 - s) * t) * near(node, 1) + (s * t) * near(node, N + 1)
+        def bilinear(sel):
+            n, a, b = node[sel], s[sel], t[sel]
+            return ((1 - a) * (1 - b)) * near(n, 0) + (a * (1 - b)) * near(n, N) \
+                + ((1 - a) * b) * near(n, 1) + (a * b) * near(n, N + 1)
+
         if method == "bilinear":
-            return out.T
+            return bilinear(slice(None)).T
         if method != "cubic":
             raise InvalidParams(f"unknown interpolation method {method!r}")
 
         stencil = [(a - 1) * N + b - 1 for a in range(4) for b in range(4)]
         ok = (j >= 1) & (j + 2 < N) & (k >= 1) & (k + 2 < N)
         ok[ok] = all_inside(node[ok], stencil)
+        out = np.empty((comps.shape[0], node.size))
+        out[:, ~ok] = bilinear(~ok)
         if ok.any():
             nodes = node[ok]
             wx = _cr_weights(s[ok])
@@ -299,12 +308,41 @@ def eval_interp(u: DiskMap, z) -> np.ndarray:
 def resample(source: DiskMap, grid: DiskGrid, transform=None) -> DiskMap:
     """Cubic samples of ``source`` (optionally precomposed with
     ``transform``) at the retained nodes of ``grid``; off-disk lattice
-    corners are never touched."""
-    pts = grid.Z[grid.mask]
+    corners are never touched.
+
+    Without ``transform`` (a window restriction, or a pure scaling onto
+    ``grid.scaled(t)``) the map is lattice to lattice and separable:
+    ``W V W^T`` per component, W holding the Catmull-Rom weights and node
+    snap of ``DiskMap.sample``, equal to its per-point gather to round-off.
+    Nodes whose 4x4 stencil leaves the source disk go through ``sample``
+    itself (bilinear fallback or ``OutsideInterpolationRange``).  Only a
+    ``transform`` (Mobius recentering) gathers every node.
+    """
     if transform is not None:
-        pts = transform(pts)
-    vals = np.zeros((grid.N, grid.N, source.values.shape[-1]))
-    vals[grid.mask] = source.sample(pts, method="cubic")
+        vals = np.zeros((grid.N, grid.N, source.values.shape[-1]))
+        vals[grid.mask] = source.sample(transform(grid.Z[grid.mask]), method="cubic")
+        return DiskMap(grid, vals)
+    g, N = source.grid, source.grid.N
+    j, s = _axis_cells(g, grid.xs)
+    # padded columns -1..N of the source axis; rows whose stencil needs
+    # them are fallback nodes, so they are cut off below
+    W = np.zeros((grid.N, N + 2))
+    W[np.arange(grid.N)[:, None], j[:, None] + np.arange(4)] = _cr_weights(s).T
+    W = W[:, 1:-1]
+    vals = (W @ source.values.transpose(2, 0, 1) @ W.T).transpose(1, 2, 0)
+    # the source mask is a convex disk cut to lattice nodes, so a stencil
+    # lies inside it when its four corner nodes do
+    lo, hi = j - 1, j + 2
+    axis_ok = (lo >= 0) & (hi < N)
+    ok = grid.mask & axis_ok[:, None] & axis_ok[None, :]
+    lo, hi = np.clip(lo, 0, N - 1), np.clip(hi, 0, N - 1)
+    for a in (lo, hi):
+        rows = g.mask.take(a, axis=0)
+        for b in (lo, hi):
+            ok &= rows.take(b, axis=1)
+    rest = grid.mask & ~ok
+    if rest.any():
+        vals[rest] = source.sample(grid.Z[rest], method="cubic")
     return DiskMap(grid, vals)
 
 

@@ -4,7 +4,7 @@ import pytest
 from jdisk.brody import (_derivative_norms, _scaling_max, brody_reparametrize,
                          derivative_ladder_family, dilation_family, extract_line,
                          rescale_step, scaling_sup, sup_poincare_derivative)
-from jdisk.diskgrid import make_grid, node_max
+from jdisk.diskgrid import DiskMap, make_grid, node_max
 from jdisk.errors import HypothesisViolated, InvalidParams, ZeroDerivative
 from jdisk.solver import SolverConfig
 from jdisk.structure import gallery
@@ -60,6 +60,11 @@ def test_reparametrize_pure_dilation(g129):
     assert rep.z0 is None
     assert rep.s_at_0 == pytest.approx(1.0, abs=1e-6)
     assert rep.s_sup == pytest.approx(1.0, abs=1e-6)
+    # the pure scaling is lattice to lattice; it equals the per-point gather
+    fresh = rep.f_tilde.grid
+    oracle = two.sample(rep.t0 * fresh.Z[fresh.mask], method="cubic")
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(rep.f_tilde.values[fresh.mask] - oracle)) <= 1e-14 * scale
 
 
 def test_reparametrize_recenters_quadratic_map(g129):
@@ -171,6 +176,20 @@ def test_extract_line_flat_torus_dilations():
     # the limit is the affine embedding
     w = rep.final.samples
     assert np.allclose(w.values[..., 0][w.grid.mask], w.grid.X[w.grid.mask], atol=1e-10)
+
+
+@pytest.mark.parametrize("N", [33, 129])
+def test_extract_line_on_dilations_never_gathers(N, monkeypatch):
+    # cover = r - 3h >= R keeps every window stencil inside the source
+    # disk, so each restriction is separable and no node is gathered
+    def gather(*args, **kwargs):
+        raise AssertionError("DiskMap.sample reached")
+
+    monkeypatch.setattr(DiskMap, "sample", gather)
+    J = gallery("torus-flat", n=1)
+    rep = extract_line(J, dilation_family(make_grid(1.0, N), base=4.0, factor=2.0),
+                       R=2.0, tol=1e-10, n_max=6)
+    assert rep.converged
 
 
 def test_extract_line_flat_chart_dilations():

@@ -1,4 +1,5 @@
 import io
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -175,6 +176,75 @@ def test_cubic_sampling_beats_bilinear_for_smooth_maps(grid65):
     bil = u.sample(pts, method="bilinear")
     cub = u.sample(pts, method="cubic")
     assert np.max(np.abs(cub - exact)) < 0.2 * np.max(np.abs(bil - exact))
+
+
+def stencil_leaves_disk(grid, pts):
+    """Whether the 4x4 Catmull-Rom stencil around each point has a node
+    off the lattice or off the disk, checked node by node."""
+    out = []
+    for z in pts:
+        j = int(np.floor((z.real + grid.r) / grid.h + 1e-9))
+        k = int(np.floor((z.imag + grid.r) / grid.h + 1e-9))
+        rows = [j + a for a in range(-1, 3)]
+        cols = [k + b for b in range(-1, 3)]
+        on = all(0 <= i < grid.N for i in rows + cols)
+        out.append(not (on and grid.mask[np.ix_(rows, cols)].all()))
+    return np.array(out)
+
+
+def test_cubic_sample_is_bilinear_exactly_where_the_stencil_leaves_the_disk(grid33):
+    # Catmull-Rom reproduces quadratics, so off the rim the cubic value is
+    # z^2 to round-off; where the stencil leaves the disk it is bilinear
+    g = grid33
+    u = complex_map(g, lambda z: z ** 2)
+    rng = np.random.default_rng(7)
+    rad = (g.r - g.h) * np.sqrt(rng.uniform(0.0, 1.0, 400))
+    pts = rad * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 400))
+    leaves = stencil_leaves_disk(g, pts)
+    assert 20 < leaves.sum() < pts.size - 20
+    cub = u.sample(pts, method="cubic")
+    bil = u.sample(pts, method="bilinear")
+    assert np.array_equal(cub[leaves], bil[leaves])
+    exact = np.stack([(pts ** 2).real, (pts ** 2).imag], axis=-1)
+    assert np.max(np.abs(cub[~leaves] - exact[~leaves])) < 1e-14
+    assert np.max(np.abs(bil[~leaves] - exact[~leaves])) > 1e-4
+
+
+def nonlinear_map(grid):
+    vals = np.stack([np.sin(3 * grid.X) * np.cos(2 * grid.Y),
+                     grid.X ** 2 * grid.Y + np.exp(grid.Y)], axis=-1)
+    return DiskMap(grid, vals)
+
+
+@pytest.mark.parametrize("N", [33, 65, 129])
+def test_lattice_resample_matches_the_per_point_gather(N):
+    r = 1.3
+    m = nonlinear_map(make_grid(r, N))
+    h = m.grid.h
+    scale = np.max(np.abs(m.values))
+    fallback = 0
+    for R in (0.25 * r, 0.6 * r, r - 3 * h, r - 2 * h, r - 1.5 * h, r - 1.01 * h):
+        w = make_grid(R, N)
+        pts = w.Z[w.mask]
+        got = resample(m, w).values[w.mask]
+        oracle = m.sample(pts, method="cubic")
+        assert np.max(np.abs(got - oracle)) <= 1e-14 * scale
+        fallback += stencil_leaves_disk(m.grid, pts).sum()
+    assert fallback > 0
+
+
+@pytest.mark.parametrize("N", [33, 65, 129])
+def test_lattice_resample_and_gather_both_reject_a_target_of_the_source_radius(N):
+    m = nonlinear_map(make_grid(1.3, N))
+    # a target far beyond the lattice raises as well, and warns of nothing
+    for R in (1.3, 1.3e20):
+        w = make_grid(R, N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutsideInterpolationRange):
+                resample(m, w)
+            with pytest.raises(OutsideInterpolationRange):
+                m.sample(w.Z[w.mask], method="cubic")
 
 
 def test_poincare_distance_basics():
