@@ -309,17 +309,25 @@ def cg_build(grid: DiskGrid) -> CGOperator:
     return view
 
 
-def cg_apply(op: CGOperator, phi: DiskMap) -> DiskMap:
-    """Apply the transform to each complex component of a map."""
-    if not phi.grid.same_geometry(op):
+def cg_apply(op: CGOperator, phi):
+    """Apply the transform to each complex component of a map.
+
+    ``phi`` is a ``DiskMap`` on the operator's geometry, which gives a
+    ``DiskMap``, or the ``(N, N, 2n)`` values of a map on it, which give
+    values (the solver's loop)."""
+    wrapped = isinstance(phi, DiskMap)
+    if wrapped and not phi.grid.same_geometry(op):
         raise GridMismatch(f"operator geometry (r={op.r}, N={op.N}) does not match "
                            f"density grid {phi.grid!r}")
-    out = np.zeros_like(phi.values)
-    for m in range(phi.n):
-        w = op.apply_complex(phi.component_complex(m))
+    values = phi.values if wrapped else phi
+    if values.shape[:2] != (op.N, op.N):
+        raise GridMismatch(f"operator N={op.N} does not match values of shape {values.shape}")
+    out = np.zeros_like(values)
+    for m in range(values.shape[2] // 2):
+        w = op.apply_complex(values[..., 2 * m] + 1j * values[..., 2 * m + 1])
         out[..., 2 * m] = w.real
         out[..., 2 * m + 1] = w.imag
-    return DiskMap(phi.grid, out)
+    return DiskMap(phi.grid, out) if wrapped else out
 
 
 def cg_residual(op: CGOperator, phi: DiskMap) -> float:

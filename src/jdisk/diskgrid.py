@@ -145,13 +145,14 @@ class DiskGrid:
     def dx_apply(self, values: np.ndarray) -> np.ndarray:
         return self._difference(0, values)
 
-    def dx_at_center(self, values: np.ndarray) -> np.ndarray:
-        """``dx_apply(values)`` at the origin node alone: the centred
-        difference there without building the operator, in the same
-        arithmetic (unit-radius weights, then division by r)."""
+    def dx_at_center(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
+        """``dx_apply(values)`` (``dy_apply`` for axis 1) at the origin node
+        alone: the centred difference there without building the operator,
+        in the same arithmetic (unit-radius weights, then division by r)."""
         j, k = self.center_index
+        dj, dk = (1, 0) if axis == 0 else (0, 1)
         w = 0.5 / (2.0 / (self.N - 1))
-        out = (-w) * values[j - 1, k] + w * values[j + 1, k]
+        out = (-w) * values[j - dj, k - dk] + w * values[j + dj, k + dk]
         return out if self.r == 1.0 else out / self.r
 
     def dy_apply(self, values: np.ndarray) -> np.ndarray:
@@ -346,20 +347,27 @@ def resample(source: DiskMap, grid: DiskGrid, transform=None) -> DiskMap:
     return DiskMap(grid, vals)
 
 
-def d_dz(u: DiskMap) -> DiskMap:
+def _wirtinger(u, grid: DiskGrid | None, bar: bool):
+    values, g = (u.values, u.grid) if isinstance(u, DiskMap) else (u, grid)
+    ux = g.dx_apply(values)
+    iuy = ComplexConvention.mul_i(g.dy_apply(values))
+    out = 0.5 * (ux + iuy if bar else ux - iuy)
+    return DiskMap(g, out) if isinstance(u, DiskMap) else out
+
+
+def d_dz(u, grid: DiskGrid | None = None):
     """Wirtinger derivative (d/dx - i d/dy)/2, per complex component, at
-    interior nodes; it reads 0 on the boundary ring and off the disk."""
-    ux = u.grid.dx_apply(u.values)
-    uy = u.grid.dy_apply(u.values)
-    return DiskMap(u.grid, 0.5 * (ux - ComplexConvention.mul_i(uy)))
+    interior nodes; it reads 0 on the boundary ring and off the disk.
+
+    ``u`` is a ``DiskMap``, which gives a ``DiskMap``, or the ``(N, N, 2n)``
+    values of a map on ``grid``, which give values (the solver's loop)."""
+    return _wirtinger(u, grid, bar=False)
 
 
-def d_dzbar(u: DiskMap) -> DiskMap:
+def d_dzbar(u, grid: DiskGrid | None = None):
     """Conjugate Wirtinger derivative (d/dx + i d/dy)/2; zero where
-    ``d_dz`` is."""
-    ux = u.grid.dx_apply(u.values)
-    uy = u.grid.dy_apply(u.values)
-    return DiskMap(u.grid, 0.5 * (ux + ComplexConvention.mul_i(uy)))
+    ``d_dz`` is.  Takes and returns what ``d_dz`` does."""
+    return _wirtinger(u, grid, bar=True)
 
 
 def poincare_distance(a, b, r: float = 1.0) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cauchygreen import cg_apply, cg_build
-from .diskgrid import DiskGrid, DiskMap, d_dz, d_dzbar, eval_interp
+from .diskgrid import DiskGrid, DiskMap, _axis_cells, d_dz, d_dzbar, eval_interp
 from .errors import Diverged, InvalidParams
 from .structure import ComplexConvention, StructureField, q_field
 
@@ -84,13 +84,21 @@ def _ratios(deltas: list) -> list:
     return [cur / prev for prev, cur in zip(deltas, deltas[1:]) if prev > 1e-13]
 
 
-def _beltrami(J: StructureField, v: DiskMap, labels: np.ndarray) -> np.ndarray:
-    """The Beltrami term q(v) dv/dz at the interior nodes of v's grid, as
-    rows in row-major node order; ``labels`` are those nodes' coordinates,
-    ``v.grid.nodes(v.grid.interior)``."""
-    inner = v.grid.interior
-    q = q_field(J, v.values[inner], labels=labels)
-    return np.einsum("mij,mj->mi", q, d_dz(v).values[inner])
+def _rows(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The rows ``values[sel]`` of ``(N, N, c)`` values at the nodes of a
+    mask ``sel``, given as ``nodes = np.flatnonzero(sel)``: the same rows in
+    the same order, taken several times faster than by the boolean mask."""
+    return values.reshape(-1, values.shape[-1]).take(nodes, axis=0)
+
+
+def _beltrami(J: StructureField, values: np.ndarray, grid: DiskGrid,
+              labels: np.ndarray) -> np.ndarray:
+    """The Beltrami term q(v) dv/dz at the interior nodes of ``grid``, as
+    rows in row-major node order, for the ``(N, N, 2n)`` values of v;
+    ``labels`` are those nodes' coordinates, ``grid.nodes(grid.interior)``."""
+    inner = np.flatnonzero(grid.interior)
+    q = q_field(J, _rows(values, inner), labels=labels)
+    return np.einsum("mij,mj->mi", q, _rows(d_dz(values, grid), inner))
 
 
 def cr_residual(J: StructureField, v: DiskMap) -> float:
@@ -100,7 +108,8 @@ def cr_residual(J: StructureField, v: DiskMap) -> float:
     solutions, O(h^2 + quadrature) for solver output.
     """
     g = v.grid
-    resid = d_dzbar(v).values[g.interior] - _beltrami(J, v, g.nodes(g.interior))
+    resid = (_rows(d_dzbar(v.values, g), np.flatnonzero(g.interior))
+             - _beltrami(J, v.values, g, g.nodes(g.interior)))
     return float(np.max(np.linalg.norm(resid, axis=-1)))
 
 
@@ -114,6 +123,22 @@ def affine_target(p: np.ndarray, q: np.ndarray, t: float, grid: DiskGrid) -> Dis
     return DiskMap(grid, p + ComplexConvention.cmul(grid.Z / t, q - p))
 
 
+def _affine_values(grid: DiskGrid, basis: np.ndarray):
+    """``(p, d) -> p + basis * d`` (complex product, real representation) on
+    ``grid``'s mask and 0 off it, as ``(N, N, 2n)`` values: the products and
+    sums of ``p + ComplexConvention.cmul(basis, d)``, so the same to the
+    bit, formed per component on ``(N, N)`` planes, several times faster
+    than broadcasting over the short last axis."""
+    x, y = basis.real.copy(), basis.imag.copy()
+
+    def affine(p, d):
+        i_d = ComplexConvention.mul_i(d)
+        planes = p[:, None, None] + (d[:, None, None] * x + i_d[:, None, None] * y)
+        return np.ascontiguousarray(np.where(grid.mask, planes, 0.0).transpose(1, 2, 0))
+
+    return affine
+
+
 def _diverged(message: str, deltas: list) -> Diverged:
     return Diverged(message, deltas=deltas[-5:], ratio=max(_ratios(deltas), default=None))
 
@@ -125,9 +150,16 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     Without ``match`` the target T is ``eps * h`` and v starts at it, where
     ``eps`` is ``cfg.epsilon``.  With ``match = (seed, observe, data)`` the
     target is re-chosen at every step as T = seed(data - observe(C)).
-    ``observe`` is linear and ``observe(seed(y)) = y`` exactly, so every
-    iterate has ``observe(v) = data`` to round-off, and a fixed point is the
-    disk with that data; v starts at ``h``, normally ``seed(data)``.
+    ``seed`` maps data to target values and ``observe`` reads data from
+    values, both as ``(N, N, 2n)`` arrays on h's grid.  ``observe`` is
+    linear and ``observe(seed(y)) = y`` exactly, so every iterate has
+    ``observe(v) = data`` to round-off, and a fixed point is the disk with
+    that data; v starts at ``h``, normally the map of ``seed(data)``.
+
+    The iterate, the density and the correction stay ``(N, N, 2n)`` arrays
+    over the lattice: only h is validated, and a solve builds one
+    ``DiskMap``, the one it returns.  An iterate that turns non-finite at a
+    retained node raises ``InvalidParams``.
 
     The iteration stops once the sup change of v falls below
     ``eps * cfg.tol_fixpoint``.  Raises ``Diverged``, carrying the last step
@@ -138,34 +170,36 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     eps = cfg.epsilon
     grid = h.grid
     op = cg_build(grid)
-    mask, inner = grid.mask, grid.interior
-    labels = grid.nodes(inner)
+    keep, inner = np.flatnonzero(grid.mask), np.flatnonzero(grid.interior)
+    labels = grid.nodes(grid.interior)
     extend = grid.ring_extension()
     if match is None:
-        fixed = eps * h.values
-        v = DiskMap(grid, fixed)
+        v = fixed = eps * h.values
     else:
         seed, observe, data = match
-        v = h
+        v = h.values
+    kept = _rows(v, keep)                # v at the retained nodes
     deltas: list = []
-    norms: list = [v.sup_norm()]
+    norms: list = [float(np.max(np.abs(kept)))]
     for k in range(1, cfg.max_iter + 1):
         # derivatives are zero on the boundary ring, so the density is
         # formed at interior nodes and extended to the ring from them (the
         # final certificate is cr_residual)
-        w_vals = np.zeros_like(v.values)
-        w_vals[inner] = _beltrami(J, v, labels)
-        flat = w_vals.reshape(grid.N * grid.N, -1)
-        w_vals = (extend @ flat).reshape(w_vals.shape)
-        correction = cg_apply(op, DiskMap(grid, w_vals))
-        target = fixed if match is None else seed(data - observe(correction)).values
-        new_vals = target + correction.values
-        delta = float(np.max(np.abs(new_vals[mask] - v.values[mask])))
+        w = np.zeros((grid.N * grid.N, v.shape[-1]))
+        w[inner] = _beltrami(J, v, grid, labels)
+        correction = cg_apply(op, (extend @ w).reshape(v.shape))
+        target = fixed if match is None else seed(data - observe(correction))
+        new = target + correction
+        new_kept = _rows(new, keep)
+        delta = float(np.max(np.abs(new_kept - kept)))
+        if not np.isfinite(delta):      # kept is finite, so new_kept is not
+            raise InvalidParams("map has non-finite values at retained nodes")
         deltas.append(delta)
-        v = DiskMap(grid, new_vals)
-        norms.append(v.sup_norm())
+        v, kept = new, new_kept
+        norms.append(float(np.max(np.abs(kept))))
         if delta < eps * cfg.tol_fixpoint:
-            return DiskSolution(v, cr_residual(J, v), deltas)
+            sol = DiskMap(grid, v)
+            return DiskSolution(sol, cr_residual(J, sol), deltas)
         if k >= _DIVERGENCE_WINDOW:
             # the floor is 1e-6 in units of h, like the stopping test
             ref = max(norms[k - _DIVERGENCE_WINDOW], eps * 1e-6)
@@ -212,35 +246,47 @@ def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
 
     dim, data = p0.size, np.concatenate([p0, q0])
     # affine_target's basis z / t, formed once; only p and q - p change
-    basis = grid.Z / t
+    affine, center = _affine_values(grid, grid.Z / t), grid.center_index
 
     def seed(y):
-        p = y[:dim]
-        return DiskMap(grid, p + ComplexConvention.cmul(basis, y[dim:] - p))
+        return affine(y[:dim], y[dim:] - y[:dim])
+
+    # eval_interp's bilinear value at t: its cell and weights, formed once
+    # and summed in the order of DiskMap.sample, so reads are the same to
+    # the bit; the one eval_interp call rejects a cell that leaves the disk
+    h = DiskMap(grid, seed(data))
+    eval_interp(h, complex(t, 0.0))
+    (j,), (a,) = _axis_cells(grid, np.array([t]))
+    (k,), (b,) = _axis_cells(grid, np.zeros(1))
+    w00, w10, w01, w11 = (1 - a) * (1 - b), a * (1 - b), (1 - a) * b, a * b
 
     def observe(v):
-        return np.concatenate([v.value_at_center(), eval_interp(v, complex(t, 0.0))])
+        at_t = w00 * v[j, k] + w10 * v[j + 1, k] + w01 * v[j, k + 1] + w11 * v[j + 1, k + 1]
+        return np.concatenate([v[center], at_t])
 
-    return picard_solve(J, cfg, seed(data), match=(seed, observe, data))
+    return picard_solve(J, cfg, h, match=(seed, observe, data))
 
 
 def derivative_disk(J: StructureField, p, w, cfg: SolverConfig,
                     grid: DiskGrid) -> DiskSolution:
     """Holomorphic disk with v(0) = p and dv/dz(0) = w (complex derivative,
     real representation), both matched to round-off, dv/dz(0) through the
-    centred differences of ``d_dz``.  Fails like ``two_point_disk``."""
+    centred differences of ``d_dz``, read at the origin alone.  Fails like
+    ``two_point_disk``."""
     p = np.asarray(p, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if not np.any(w):
         return _constant_solution(J, p, grid)
 
     dim, data = p.size, np.concatenate([p, w])
-    center = grid.center_index
+    affine, center = _affine_values(grid, grid.Z), grid.center_index
 
     def seed(y):
-        return DiskMap(grid, y[:dim] + ComplexConvention.cmul(grid.Z, y[dim:]))
+        return affine(y[:dim], y[dim:])
 
     def observe(v):
-        return np.concatenate([v.value_at_center(), d_dz(v).values[center]])
+        # d_dz(v) at the origin: its two centred differences there alone
+        dx, dy = grid.dx_at_center(v), grid.dx_at_center(v, axis=1)
+        return np.concatenate([v[center], 0.5 * (dx - ComplexConvention.mul_i(dy))])
 
-    return picard_solve(J, cfg, seed(data), match=(seed, observe, data))
+    return picard_solve(J, cfg, DiskMap(grid, seed(data)), match=(seed, observe, data))

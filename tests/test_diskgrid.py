@@ -324,6 +324,7 @@ def test_dx_at_center_is_the_origin_row_of_dx_apply(N):
             v = rng.standard_normal((N, N, 4)) * scale
             j, k = g.center_index
             assert np.array_equal(g.dx_at_center(v), g.dx_apply(v)[j, k])
+            assert np.array_equal(g.dx_at_center(v, axis=1), g.dy_apply(v)[j, k])
 
 
 @pytest.mark.parametrize("levels", [1, 2, 5, 1000])

@@ -138,8 +138,9 @@ def test_two_point_disk_counters_are_pinned(J_conj):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_two_point_seed_is_the_affine_target(n, monkeypatch, rng):
-    # the seed forms z / t once per solve; its targets must be affine_target's
-    # to the bit, at the start and for every later right-hand side
+    # the seed forms z / t once per solve; its targets, (N, N, 2n) arrays,
+    # must be affine_target's values to the bit, at the start and for every
+    # later right-hand side
     captured = []
 
     def capture(J, cfg, h, match=None):
@@ -153,7 +154,103 @@ def test_two_point_seed_is_the_affine_target(n, monkeypatch, rng):
     assert np.array_equal(h.values, affine_target(p, q, t, grid).values)
     for y in (data, rng.normal(size=4 * n)):
         expect = affine_target(y[:2 * n], y[2 * n:], t, grid).values
-        assert np.array_equal(seed(y).values, expect)
+        assert np.array_equal(seed(y), expect)
+
+
+def _captured_match(monkeypatch, solve):
+    """The ``(seed, observe, data)`` that ``solve()`` hands to picard_solve."""
+    captured = []
+    monkeypatch.setattr(solver, "picard_solve",
+                        lambda J, cfg, h, match=None: captured.append(match))
+    solve()
+    (match,) = captured
+    return match
+
+
+@pytest.mark.parametrize("r, N, t, n", [
+    (1.0, 33, 0.25, 1),      # t is a node
+    (1.0, 33, 0.3, 1),       # t lies between nodes
+    (1.0, 33, 0.3, 2),
+    (2.5, 33, 1.5, 1),
+    (2.5, 33, 1.25, 2),      # a node of the wide grid
+    (1.0, 9, 0.6, 1),
+    (1.0, 9, 0.5, 2),
+])
+def test_two_point_observe_is_eval_interp_to_the_bit(r, N, t, n, monkeypatch, rng):
+    # the loop reads v(t) from four precomputed weights, not through
+    # eval_interp; on any map the two must agree exactly
+    grid = make_grid(r, N)
+    p, q = rng.normal(size=2 * n), rng.normal(size=2 * n)
+    _, observe, _ = _captured_match(monkeypatch, lambda: two_point_disk(
+        gallery("standard", n=n), p, q, t, SolverConfig(), grid))
+    for _ in range(5):
+        u = DiskMap(grid, rng.normal(size=(N, N, 2 * n)))
+        expect = np.concatenate([u.value_at_center(), eval_interp(u, complex(t, 0.0))])
+        assert np.array_equal(observe(u.values), expect)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_derivative_observe_is_d_dz_at_the_origin_to_the_bit(r, n, monkeypatch, rng):
+    # the loop reads dv/dz(0) from the two centred differences at the origin
+    # alone; on any map it must equal the full-grid d_dz there exactly
+    grid = make_grid(r, 33)
+    p, w = rng.normal(size=2 * n), rng.normal(size=2 * n)
+    _, observe, _ = _captured_match(monkeypatch, lambda: derivative_disk(
+        gallery("standard", n=n), p, w, SolverConfig(), grid))
+    c = grid.center_index
+    for scale in (1e-3, 1.0, 1e3):
+        u = DiskMap(grid, scale * rng.normal(size=(33, 33, 2 * n)))
+        expect = np.concatenate([u.value_at_center(), d_dz(u).values[c]])
+        assert np.array_equal(observe(u.values), expect)
+
+
+def test_a_solve_builds_diskmaps_independent_of_its_length(J_std, monkeypatch):
+    # the iterate stays an array: a solve wraps its seed and its result, so
+    # a 78-step solve builds as many DiskMaps as a 1-step one
+    built = []
+    post_init = DiskMap.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(DiskMap, "__post_init__", counted)
+    g = make_grid(1.0, 33)
+    counts, steps = [], []
+    for J, q in ((J_std, np.array([0.3, -0.2])),
+                 (gallery("conjugated", n=1, epsilon=0.9), np.array([1.5, 0.4]))):
+        built.clear()
+        sol = two_point_disk(J, np.zeros(2), q, 0.5, SolverConfig(), g)
+        counts.append(len(built))
+        steps.append(sol.iterations)
+    assert steps == [1, 78]
+    assert counts == [2, 2]
+
+
+def test_an_iterate_that_turns_non_finite_raises(J_conj, g65, monkeypatch):
+    apply = solver.cg_apply
+    p, q = np.zeros(2), np.array([0.1, 0.0])
+    clean = two_point_disk(J_conj, p, q, 0.5, SolverConfig(), g65)
+    for bad, node in ((np.nan, g65.center_index), (np.inf, (20, 40)), (np.nan, (0, 0))):
+        calls = []
+
+        def spoiled(op, phi):
+            out = apply(op, phi)
+            calls.append(1)
+            if len(calls) == 3:
+                out[node] = bad
+            return out
+
+        monkeypatch.setattr(solver, "cg_apply", spoiled)
+        if g65.mask[node]:
+            with pytest.raises(InvalidParams, match="map has non-finite values at retained nodes"):
+                two_point_disk(J_conj, p, q, 0.5, SolverConfig(), g65)
+            assert len(calls) == 3
+        else:
+            # values off the disk are never read, and the result drops them
+            sol = two_point_disk(J_conj, p, q, 0.5, SolverConfig(), g65)
+            assert np.array_equal(sol.v.values, clean.v.values)
 
 
 def test_two_point_disk_rejects_bad_t(J_std, g65):
@@ -194,13 +291,13 @@ def test_two_point_disk_reads_nodes_beyond_one_on_a_wide_grid():
 
 def test_solver_and_certificate_share_one_beltrami_term(J_conj, g65, monkeypatch):
     # every Picard step and the final cr_residual form q(v) dv/dz through
-    # _beltrami; the solve forms its node labels once
+    # _beltrami, on v's values; the solve forms its node labels once
     labels = []
     beltrami = solver._beltrami
 
-    def counted(J, v, node_labels):
+    def counted(J, values, grid, node_labels):
         labels.append(node_labels)
-        return beltrami(J, v, node_labels)
+        return beltrami(J, values, grid, node_labels)
 
     monkeypatch.setattr(solver, "_beltrami", counted)
     sol = two_point_disk(J_conj, np.zeros(2), np.array([0.1, 0.0]), 0.5, SolverConfig(), g65)
@@ -208,7 +305,7 @@ def test_solver_and_certificate_share_one_beltrami_term(J_conj, g65, monkeypatch
     assert all(x is labels[0] for x in labels[:-1])
     assert np.array_equal(labels[-1], g65.nodes(g65.interior))
     inner = g65.interior
-    resid = solver.d_dzbar(sol.v).values[inner] - beltrami(J_conj, sol.v, labels[-1])
+    resid = solver.d_dzbar(sol.v).values[inner] - beltrami(J_conj, sol.v.values, g65, labels[-1])
     assert sol.residual == float(np.max(np.linalg.norm(resid, axis=-1)))
 
 
