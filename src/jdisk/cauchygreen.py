@@ -51,7 +51,7 @@ import copy
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import fft2, ifft2, next_fast_len
+from scipy.fft import fft, fft2, ifft, next_fast_len
 
 from .diskgrid import DiskGrid, DiskMap, d_dzbar
 from .errors import GridMismatch
@@ -285,15 +285,28 @@ class CGOperator:
         return self._scale * complex(self.kernel[N - 1 + dj, N - 1 + dk])
 
     def apply_complex(self, phi: np.ndarray) -> np.ndarray:
-        """Transform one complex component sampled on the full (N, N) lattice."""
-        N = self.N
+        """Transform one complex component sampled on the full (N, N) lattice.
+
+        The bulk is the zero-padded convolution on the M x M lattice,
+        M = ``_pad``.  The density fills only its first N rows and columns,
+        and only rows and columns N - 1 to 2N - 2 of the result are read, so
+        no transform runs on a row that is all zeros or never read: the
+        forward pass transforms the N filled columns along axis 0, then
+        every row along axis 1 (equal to ``fft2(psi, s=(M, M))`` to the
+        bit); the inverse pass transforms every column along axis 0, then
+        the N read rows along axis 1.  Each 1-D transform is one that
+        ``ifft2`` makes, so the result is the full padded convolution's to
+        round-off."""
+        N, M = self.N, self._pad
         raw = np.where(self.mask, phi, 0.0)
-        psi = self.conv_frac * raw
-        conv = ifft2(fft2(psi, s=(self._pad, self._pad)) * self._kernel_fft)
-        out = conv[N - 1:2 * N - 1, N - 1:2 * N - 1]
-        out = out + (self._rim_correction @ raw.ravel()).reshape(N, N)
+        spec = fft(self.conv_frac * raw, n=M, axis=0)
+        spec = fft(spec, n=M, axis=1, overwrite_x=True)
+        spec *= self._kernel_fft
+        rows = ifft(spec, axis=0, overwrite_x=True)[N - 1:2 * N - 1]
+        out = ifft(rows, axis=1, overwrite_x=True)[:, N - 1:2 * N - 1]
+        out += (self._rim_correction @ raw.ravel()).reshape(N, N)
         if self._scale != 1.0:
-            out = out * self._scale
+            out *= self._scale
         return np.where(self.mask, out, 0.0)
 
 
@@ -322,11 +335,13 @@ def cg_apply(op: CGOperator, phi):
     values = phi.values if wrapped else phi
     if values.shape[:2] != (op.N, op.N):
         raise GridMismatch(f"operator N={op.N} does not match values of shape {values.shape}")
-    out = np.zeros_like(values)
-    for m in range(values.shape[2] // 2):
-        w = op.apply_complex(values[..., 2 * m] + 1j * values[..., 2 * m + 1])
-        out[..., 2 * m] = w.real
-        out[..., 2 * m + 1] = w.imag
+    # (x, y) interleaved per component is complex128's memory layout, so
+    # each component is read, and its transform written, as a complex view
+    comps = np.ascontiguousarray(values, dtype=np.float64).view(np.complex128)
+    out = np.empty_like(comps)
+    for m in range(comps.shape[2]):
+        out[..., m] = op.apply_complex(comps[..., m])
+    out = out.view(np.float64)
     return DiskMap(phi.grid, out) if wrapped else out
 
 

@@ -24,7 +24,6 @@ import scipy.sparse as sp
 
 from .errors import (InvalidGrid, InvalidParams, OutsideDisk,
                      OutsideInterpolationRange)
-from .structure import ComplexConvention
 
 _MASK_SLACK = 1e-12
 _UNIT_SETS_KEPT = 4      # node counts whose unit-radius operators stay cached
@@ -136,11 +135,19 @@ class DiskGrid:
         densities there through this operator.  It does not depend on r."""
         return self.unit_operator("ring", lambda unit: unit._ring_matrix())
 
+    def interior_extension(self) -> sp.csr_matrix:
+        """``ring_extension``'s columns at the interior nodes: it takes a
+        field's rows at those nodes, in row-major order, to the lattice,
+        extended to the ring as ``ring_extension`` extends it."""
+        return self.unit_operator("ring_interior", lambda unit: unit._ring_matrix()[
+            :, np.flatnonzero(unit.interior)])
+
     def _difference(self, axis: int, values: np.ndarray) -> np.ndarray:
-        # dividing by r = 1 is exact; skipping it only saves a no-op pass
         D = self.unit_operator(("dx", "dy")[axis], lambda unit: unit._diff_matrix(axis))
         out = (D @ values.reshape(self.N * self.N, -1)).reshape(values.shape)
-        return out if self.r == 1.0 else out / self.r
+        if self.r != 1.0:       # dividing by r = 1 is exact, so it is skipped
+            out /= self.r
+        return out
 
     def dx_apply(self, values: np.ndarray) -> np.ndarray:
         return self._difference(0, values)
@@ -347,11 +354,22 @@ def resample(source: DiskMap, grid: DiskGrid, transform=None) -> DiskMap:
     return DiskMap(grid, vals)
 
 
+def _combine(ux: np.ndarray, uy: np.ndarray, bar: bool, out=None) -> np.ndarray:
+    """(ux + i uy) / 2 per complex component if ``bar``, else (ux - i uy) / 2,
+    formed into one output, ``out`` if given (it may be ``ux``), without a
+    product by i (a - (-b) is a + b)."""
+    out = np.empty_like(ux) if out is None else out
+    real, imag = (np.subtract, np.add) if bar else (np.add, np.subtract)
+    real(ux[..., 0::2], uy[..., 1::2], out=out[..., 0::2])
+    imag(ux[..., 1::2], uy[..., 0::2], out=out[..., 1::2])
+    out *= 0.5
+    return out
+
+
 def _wirtinger(u, grid: DiskGrid | None, bar: bool):
     values, g = (u.values, u.grid) if isinstance(u, DiskMap) else (u, grid)
     ux = g.dx_apply(values)
-    iuy = ComplexConvention.mul_i(g.dy_apply(values))
-    out = 0.5 * (ux + iuy if bar else ux - iuy)
+    out = _combine(ux, g.dy_apply(values), bar, out=ux)
     return DiskMap(g, out) if isinstance(u, DiskMap) else out
 
 
@@ -368,6 +386,15 @@ def d_dzbar(u, grid: DiskGrid | None = None):
     """Conjugate Wirtinger derivative (d/dx + i d/dy)/2; zero where
     ``d_dz`` is.  Takes and returns what ``d_dz`` does."""
     return _wirtinger(u, grid, bar=True)
+
+
+def wirtinger_pair(values: np.ndarray, grid: DiskGrid):
+    """``(d_dz, d_dzbar)`` of the ``(N, N, 2n)`` values of a map on ``grid``,
+    both from one pair of lattice differences, each equal to its own
+    function's to the bit."""
+    ux, uy = grid.dx_apply(values), grid.dy_apply(values)
+    dzbar = _combine(ux, uy, bar=True)
+    return _combine(ux, uy, bar=False, out=ux), dzbar
 
 
 def poincare_distance(a, b, r: float = 1.0) -> float:

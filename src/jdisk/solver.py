@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cauchygreen import cg_apply, cg_build
-from .diskgrid import DiskGrid, DiskMap, _axis_cells, d_dz, d_dzbar, eval_interp
+# d_dzbar is not called here; perfbench/spans.py wraps it in this namespace
+from .diskgrid import (DiskGrid, DiskMap, _axis_cells, d_dz, d_dzbar,  # noqa: F401
+                       eval_interp, wirtinger_pair)
 from .errors import Diverged, InvalidParams
 from .structure import ComplexConvention, StructureField, q_field
 
@@ -91,25 +93,28 @@ def _rows(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return values.reshape(-1, values.shape[-1]).take(nodes, axis=0)
 
 
-def _beltrami(J: StructureField, values: np.ndarray, grid: DiskGrid,
-              labels: np.ndarray) -> np.ndarray:
-    """The Beltrami term q(v) dv/dz at the interior nodes of ``grid``, as
-    rows in row-major node order, for the ``(N, N, 2n)`` values of v;
-    ``labels`` are those nodes' coordinates, ``grid.nodes(grid.interior)``."""
-    inner = np.flatnonzero(grid.interior)
+def _beltrami(J: StructureField, values: np.ndarray, dz: np.ndarray,
+              inner: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The Beltrami term q(v) dv/dz at the interior nodes, as rows in
+    row-major node order, for the ``(N, N, 2n)`` values of v and of its
+    ``d_dz``; ``inner`` are those nodes' flat indices,
+    ``np.flatnonzero(grid.interior)``, and ``labels`` their coordinates,
+    ``grid.nodes(grid.interior)``."""
     q = q_field(J, _rows(values, inner), labels=labels)
-    return np.einsum("mij,mj->mi", q, _rows(d_dz(values, grid), inner))
+    return np.einsum("mij,mj->mi", q, _rows(dz, inner))
 
 
 def cr_residual(J: StructureField, v: DiskMap) -> float:
     """Sup over interior nodes of | dv/dzbar - q(v) dv/dz |.
 
     The universal holomorphy certificate for a sampled disk: zero for exact
-    solutions, O(h^2 + quadrature) for solver output.
+    solutions, O(h^2 + quadrature) for solver output.  Both derivatives
+    come from one pair of lattice differences.
     """
     g = v.grid
-    resid = (_rows(d_dzbar(v.values, g), np.flatnonzero(g.interior))
-             - _beltrami(J, v.values, g, g.nodes(g.interior)))
+    inner = np.flatnonzero(g.interior)
+    dz, dzbar = wirtinger_pair(v.values, g)
+    resid = _rows(dzbar, inner) - _beltrami(J, v.values, dz, inner, g.nodes(g.interior))
     return float(np.max(np.linalg.norm(resid, axis=-1)))
 
 
@@ -128,13 +133,17 @@ def _affine_values(grid: DiskGrid, basis: np.ndarray):
     ``grid``'s mask and 0 off it, as ``(N, N, 2n)`` values: the products and
     sums of ``p + ComplexConvention.cmul(basis, d)``, so the same to the
     bit, formed per component on ``(N, N)`` planes, several times faster
-    than broadcasting over the short last axis."""
+    than broadcasting over the short last axis, and written straight into
+    the retained nodes of the result."""
     x, y = basis.real.copy(), basis.imag.copy()
 
     def affine(p, d):
-        i_d = ComplexConvention.mul_i(d)
-        planes = p[:, None, None] + (d[:, None, None] * x + i_d[:, None, None] * y)
-        return np.ascontiguousarray(np.where(grid.mask, planes, 0.0).transpose(1, 2, 0))
+        planes = d[:, None, None] * x + ComplexConvention.mul_i(d)[:, None, None] * y
+        planes += p[:, None, None]
+        out = np.zeros(grid.mask.shape + p.shape)
+        for c, plane in enumerate(planes):
+            np.copyto(out[..., c], plane, where=grid.mask)
+        return out
 
     return affine
 
@@ -172,7 +181,7 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     op = cg_build(grid)
     keep, inner = np.flatnonzero(grid.mask), np.flatnonzero(grid.interior)
     labels = grid.nodes(grid.interior)
-    extend = grid.ring_extension()
+    extend = grid.interior_extension()
     if match is None:
         v = fixed = eps * h.values
     else:
@@ -185,9 +194,8 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
         # derivatives are zero on the boundary ring, so the density is
         # formed at interior nodes and extended to the ring from them (the
         # final certificate is cr_residual)
-        w = np.zeros((grid.N * grid.N, v.shape[-1]))
-        w[inner] = _beltrami(J, v, grid, labels)
-        correction = cg_apply(op, (extend @ w).reshape(v.shape))
+        density = extend @ _beltrami(J, v, d_dz(v, grid), inner, labels)
+        correction = cg_apply(op, density.reshape(v.shape))
         target = fixed if match is None else seed(data - observe(correction))
         new = target + correction
         new_kept = _rows(new, keep)

@@ -202,49 +202,64 @@ def validate_structure(J: StructureField, samples: np.ndarray, tol: float = 1e-1
 
 
 def _cond_numbers(m: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a stack (m, 2n, 2n) of ``Jst + J``.
+    """2-norm condition numbers of a stack (m, 2n, 2n) of ``Jst + J``;
+    for n = 1 those of ``_cond_2x2`` on its entries."""
+    if m.shape[-1] > 2:
+        return np.linalg.cond(m)
+    return _cond_2x2(*m.reshape(-1, 4).T)[1]
 
-    For n = 1 they come in closed form: with ``a, b, c, d`` the entries of
-    ``Jst + J``, its singular values are ``(sqrt(F + 2|det|) +- sqrt(F - 2|det|)) / 2``
+
+def _cond_2x2(a, b, c, d):
+    """Determinants and 2-norm condition numbers of the 2x2 matrices
+    ``[[a, b], [c, d]]`` given by their entry arrays.
+
+    Their singular values are ``(sqrt(F + 2|det|) +- sqrt(F - 2|det|)) / 2``
     with ``F = a^2 + b^2 + c^2 + d^2``, so the condition number
     ``s_max^2 / |det|`` is the exact 2-norm one ``np.linalg.cond`` gives.
     """
-    if m.shape[-1] > 2:
-        return np.linalg.cond(m)
-    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
     det = a * d - b * c
     frob2 = a * a + b * b + c * c + d * d
     two_det = 2.0 * np.abs(det)
     # F - 2|det| = (s_max - s_min)^2 >= 0 up to rounding
     s_max = 0.5 * (np.sqrt(frob2 + two_det) + np.sqrt(np.maximum(frob2 - two_det, 0.0)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(det == 0, np.inf, s_max * s_max / np.abs(det))
+        return det, np.where(det == 0, np.inf, s_max * s_max / np.abs(det))
 
 
 def _dilatation(J: StructureField, mats: np.ndarray):
     """Condition numbers of ``Jst + J`` over a stack (m, 2n, 2n) of values of
     ``J``, and the dilatations ``(Jst + J)^{-1} (Jst - J)``, or None in their
     place when a condition number is non-finite or above ``J.cond_cap``.
-    For n = 1 the inverse is the adjugate over the determinant.
+
+    For n = 1 the inverse is the adjugate over the determinant.  J's four
+    entries are read once, as rows, and the entries of ``Jst + J`` and
+    ``Jst - J`` formed from them by the additions that ``jst + mats`` and
+    ``jst - mats`` make, so both results are those of the stacks to the bit.
     """
-    jst = J.convention.jst_f
-    m = jst + mats
-    conds = _cond_numbers(m)
-    worst = np.max(conds)   # nan wherever a condition number is nan
-    if not (np.isfinite(worst) and worst <= J.cond_cap):
-        return conds, None
-    rhs = jst - mats
     if J.convention.n > 1:
-        return conds, np.linalg.solve(m, rhs)
-    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-    det = a * d - b * c
-    r00, r01, r10, r11 = rhs[:, 0, 0], rhs[:, 0, 1], rhs[:, 1, 0], rhs[:, 1, 1]
-    q = np.empty_like(rhs)
-    q[:, 0, 0] = (d * r00 - b * r10) / det
-    q[:, 0, 1] = (d * r01 - b * r11) / det
-    q[:, 1, 0] = (a * r10 - c * r00) / det
-    q[:, 1, 1] = (a * r11 - c * r01) / det
+        jst = J.convention.jst_f
+        m = jst + mats
+        conds = np.linalg.cond(m)
+        return conds, np.linalg.solve(m, jst - mats) if _within_cap(J, conds) else None
+    j00, j01, j10, j11 = mats.reshape(-1, 4).T
+    a, b, c, d = 0.0 + j00, j01 - 1.0, 1.0 + j10, 0.0 + j11                # Jst + J
+    det, conds = _cond_2x2(a, b, c, d)
+    if not _within_cap(J, conds):
+        return conds, None
+    r00, r01, r10, r11 = 0.0 - j00, -1.0 - j01, 1.0 - j10, 0.0 - j11       # Jst - J
+    q = np.empty(mats.shape)
+    q00, q01, q10, q11 = q.reshape(-1, 4).T
+    np.divide(d * r00 - b * r10, det, out=q00)
+    np.divide(d * r01 - b * r11, det, out=q01)
+    np.divide(a * r10 - c * r00, det, out=q10)
+    np.divide(a * r11 - c * r01, det, out=q11)
     return conds, q
+
+
+def _within_cap(J: StructureField, conds: np.ndarray) -> bool:
+    """Whether every condition number is finite and at most ``J.cond_cap``."""
+    worst = np.max(conds)   # nan wherever a condition number is nan
+    return bool(np.isfinite(worst) and worst <= J.cond_cap)
 
 
 def q_matrix(J: StructureField, v: np.ndarray) -> np.ndarray:

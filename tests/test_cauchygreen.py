@@ -5,6 +5,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.fft import fft2, ifft2
 from scipy.integrate import quad
 
 from jdisk import cauchygreen, diskgrid
@@ -322,6 +323,55 @@ def test_transform_matches_dense_row_summation():
     got = cg_apply(op, phi).component_complex(0)[g.mask]
     want = dense @ phi_c
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [9, 33, 129])
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_pruned_apply_is_the_full_padded_convolution(N, r):
+    # apply_complex transforms only the rows the density fills and the rows
+    # it reads; the unpruned padded convolution gives the same to round-off
+    op = cg_build(make_grid(r, N))
+    rng = np.random.default_rng(N)
+    phi = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    phi[~op.mask] = np.nan                     # off the disk it is never read
+    raw = np.where(op.mask, phi, 0.0)
+    M = op._pad
+    conv = ifft2(fft2(op.conv_frac * raw, s=(M, M)) * op._kernel_fft)
+    bulk = conv[N - 1:2 * N - 1, N - 1:2 * N - 1]
+    rim = (op._rim_correction @ raw.ravel()).reshape(N, N)
+    want = np.where(op.mask, (bulk + rim) * r, 0.0)
+    got = op.apply_complex(phi)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.all(got[~op.mask] == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_apply_reads_every_memory_layout_to_the_bit(n):
+    g = make_grid(2.5, 33)
+    op = cg_build(g)
+    vals = np.random.default_rng(n).standard_normal((33, 33, 2 * n))
+    want = cg_apply(op, vals)
+    wide = np.zeros((33, 33, 4 * n))
+    wide[..., ::2] = vals
+    swapped = vals.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+    for layout in (np.asfortranarray(vals), wide[..., ::2], swapped):
+        assert cg_apply(op, layout).tobytes() == want.tobytes()
+    # each component (x, y) is the complex value x + iy, transformed alone
+    for m in range(n):
+        w = op.apply_complex(vals[..., 2 * m] + 1j * vals[..., 2 * m + 1])
+        assert np.array_equal(want[..., 2 * m], w.real)
+        assert np.array_equal(want[..., 2 * m + 1], w.imag)
+
+
+def test_apply_never_writes_into_its_input(op33, g33):
+    vals = np.random.default_rng(3).standard_normal((33, 33, 4))
+    for layout in (vals, np.asfortranarray(vals), vals[..., ::-1]):
+        before = layout.copy()
+        layout.setflags(write=False)           # a write would raise
+        cg_apply(op33, layout)
+        cg_apply(op33, DiskMap(g33, layout))
+        assert np.array_equal(layout, before, equal_nan=True)
+        layout.setflags(write=True)
 
 
 def test_transform_analytic_identities_for_polynomial_densities():

@@ -10,7 +10,8 @@ from jdisk import diskgrid
 from jdisk.brody import sup_poincare_derivative
 from jdisk.diskgrid import (DiskGrid, DiskMap, d_dz, d_dzbar, eval_interp,
                             make_grid, mobius_swap, node_max,
-                            poincare_distance, resample, to_csv)
+                            poincare_distance, resample, to_csv,
+                            wirtinger_pair)
 from jdisk.errors import (InvalidGrid, OutsideDisk, OutsideInterpolationRange)
 from jdisk.structure import ComplexConvention
 
@@ -46,6 +47,30 @@ def test_ring_rows_read_interior_nodes_and_differences_stay_interior(N):
     for axis in (0, 1):
         D = g._diff_matrix(axis)
         assert np.array_equal(np.flatnonzero(D.getnnz(axis=1)), np.flatnonzero(inner))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [1.0, 0.37])
+def test_one_difference_pair_gives_both_derivatives_to_the_bit(r, n):
+    g = make_grid(r, 33)
+    v = np.random.default_rng(n).standard_normal((33, 33, 2 * n))
+    dz, dzbar = wirtinger_pair(v, g)
+    assert dz.tobytes() == d_dz(v, g).tobytes()
+    assert dzbar.tobytes() == d_dzbar(v, g).tobytes()
+    # (ux -+ i uy) / 2 per component, from the two lattice differences
+    ux, uy = (ComplexConvention.to_complex(d(v)) for d in (g.dx_apply, g.dy_apply))
+    for got, want in ((dz, 0.5 * (ux - 1j * uy)), (dzbar, 0.5 * (ux + 1j * uy))):
+        assert np.allclose(ComplexConvention.to_complex(got), want, rtol=0, atol=1e-12)
+
+
+def test_interior_extension_is_the_ring_extension_of_interior_rows():
+    g = make_grid(2.5, 33)
+    inner = np.flatnonzero(g.interior)
+    rows = np.random.default_rng(5).standard_normal((inner.size, 2))
+    full = np.zeros((33 * 33, 2))
+    full[inner] = rows
+    assert (g.interior_extension() @ rows).tobytes() == (g.ring_extension() @ full).tobytes()
+    assert g.interior_extension() is make_grid(0.5, 33).interior_extension()
 
 
 @pytest.mark.parametrize("r", [1.0, 0.37])

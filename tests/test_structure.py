@@ -6,8 +6,9 @@ import pytest
 
 from jdisk.errors import InvalidParams, Singular, UnknownName
 from jdisk.structure import (ComplexConvention, DomainDescriptor,
-                             StructureField, _validation_lattice, gallery,
-                             q_field, q_matrix, validate_structure)
+                             StructureField, _cond_numbers, _dilatation,
+                             _validation_lattice, gallery, q_field, q_matrix,
+                             validate_structure)
 
 
 def test_jst_squares_to_minus_identity_exactly():
@@ -199,6 +200,52 @@ def test_singular_conjugation_raises_singular(n):
     with pytest.raises(Singular) as info:
         q_field(J, pts)
     assert info.value.where == pts[1].tolist()
+
+
+def _adjugate_dilatation(mats):
+    """(Jst + J)^{-1} (Jst - J) for n = 1 as the adjugate over the
+    determinant, formed on the (m, 2, 2) stacks Jst + J and Jst - J, and the
+    condition numbers of Jst + J."""
+    jst = ComplexConvention(1).jst_f
+    m, rhs = jst + mats, jst - mats
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    det = a * d - b * c
+    q = np.empty_like(rhs)
+    q[:, 0, 0] = (d * rhs[:, 0, 0] - b * rhs[:, 1, 0]) / det
+    q[:, 0, 1] = (d * rhs[:, 0, 1] - b * rhs[:, 1, 1]) / det
+    q[:, 1, 0] = (a * rhs[:, 1, 0] - c * rhs[:, 0, 0]) / det
+    q[:, 1, 1] = (a * rhs[:, 1, 1] - c * rhs[:, 0, 1]) / det
+    return _cond_numbers(m), q
+
+
+def test_entry_row_dilatation_is_the_adjugate_formula_to_the_bit(rng):
+    # J = S Jst S^-1 for random S, plus Jst itself with signed zeros
+    s = rng.normal(size=(500, 2, 2))
+    jst = ComplexConvention(1).jst_f
+    mats = s @ jst @ np.linalg.inv(s)
+    mats[:2] = [[[0.0, -1.0], [1.0, 0.0]], [[-0.0, -1.0], [1.0, -0.0]]]
+    conds, q = _dilatation(_constant_field(mats, cond_cap=np.inf), mats)
+    want_conds, want = _adjugate_dilatation(mats)
+    assert conds.tobytes() == want_conds.tobytes()
+    assert q.tobytes() == want.tobytes()
+    assert np.allclose(conds, np.linalg.cond(jst + mats), rtol=1e-8)
+
+
+def test_one_ill_conditioned_point_raises_with_its_label_and_cond():
+    mats = np.broadcast_to(gallery("conjugated", epsilon=0.3).eval(np.array([[0.4, 0.1]])),
+                           (6, 2, 2)).copy()
+    # Jst + J = [[1, 1], [1, 1 + 1e-10]] at the fourth point
+    mats[3] = [[1.0, 2.0], [0.0, 1.0 + 1e-10]]
+    labels = np.arange(12.0).reshape(6, 2)
+    want_conds, _ = _adjugate_dilatation(mats)
+    J = _constant_field(mats)
+    assert np.argmax(want_conds) == 3 and want_conds[3] > J.cond_cap
+    with pytest.raises(Singular) as info:
+        q_field(J, np.zeros((6, 2)), labels=labels)
+    assert info.value.where == [6.0, 7.0]
+    assert str(info.value) == f"Jst + J ill conditioned (cond={want_conds[3]:.3e}) at [6.0, 7.0]"
+    conds, q = _dilatation(J, mats)
+    assert q is None and conds.tobytes() == want_conds.tobytes()
 
 
 def test_q_matrix_matches_dense_inverse_oracle():
