@@ -168,7 +168,7 @@ def rescale_step(f: DiskMap):
     if r_n <= 0.0:
         raise ZeroDerivative("map has zero derivative at the origin")
     g_grid = f.grid.scaled(r_n)
-    return DiskMap(g_grid, f.values.copy()), r_n
+    return DiskMap(g_grid, f.values), r_n
 
 
 @dataclass

@@ -205,6 +205,31 @@ def _axis_cells(g: DiskGrid, x: np.ndarray):
     return j, f - j
 
 
+def _bilinear_cells(g: DiskGrid, pts: np.ndarray):
+    """The bilinear cell of each complex point of ``pts`` on ``g``, as
+    ``(corners, weights, s, t)``: the flat node indices of its four corners
+    and their weights, both (4, m) in the order that ``DiskMap.sample`` sums
+    them, and the offsets s, t in [0, 1] along each axis.  Raises
+    ``OutsideInterpolationRange`` for a point beyond |z| <= r - h or whose
+    cell has a corner off the disk."""
+    radius = np.abs(pts)
+    limit = g.r - g.h
+    if (radius > limit * (1.0 + 1e-12)).any():
+        z = pts[np.argmax(radius)]
+        raise OutsideInterpolationRange(
+            f"point {z} at |z|={abs(z):.6g} beyond interpolation limit {limit:.6g}")
+    j, s = _axis_cells(g, pts.real)
+    k, t = _axis_cells(g, pts.imag)
+    N = g.N
+    corners = (j * N + k) + np.array([0, N, 1, N + 1])[:, None]
+    inside = g.mask.ravel().take(corners).all(axis=0)
+    if not inside.all():
+        raise OutsideInterpolationRange(
+            f"cell around point {pts[np.argmin(inside)]} extends beyond the disk")
+    weights = np.stack([(1 - s) * (1 - t), s * (1 - t), (1 - s) * t, s * t])
+    return corners, weights, s, t
+
+
 @dataclass
 class DiskMap:
     """Grid samples of a map disk -> R^{2n}; values are zero off the disk."""
@@ -237,60 +262,36 @@ class DiskMap:
         return float(np.max(np.abs(self.values[self.grid.mask])))
 
     def sample(self, points, method: str = "bilinear") -> np.ndarray:
-        """Interpolate at points (complex array or (m, 2)); returns (m, 2n).
+        """Interpolate at complex points; returns (m, 2n).
 
         ``bilinear`` needs the full surrounding cell; ``cubic`` uses a 4x4
         Catmull-Rom stencil and silently falls back to bilinear where that
         stencil leaves the disk.
         """
-        pts = np.asarray(points)
-        if pts.dtype.kind != "c":
-            pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-            pts = pts[..., 0] + 1j * pts[..., 1]
-        pts = np.atleast_1d(pts)
-        g = self.grid
-        radius = np.abs(pts)
-        limit = g.r - g.h
-        bad = radius > limit * (1.0 + 1e-12)
-        if bad.any():
-            z = pts[np.argmax(radius)]
-            raise OutsideInterpolationRange(
-                f"point {z} at |z|={abs(z):.6g} beyond interpolation limit {limit:.6g}")
-
-        j, s = _axis_cells(g, pts.real)
-        k, t = _axis_cells(g, pts.imag)
-        N = g.N
-
-        node = j * N + k
-        inside = g.mask.ravel()
+        pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+        corners, weights, s, t = _bilinear_cells(self.grid, pts)
+        N = self.grid.N
         # component-major values, so gathers and products run along the points
         comps = np.ascontiguousarray(self.values.reshape(N * N, -1).T)
 
-        def all_inside(nodes, offsets):
-            return np.logical_and.reduce([inside.take(nodes + o) for o in offsets])
-
-        def near(nodes, offset):
-            return comps.take(nodes + offset, axis=1)
-
-        corners_ok = all_inside(node, (0, N, 1, N + 1))
-        if not corners_ok.all():
-            i = int(np.argmin(corners_ok))
-            raise OutsideInterpolationRange(
-                f"cell around point {pts[i]} extends beyond the disk")
-
         def bilinear(sel):
-            n, a, b = node[sel], s[sel], t[sel]
-            return ((1 - a) * (1 - b)) * near(n, 0) + (a * (1 - b)) * near(n, N) \
-                + ((1 - a) * b) * near(n, 1) + (a * b) * near(n, N + 1)
+            w, c = weights[:, sel], corners[:, sel]
+            out = w[0] * comps.take(c[0], axis=1)
+            for i in (1, 2, 3):
+                out += w[i] * comps.take(c[i], axis=1)
+            return out
 
         if method == "bilinear":
             return bilinear(slice(None)).T
         if method != "cubic":
             raise InvalidParams(f"unknown interpolation method {method!r}")
 
-        stencil = [(a - 1) * N + b - 1 for a in range(4) for b in range(4)]
-        ok = (j >= 1) & (j + 2 < N) & (k >= 1) & (k + 2 < N)
-        ok[ok] = all_inside(node[ok], stencil)
+        # a cell inside the disk is at least one node from the lattice edge,
+        # and the disk is convex, so the stencil j-1..j+2, k-1..k+2 lies in
+        # the disk when its four corner nodes do
+        node = corners[0]
+        ok = self.grid.mask.ravel().take(
+            node + np.array([-N - 1, -N + 2, 2 * N - 1, 2 * N + 2])[:, None]).all(axis=0)
         out = np.empty((comps.shape[0], node.size))
         out[:, ~ok] = bilinear(~ok)
         if ok.any():
@@ -300,7 +301,7 @@ class DiskMap:
             acc = np.zeros((comps.shape[0], nodes.size))
             for a in range(4):
                 for b in range(4):
-                    acc += (wx[a] * wy[b]) * near(nodes, stencil[4 * a + b])
+                    acc += (wx[a] * wy[b]) * comps.take(nodes + ((a - 1) * N + b - 1), axis=1)
             out[:, ok] = acc
         return out.T
 

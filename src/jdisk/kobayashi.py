@@ -277,9 +277,6 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
     probes: list = []
 
     def feasible(lam: float) -> bool:
-        if lam == 0.0:
-            probes.append((0.0, True))
-            return True
         try:
             sol = derivative_disk(J, p, lam * nu, cfg, grid)
         except (Diverged, Singular):

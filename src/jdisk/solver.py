@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cauchygreen import cg_apply, cg_build
-# d_dzbar is not called here; perfbench/spans.py wraps it in this namespace
-from .diskgrid import (DiskGrid, DiskMap, _axis_cells, d_dz, d_dzbar,  # noqa: F401
-                       eval_interp, wirtinger_pair)
+# d_dzbar and eval_interp are not called here; perfbench/spans.py wraps
+# them in this namespace
+from .diskgrid import (DiskGrid, DiskMap, _bilinear_cells, _combine, d_dz,  # noqa: F401
+                       d_dzbar, eval_interp, wirtinger_pair)
 from .errors import Diverged, InvalidParams
 from .structure import ComplexConvention, StructureField, q_field
 
@@ -125,7 +126,7 @@ def affine_target(p: np.ndarray, q: np.ndarray, t: float, grid: DiskGrid) -> Dis
     q = np.asarray(q, dtype=np.float64)
     if not 0.0 < t < grid.r:
         raise InvalidParams(f"interpolation node t must lie in (0, {grid.r:.4g}), got {t}")
-    return DiskMap(grid, p + ComplexConvention.cmul(grid.Z / t, q - p))
+    return DiskMap(grid, _affine_values(grid, grid.Z / t)(p, q - p))
 
 
 def _affine_values(grid: DiskGrid, basis: np.ndarray):
@@ -231,9 +232,10 @@ def check_node(t: float, grid: DiskGrid) -> None:
     The bound scales with the grid, so on r > 1 a node t >= 1 is valid."""
     if not t > 0.0:
         raise InvalidParams(f"t must be positive, got {t}")
-    # the bilinear cell at t must lie in the disk; sampling snaps t to a node
-    # within 1e-9 h, and the cell of the node r - h has a corner off the disk
-    if t >= grid.r - grid.h * (1.0 + 1e-9):
+    # the bilinear cell at t must lie in the disk; the cell of the node r - h
+    # has a corner off the disk, and sampling snaps t onto it from within
+    # 1e-9 h plus the round-off of (t + r) / h, so t stays 2e-9 h below it
+    if t >= grid.r - grid.h * (1.0 + 2e-9):
         raise InvalidParams(
             f"t={t} is not below the interpolation limit {grid.r - grid.h:.4g} of the grid")
 
@@ -259,20 +261,17 @@ def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
     def seed(y):
         return affine(y[:dim], y[dim:] - y[:dim])
 
-    # eval_interp's bilinear value at t: its cell and weights, formed once
-    # and summed in the order of DiskMap.sample, so reads are the same to
-    # the bit; the one eval_interp call rejects a cell that leaves the disk
-    h = DiskMap(grid, seed(data))
-    eval_interp(h, complex(t, 0.0))
-    (j,), (a,) = _axis_cells(grid, np.array([t]))
-    (k,), (b,) = _axis_cells(grid, np.zeros(1))
-    w00, w10, w01, w11 = (1 - a) * (1 - b), a * (1 - b), (1 - a) * b, a * b
+    # eval_interp's bilinear cell at t, located once; its four rows are
+    # summed in the order of DiskMap.sample, so reads are the same to the bit
+    corners, weights, _, _ = _bilinear_cells(grid, np.array([complex(t)]))
+    (c0, c1, c2, c3), (w0, w1, w2, w3) = corners[:, 0], weights[:, 0]
 
     def observe(v):
-        at_t = w00 * v[j, k] + w10 * v[j + 1, k] + w01 * v[j, k + 1] + w11 * v[j + 1, k + 1]
+        rows = v.reshape(-1, v.shape[-1])
+        at_t = w0 * rows[c0] + w1 * rows[c1] + w2 * rows[c2] + w3 * rows[c3]
         return np.concatenate([v[center], at_t])
 
-    return picard_solve(J, cfg, h, match=(seed, observe, data))
+    return picard_solve(J, cfg, DiskMap(grid, seed(data)), match=(seed, observe, data))
 
 
 def derivative_disk(J: StructureField, p, w, cfg: SolverConfig,
@@ -295,6 +294,6 @@ def derivative_disk(J: StructureField, p, w, cfg: SolverConfig,
     def observe(v):
         # d_dz(v) at the origin: its two centred differences there alone
         dx, dy = grid.dx_at_center(v), grid.dx_at_center(v, axis=1)
-        return np.concatenate([v[center], 0.5 * (dx - ComplexConvention.mul_i(dy))])
+        return np.concatenate([v[center], _combine(dx, dy, bar=False)])
 
     return picard_solve(J, cfg, DiskMap(grid, seed(data)), match=(seed, observe, data))

@@ -203,13 +203,18 @@ def test_cubic_sampling_beats_bilinear_for_smooth_maps(grid65):
     assert np.max(np.abs(cub - exact)) < 0.2 * np.max(np.abs(bil - exact))
 
 
+def lattice_cell(grid, z):
+    """Indices (j, k) of the lattice cell around the point z."""
+    return (int(np.floor((z.real + grid.r) / grid.h + 1e-9)),
+            int(np.floor((z.imag + grid.r) / grid.h + 1e-9)))
+
+
 def stencil_leaves_disk(grid, pts):
     """Whether the 4x4 Catmull-Rom stencil around each point has a node
     off the lattice or off the disk, checked node by node."""
     out = []
     for z in pts:
-        j = int(np.floor((z.real + grid.r) / grid.h + 1e-9))
-        k = int(np.floor((z.imag + grid.r) / grid.h + 1e-9))
+        j, k = lattice_cell(grid, z)
         rows = [j + a for a in range(-1, 3)]
         cols = [k + b for b in range(-1, 3)]
         on = all(0 <= i < grid.N for i in rows + cols)
@@ -217,14 +222,18 @@ def stencil_leaves_disk(grid, pts):
     return np.array(out)
 
 
-def test_cubic_sample_is_bilinear_exactly_where_the_stencil_leaves_the_disk(grid33):
+@pytest.mark.parametrize("r, N", [(1.0, 33), (2.5, 33), (1.0, 9), (1.0, 65)])
+def test_cubic_sample_is_bilinear_exactly_where_the_stencil_leaves_the_disk(r, N):
     # Catmull-Rom reproduces quadratics, so off the rim the cubic value is
     # z^2 to round-off; where the stencil leaves the disk it is bilinear
-    g = grid33
+    g = make_grid(r, N)
     u = complex_map(g, lambda z: z ** 2)
     rng = np.random.default_rng(7)
-    rad = (g.r - g.h) * np.sqrt(rng.uniform(0.0, 1.0, 400))
-    pts = rad * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 400))
+    rad = (g.r - g.h) * np.sqrt(rng.uniform(0.0, 1.0, 1000))
+    pts = rad * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 1000))
+    # only points whose bilinear cell lies in the disk can be sampled
+    cells = [lattice_cell(g, z) for z in pts]
+    pts = pts[[g.mask[j:j + 2, k:k + 2].all() for j, k in cells]]
     leaves = stencil_leaves_disk(g, pts)
     assert 20 < leaves.sum() < pts.size - 20
     cub = u.sample(pts, method="cubic")

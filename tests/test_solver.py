@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jdisk import solver
-from jdisk.diskgrid import DiskMap, d_dz, eval_interp, make_grid
+from jdisk.diskgrid import DiskMap, _bilinear_cells, d_dz, eval_interp, make_grid
 from jdisk.errors import Diverged, InvalidParams
-from jdisk.solver import (SolverConfig, affine_target, cr_residual,
+from jdisk.solver import (SolverConfig, affine_target, check_node, cr_residual,
                           derivative_disk, picard_solve, two_point_disk)
 from jdisk.structure import ComplexConvention, gallery, q_field
 
@@ -187,6 +189,27 @@ def test_two_point_observe_is_eval_interp_to_the_bit(r, N, t, n, monkeypatch, rn
         u = DiskMap(grid, rng.normal(size=(N, N, 2 * n)))
         expect = np.concatenate([u.value_at_center(), eval_interp(u, complex(t, 0.0))])
         assert np.array_equal(observe(u.values), expect)
+
+
+@settings(max_examples=300, deadline=None)
+@given(half=st.integers(4, 128), r=st.floats(0.1, 10.0), u=st.floats(0.0, 1.0),
+       slack=st.sampled_from([0.0, 1e-9, 2e-9]) | st.floats(0.0, 1e-8),
+       ulps=st.integers(0, 3), near_limit=st.booleans())
+def test_every_node_check_node_accepts_has_its_bilinear_cell_in_the_disk(
+        half, r, u, slack, ulps, near_limit):
+    # check_node is the only check on t before two_point_disk locates its
+    # cell: for t < r - h the far corner (x_{j+1}, h) has |.|^2 <=
+    # (r - h)^2 + h^2 < r^2, and t must stay clear of the node snap onto
+    # r - h, hence the t drawn a few floats below r - h (1 + slack)
+    grid = make_grid(r, 2 * half + 1)
+    t = grid.r - grid.h * (1.0 + slack) if near_limit else u * grid.r
+    for _ in range(ulps):
+        t = np.nextafter(t, 0.0)
+    try:
+        check_node(t, grid)
+    except InvalidParams:
+        assume(False)
+    _bilinear_cells(grid, np.array([complex(t)]))
 
 
 @pytest.mark.parametrize("r", [1.0, 2.5])
