@@ -8,18 +8,26 @@ normalized so that d/dzbar (P phi) = phi on the interior; that identity is
 the defining property and is what ``cg_residual`` measures.
 
 Quadrature layout.  Every retained node owns the square cell of side h
-centered on it, and the kernel is integrated exactly over each full cell
-via the boundary form
+centered on it, and the kernel is integrated exactly over each full cell.
+Each cell is integrated about its node c, at targets d = c + h (dj + i dk).
+A target within 3.5 h of c takes the boundary form
 
     integral over cell of dA(eta) / (d - eta)
-        = (1/2i) * contour integral of conj(eta) / (d - eta) d eta,
+        = (1/2i) * contour integral of conj(eta - c) / (d - eta) d eta,
 
 evaluated with per-edge Gauss quadrature (machine precision since the pole
-sits off the cell); the singular self cell integrates to exactly zero by
-symmetry.  These weights depend only on the index offset between target
-and source, so the bulk of the operator is a 2-D convolution, evaluated
-with cached FFTs; the result reproduces a dense node-by-node weight matrix
-without storing one.
+sits off the cell; the contour integral of 1/(d - eta) vanishes, so taking
+conj(eta - c) for conj(eta) changes only the round-off, which it keeps at
+the cell's scale instead of |c|'s).  A farther target takes the cell's
+Laurent (multipole) series sum_k M_k / (d - c)^(k+1), whose moments M_k,
+the integrals of (eta - c)^k over the cell, come from the same boundary
+form on the same Gauss nodes; its terms fall like ((h / sqrt 2) / (3.5 h))^k,
+and as every d - c is a lattice offset, all cells share the powers and the
+far targets of every cell take one matrix product.  The singular self cell
+integrates to exactly zero by symmetry.  These weights depend only on
+the index offset between target and source, so the bulk of the operator is
+a 2-D convolution, evaluated with cached FFTs; the result reproduces a
+dense node-by-node weight matrix without storing one.
 
 Boundary treatment.  Every cell the circle cuts is described by one list
 of contour pieces (clipped cell edges plus circular arcs), which gives
@@ -47,16 +55,27 @@ are made their own image, so the kernel and the fractions are D4-invariant.
 from __future__ import annotations
 
 import copy
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft, fft2, ifft, next_fast_len
 
 from .diskgrid import DiskGrid, DiskMap, d_dzbar
 from .errors import GridMismatch
 
-_EDGE_GAUSS = 24       # quadrature points per cell edge
+_EDGE_GAUSS = 24       # quadrature points per contour piece
+# A target fewer than _NEAR_RADIUS lattice steps from a cell's centre c
+# takes the contour rule, a farther one the cell's first _SERIES_TERMS
+# Laurent terms.  The cell lies within h / sqrt(2) of c, so the k-th term
+# is at most rho^k times the first, rho = (h / sqrt 2) / (3.5 h) ~= 0.20,
+# and the dropped tail at most rho^24 / (1 - rho) ~= 3e-17 of it.
+_NEAR_RADIUS = 3.5
+_SERIES_TERMS = 24
+_RIM_BLOCK = 1 << 15   # rim entries assembled at a time
+
 # lattice offsets by distance, scan order among ties: a cut cell's column is
 # the first of them that is a retained node, the same at every radius
 _NEAREST = sorted(((dj, dk) for dj in (-1, 0, 1) for dk in (-1, 0, 1)),
@@ -137,29 +156,62 @@ def _clipped_cell_pieces(x0, x1, y0, y1, r):
     return pieces
 
 
-def _clipped_region_integral_many(ds: np.ndarray, pieces, r,
-                                  gauss_nodes, gauss_weights) -> np.ndarray:
-    """Integral of 1/(d - eta) over the region bounded by ``pieces`` (one or
-    more closed contours), simultaneously for every d in the 1-D array
-    ``ds`` (all off the contours)."""
-    ds = np.asarray(ds, dtype=np.complex128)
-    total = np.zeros(ds.shape, dtype=np.complex128)
+def _contour_nodes(pieces, r, gauss_nodes, gauss_weights, centre=0j):
+    """The Gauss nodes of every piece of ``pieces``, measured from
+    ``centre``, and each node's weight times d eta, as two 1-D complex
+    arrays."""
+    etas, detas = [], []
     for piece in pieces:
         if piece[0] == "seg":
             _, P0, P1 = piece
-            mid = 0.5 * (P0 + P1)
             half = 0.5 * (P1 - P0)
-            eta = mid + half * gauss_nodes
-            coeff = gauss_weights * np.conj(eta) * half
+            eta = 0.5 * (P0 + P1) + half * gauss_nodes
+            deta = gauss_weights * half
         else:
             _, th0, th1 = piece
-            mid = 0.5 * (th0 + th1)
             half = 0.5 * (th1 - th0)
-            eta = r * np.exp(1j * (mid + half * gauss_nodes))
-            coeff = gauss_weights * (1j * eta * half) * np.conj(eta)
-        w = ds[None, :] - eta[:, None]
-        total += np.divide(coeff[:, None], w, out=w).sum(axis=0)
-    return total / 2j
+            eta = r * np.exp(1j * (0.5 * (th0 + th1) + half * gauss_nodes))
+            deta = gauss_weights * (1j * eta * half)
+        etas.append(eta)
+        detas.append(deta)
+    return np.concatenate(etas) - centre, np.concatenate(detas)
+
+
+def _clipped_region_integral_many(ds: np.ndarray, contour) -> np.ndarray:
+    """Integral of 1/(d - eta) over the region bounded by ``contour``, the
+    ``_contour_nodes`` of one or more closed contours, simultaneously for
+    every d in the 1-D array ``ds`` (all outside the region, and measured
+    from the nodes' centre)."""
+    eta, deta = contour
+    w = np.asarray(ds, dtype=np.complex128)[None, :] - eta[:, None]
+    coeff = deta * np.conj(eta)
+    return np.divide(coeff[:, None], w, out=w).sum(axis=0) / 2j
+
+
+def _moments(contours) -> np.ndarray:
+    """The (_SERIES_TERMS, cells) moments M_k = (1/2i) * contour integral
+    of eta^k conj(eta) d eta, the integral of eta^k over the cell, from
+    each cell's ``_contour_nodes`` measured from its centre."""
+    sizes = [eta.size for eta, _ in contours]
+    eta = np.concatenate([eta for eta, _ in contours])
+    term = np.concatenate([deta for _, deta in contours]) * np.conj(eta) / 2j
+    starts = np.cumsum([0] + sizes[:-1])
+    moments = np.empty((_SERIES_TERMS, len(contours)), dtype=np.complex128)
+    for k in range(_SERIES_TERMS):
+        moments[k] = np.add.reduceat(term, starts)
+        term *= eta
+    return moments
+
+
+def _far_field(w: np.ndarray, moments: np.ndarray, out=None) -> np.ndarray:
+    """Each cell's series sum_k M_k w^(k+1) at every w = 1 / (d - c) of
+    ``w``, as (cells, targets), into ``out`` if given: one matrix product
+    of the moments with the powers of w (a w of 0 reads 0)."""
+    powers = np.empty((_SERIES_TERMS, w.size), dtype=np.complex128)
+    powers[0] = w
+    for k in range(1, _SERIES_TERMS):
+        np.multiply(powers[k - 1], w, out=powers[k])
+    return np.matmul(moments.T, powers, out=out)
 
 
 def _region_area(pieces, r) -> float:
@@ -176,6 +228,195 @@ def _region_area(pieces, r) -> float:
     return float((total / 2j).real)
 
 
+class _CutCells(NamedTuple):
+    """The cells the circle cuts, in scan order: their indices, the flat
+    index of the column that carries each, and the index of each one's
+    octant representative, whose offsets from the centre are
+    ``(ra[i], rb[i])``, ra >= rb >= 0."""
+    j: np.ndarray
+    k: np.ndarray
+    column: np.ndarray
+    rep: np.ndarray
+    ra: np.ndarray
+    rb: np.ndarray
+
+
+def _cut_cells(grid: DiskGrid, cut: np.ndarray) -> _CutCells:
+    """The cells of ``cut``; a cell's column is the first of ``_NEAREST``
+    that is a retained node."""
+    N, c = grid.N, (grid.N - 1) // 2
+    j, k = np.nonzero(cut)
+    # for N >= 9 every cut cell has a retained node among its neighbours
+    retained = np.pad(grid.mask, 1)
+    hit = np.array([retained[j + 1 + dj, k + 1 + dk] for dj, dk in _NEAREST])
+    step = np.array(_NEAREST)[hit.argmax(axis=0)]
+    a, b = np.abs(j - c), np.abs(k - c)
+    reps, rep = np.unique(np.maximum(a, b) * N + np.minimum(a, b), return_inverse=True)
+    ra, rb = np.divmod(reps, N)
+    return _CutCells(j, k, (j + step[:, 0]) * N + k + step[:, 1], rep, ra, rb)
+
+
+def _integrals(grid: DiskGrid, trusted: np.ndarray, cuts: _CutCells):
+    """1/pi times the integral of 1/(d - eta) over the full cell at the
+    origin, at d = h (dj + i dk) on the octant 0 <= dk <= dj, and over each
+    representative's clipped cell, at d = its centre + h (dj + i dk) on the
+    trusted nodes of a box one step wider than the correction radius.
+    Untrusted box nodes hold NaN, so sets that are not D4-symmetric fail
+    the build instead of reading zeros.  Returns the octant, the boxes
+    (``boxes[0]``, and i times them in ``boxes[1]``, which the rim columns
+    read for cells with the coordinates swapped) and the representatives'
+    inside areas in units of h^2."""
+    N, h, r = grid.N, grid.h, grid.r
+    half, c, m = 0.5 * h, (N - 1) // 2, _correction_radius(N)
+    W = 2 * m + 3          # side of a representative's box
+    jr, kr = c + cuts.ra, c + cuts.rb
+    # the cell at the origin is uncut, so its pieces are its four edges
+    pieces = [_clipped_cell_pieces(-half, half, -half, half, r)] + [
+        _clipped_cell_pieces(grid.X[a, b] - half, grid.X[a, b] + half,
+                             grid.Y[a, b] - half, grid.Y[a, b] + half, r)
+        for a, b in zip(jr, kr)]
+    gauss = leggauss(_EDGE_GAUSS)
+    contours = [_contour_nodes(p, r, *gauss, z)
+                for p, z in zip(pieces, np.concatenate([[0j], grid.Z[jr, kr]]))]
+    moments = _moments(contours)
+
+    # the octant by rows; the singular self cell is exactly 0
+    dj, dk = (i[1:] for i in np.tril_indices(N))
+    ds = h * (dj + 1j * dk)
+    near = dj * dj + dk * dk < _NEAR_RADIUS ** 2
+    octant = np.zeros((N, N), dtype=np.complex128)
+    octant[dj[near], dk[near]] = _clipped_region_integral_many(ds[near], contours[0])
+    octant[dj[~near], dk[~near]] = _far_field(1.0 / ds[~near], moments[:, :1])[0]
+    octant /= np.pi
+
+    # the boxes by flat place: every far place of every box in one product,
+    # then the near trusted places box by box
+    oj, ok = np.divmod(np.arange(W * W), W) - np.array(m + 1)
+    ds = h * (oj + 1j * ok)
+    near = oj * oj + ok * ok < _NEAR_RADIUS ** 2
+    inbox = sliding_window_view(np.pad(trusted, m + 1), (W, W))[jr, kr].reshape(jr.size, -1)
+    stack = np.empty((2, *inbox.shape), dtype=np.complex128)
+    boxes = _far_field(np.divide(1.0, ds, out=np.zeros_like(ds), where=~near), moments[:, 1:],
+                       out=stack[0])
+    at = np.flatnonzero(near)
+    for i, contour in enumerate(contours[1:]):
+        sel = at[inbox[i, at]]
+        if sel.size:
+            boxes[i, sel] = _clipped_region_integral_many(ds[sel], contour)
+    boxes[~inbox] = np.nan
+    boxes /= np.pi
+    boxes = boxes.reshape(-1, W, W)
+    on = cuts.rb == 0                                   # its own conj image
+    boxes[on] = 0.5 * (boxes[on] + np.conj(boxes[on][:, :, ::-1]))
+    on = cuts.ra == cuts.rb                             # its own -i conj image
+    boxes[on] = 0.5 * (boxes[on] - 1j * np.conj(boxes[on].transpose(0, 2, 1)))
+    np.multiply(stack[0], 1j, out=stack[1])
+    areas = np.array([_region_area(p, r) for p in pieces[1:]]) / (h * h)
+    return octant, stack.reshape(2, -1, W, W), areas
+
+
+def _by_column(cuts: _CutCells):
+    """The carrying columns, sorted, with the cut cells grouped by column
+    in scan order: ``order[first[i] + n]`` is the n-th cell of column
+    ``columns[i]``, n < ``count[i]``."""
+    order = np.argsort(cuts.column, kind="stable")
+    columns, first, count = np.unique(cuts.column[order], return_index=True,
+                                      return_counts=True)
+    return columns, order, first, count
+
+
+def _fractions(full: np.ndarray, cuts: _CutCells, areas: np.ndarray):
+    """``frac`` and ``conv_frac``: each cut cell's area goes to its column's
+    ``conv_frac``, added in scan order, and to its own ``frac`` when it is
+    its own column."""
+    frac = full.astype(float)
+    conv_frac = frac.copy()
+    area = areas[cuts.rep]
+    own = cuts.column == cuts.j * full.shape[1] + cuts.k
+    frac.ravel()[cuts.column[own]] = area[own]
+    _, order, first, count = _by_column(cuts)
+    for n in range(count.max()):
+        cells = order[first[count > n] + n]
+        conv_frac.ravel()[cuts.column[cells]] += area[cells]
+    return frac, conv_frac
+
+
+def _rim_matrix(grid: DiskGrid, kernel, conv_frac, full, trusted, cuts: _CutCells, boxes):
+    """The rim correction of the module docstring's boundary treatment.
+    Column s holds, at each trusted node t within the correction radius of
+    s, the exact integrals over the cut cells it carries, added in scan
+    order, less the convolution's (conv_frac - full) share of its kernel
+    entry.  A carried cell L(rep) reads its representative's box at L^-1 t."""
+    N, c, m = grid.N, (grid.N - 1) // 2, _correction_radius(grid.N)
+    W, B = boxes.shape[2], 2 * m + 1
+    columns, order, first, count = _by_column(cuts)
+    # every column's targets t = s + (oj, ok) in one list, column by column
+    # and row-major within, as the place ``at`` of (oj, ok) in a B x B
+    # window; a window row meets the trusted disk in one run
+    window = sliding_window_view(np.pad(trusted, m), (B, B))[columns // N, columns % N]
+    runs = np.count_nonzero(window, axis=2)
+    size = runs.sum(axis=1)
+    start = (np.arange(B) * B + window.argmax(axis=2))[runs > 0]
+    runs = runs[runs > 0]
+    at = np.ones(size.sum(), dtype=np.int32)
+    at[0] = start[0]
+    at[np.cumsum(runs[:-1])] = start[1:] - start[:-1] - runs[:-1] + 1
+    np.cumsum(at, out=at)
+    oj, ok = np.divmod(np.arange(B * B, dtype=np.int32), B) - np.array(m, dtype=np.int32)
+
+    # L^-1 flips the signs of a, b < 0, then swaps if |b| > |a|; a cell in
+    # column s reads its box at base + sj * oj + sk * ok
+    sa, sb = np.where(cuts.j < c, -1, 1), np.where(cuts.k < c, -1, 1)
+    swap = np.abs(cuts.k - c) > np.abs(cuts.j - c)
+    sj, sk = np.where(swap, sa, sa * W), np.where(swap, sb * W, sb)
+    base = ((cuts.rep * W + m + 1 - cuts.ra[cuts.rep]) * W + m + 1 - cuts.rb[cuts.rep]
+            + (cuts.column // N - c) * sj + (cuts.column % N - c) * sk)
+    # its value is conj(u) times the value or its conj (flip): -i conj (swap),
+    # then -conj (a < 0), then conj (b < 0) give conj(u) = -i sb or sa.  A
+    # swapped cell reads i times the box, as -i sb v = -sb (i v) and
+    # -i sb conj(v) = sb conj(i v), so only signs are left
+    flip = swap ^ (sa < 0) ^ (sb < 0)
+    negate = np.where(swap, sb * np.where(flip, 1, -1), sa) < 0
+    base[swap] += boxes[0].size
+    values = boxes.reshape(-1)
+    # a full column keeps its own kernel entry: only the slivers it carries
+    # are swapped for their exact regions
+    kern = kernel[N - 1 - m:N + m, N - 1 - m:N + m].ravel()
+    share = conv_frac.ravel()[columns] - full.ravel()[columns]
+    place = (oj * N + ok).astype(np.int32)
+
+    exact = np.zeros(at.size, dtype=np.complex128)
+    rows = np.empty(at.size, dtype=np.int32)
+    end = np.cumsum(size)
+    # blocks of whole columns, about _RIM_BLOCK entries each, keep every
+    # temporary small enough to stay in cache
+    bounds = np.unique(np.concatenate([[0], np.searchsorted(end, np.arange(
+        _RIM_BLOCK, end[-1], _RIM_BLOCK)), [columns.size]]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        e0, e1 = end[lo] - size[lo], end[hi - 1]
+        t, part, sizes = at[e0:e1], exact[e0:e1], size[lo:hi]
+        for n in range(count[lo:hi].max()):
+            here = count[lo:hi] > n             # columns that carry an n-th cell
+            cell, cells = order[first[lo:hi][here] + n], sizes[here]
+            sel = slice(None) if n == 0 else np.flatnonzero(np.repeat(here, sizes))
+            index = np.repeat(base[cell], cells)
+            index += np.repeat(sj[cell], cells) * oj.take(t[sel])
+            index += np.repeat(sk[cell], cells) * ok.take(t[sel])
+            v = values.take(index)
+            np.conjugate(v, out=v, where=np.repeat(flip[cell], cells))
+            np.negative(v, out=v, where=np.repeat(negate[cell], cells))
+            part[sel] += v
+        part -= kern.take(t) * np.repeat(share[lo:hi], sizes)
+        rows[e0:e1] = np.repeat(columns[lo:hi], sizes) + place.take(t)
+    if np.isnan(exact).any():
+        s = np.repeat(columns, size)[np.isnan(exact).argmax()]
+        raise RuntimeError(f"rim column {divmod(int(s), N)} reads a node the D4 maps do not keep")
+    indptr = np.zeros(N * N + 1, dtype=np.int32)
+    indptr[columns + 1] = size
+    return sp.csc_matrix((exact, rows, np.cumsum(indptr, dtype=np.int32)),
+                         shape=(N * N, N * N)).tocsr()
+
+
 class CGOperator:
     """Precomputed quadrature for the solid Cauchy transform at one N.
 
@@ -188,16 +429,11 @@ class CGOperator:
     def __init__(self, grid: DiskGrid):
         self.N, self.r, self.mask = grid.N, grid.r, grid.mask
         self._scale = 1.0
-        N, h, r = grid.N, grid.h, grid.r
+        N = grid.N
+        trusted, full, cut = _rim_sets(grid)
+        cuts = _cut_cells(grid, cut)
+        octant, boxes, areas = _integrals(grid, trusted, cuts)
 
-        nodes, weights = leggauss(_EDGE_GAUSS)
-        # the cell at the origin is uncut, so its pieces are its four edges
-        edges = _clipped_cell_pieces(-h / 2, h / 2, -h / 2, h / 2, r)
-        # the octant 0 <= dk <= dj by rows; the singular self cell is exactly 0
-        octant = np.zeros((N, N), dtype=np.complex128)
-        for dj in range(1, N):
-            octant[dj, :dj + 1] = _clipped_region_integral_many(
-                h * (dj + 1j * np.arange(dj + 1)), edges, r, nodes, weights) / np.pi
         octant[:, 0] = octant[:, 0].real                    # its own conj image
         diag = np.diagonal(octant)                          # its own -i conj image
         octant[np.diag_indices(N)] = 0.5 * (diag - 1j * np.conj(diag))
@@ -208,75 +444,9 @@ class CGOperator:
 
         self._pad = next_fast_len(2 * N - 1)
         self._kernel_fft = fft2(self.kernel, s=(self._pad, self._pad))
-        self._rim_correction = self._build_rim_correction(grid, nodes, weights)
-
-    def _build_rim_correction(self, grid: DiskGrid, gnodes, gweights):
-        """The rim correction of the module docstring's boundary treatment.
-        Each octant representative is integrated on a box one step wider than
-        the correction radius; its untrusted nodes hold NaN, so sets that are
-        not D4-symmetric fail the build instead of reading zeros."""
-        N, h, r = grid.N, grid.h, grid.r
-        half, c, m = 0.5 * h, (N - 1) // 2, _correction_radius(N)
-        W = 2 * m + 3          # side of a representative's box
-        trusted, full, cut = _rim_sets(grid)
-        self.frac = full.astype(float)
-        self.conv_frac = self.frac.copy()
-
-        reps: dict = {}        # octant representative -> (area, flat values on its box)
-        carried: dict = {}     # column -> cut cells it carries, with their representatives
-        padded = np.pad(trusted, m + 1)
-        for j, k in zip(*np.nonzero(cut)):
-            # for N >= 9 every cut cell has a retained node among its neighbours
-            column = next((j + dj, k + dk) for dj, dk in _NEAREST
-                          if 0 <= j + dj < N and 0 <= k + dk < N and grid.mask[j + dj, k + dk])
-            rep = (max(abs(j - c), abs(k - c)), min(abs(j - c), abs(k - c)))
-            if rep not in reps:
-                jr, kr = c + rep[0], c + rep[1]
-                pieces = _clipped_cell_pieces(grid.X[jr, kr] - half, grid.X[jr, kr] + half,
-                                              grid.Y[jr, kr] - half, grid.Y[jr, kr] + half, r)
-                jb, kb = np.nonzero(padded[jr:jr + W, kr:kr + W])
-                box = np.full((W, W), np.nan, dtype=np.complex128)
-                box[jb, kb] = _clipped_region_integral_many(
-                    grid.Z[jb + jr - m - 1, kb + kr - m - 1], pieces, r, gnodes, gweights) / np.pi
-                if rep[1] == 0:                             # its own conj image
-                    box = 0.5 * (box + np.conj(box[:, ::-1]))
-                if rep[0] == rep[1]:                        # its own -i conj image
-                    box = 0.5 * (box - 1j * np.conj(box.T))
-                reps[rep] = (_region_area(pieces, r) / (h * h), box.ravel())
-            if column == (j, k):
-                self.frac[j, k] = reps[rep][0]
-            self.conv_frac[column] += reps[rep][0]
-            carried.setdefault(column, []).append((j, k, rep))
-
-        rows, cols, vals = [], [], []
-        for (js, ks), cells in carried.items():
-            jt, kt = np.nonzero(padded[js + 1:js + 2 * m + 2, ks + 1:ks + 2 * m + 2])
-            jt, kt = jt + js - m, kt + ks - m
-            dj, dk = jt - c, kt - c
-            exact = np.zeros(jt.size, dtype=np.complex128)
-            for j, k, (ra, rb) in cells:
-                # the cell is L(rep): L^-1 flips the signs of a, b < 0, then
-                # swaps if |b| > |a|; (p, q) are the offsets of L^-1 t
-                sa, sb, swap = (-1 if j < c else 1), (-1 if k < c else 1), abs(k - c) > abs(j - c)
-                p, q = (sb * dk, sa * dj) if swap else (sa * dj, sb * dk)
-                v = reps[ra, rb][1][(p - ra + m + 1) * W + q - rb + m + 1]
-                # -i conj (swap), then -conj (a < 0), then conj (b < 0): conj(u) = -i sb or sa
-                v = np.conj(v) if swap ^ (sa < 0) ^ (sb < 0) else v
-                exact += (-1j * sb if swap else sa) * v
-            if np.isnan(exact).any():
-                raise RuntimeError(f"rim column {(js, ks)} reads a node the D4 maps do not keep")
-            kern = self.kernel[N - 1 + jt - js, N - 1 + kt - ks]
-            # a full column keeps its own kernel entry: only the slivers it
-            # carries are swapped for their exact regions
-            conv_part = (self.conv_frac[js, ks] - full[js, ks]) * kern
-            rows.append((jt * N + kt).astype(np.int32))
-            cols.append(np.full(jt.size, js * N + ks, dtype=np.int32))
-            vals.append(exact - conv_part)
-        del reps               # the boxes go before the sparse conversion's peak
-
-        return sp.coo_matrix((np.concatenate(vals),
-                              (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(N * N, N * N)).tocsr()
+        self.frac, self.conv_frac = _fractions(full, cuts, areas)
+        self._rim_correction = _rim_matrix(grid, self.kernel, self.conv_frac, full,
+                                           trusted, cuts, boxes)
 
     def cell_weight(self, dj: int, dk: int) -> complex:
         """Weight applied to a unit-fraction source cell at index offset

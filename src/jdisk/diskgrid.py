@@ -95,37 +95,29 @@ class DiskGrid:
         return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
 
     def _ring_matrix(self) -> sp.csr_matrix:
-        N = self.N
+        N, inner = self.N, self.interior
         c2 = N - 1   # twice the centre index
-        idx = np.arange(N * N).reshape(N, N)
-        rows, cols, vals = [], [], []
-        jj, kk = np.nonzero(self.mask & ~self.interior)
-        interior_rows = np.nonzero(self.interior.ravel())[0]
-        rows.extend(interior_rows)
-        cols.extend(interior_rows)
-        vals.extend(np.ones(interior_rows.size))
-        for j, k in zip(jj, kk):
-            # axis and sign from the indices, so every radius picks alike
-            if abs(2 * j - c2) >= abs(2 * k - c2):
-                dj, dk = (-1 if 2 * j > c2 else 1), 0
-            else:
-                dj, dk = 0, (-1 if 2 * k > c2 else 1)
-            # walk inward to the first interior node; for N >= 9 there is one
-            dist = 1
-            while not self.interior[j + dist * dj, k + dist * dk]:
-                dist += 1
-            ja, ka = j + dist * dj, k + dist * dk
-            if self.interior[ja + dj, ka + dk]:
-                rows.extend([idx[j, k], idx[j, k]])
-                cols.extend([idx[ja, ka], idx[ja + dj, ka + dk]])
-                vals.extend([1.0 + dist, -float(dist)])
-            else:
-                rows.append(idx[j, k])
-                cols.append(idx[ja, ka])
-                vals.append(1.0)
-        return sp.coo_matrix(
-            (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-            shape=(N * N, N * N)).tocsr()
+        jj, kk = np.nonzero(self.mask & ~inner)
+        # axis and sign from the indices, so every radius picks alike
+        along_j = np.abs(2 * jj - c2) >= np.abs(2 * kk - c2)
+        dj = np.where(along_j, np.where(2 * jj > c2, -1, 1), 0)
+        dk = np.where(along_j, 0, np.where(2 * kk > c2, -1, 1))
+        # walk inward to the first interior node; for N >= 9 there is one
+        dist = np.ones_like(jj)
+        walking = ~inner[jj + dj, kk + dk]
+        while walking.any():
+            dist += walking
+            walking &= ~inner[jj + dist * dj, kk + dist * dk]
+        ja, ka = jj + dist * dj, kk + dist * dk
+        # the linear extrapolation from two interior nodes, or the nearest
+        # node's value when the next one inward is not interior
+        two = inner[ja + dj, ka + dk]
+        interior_rows = np.flatnonzero(inner)
+        rows = np.concatenate([interior_rows, jj * N + kk, (jj * N + kk)[two]])
+        cols = np.concatenate([interior_rows, ja * N + ka, ((ja + dj) * N + ka + dk)[two]])
+        vals = np.concatenate([np.ones(interior_rows.size), np.where(two, 1.0 + dist, 1.0),
+                               -dist[two].astype(float)])
+        return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
 
     def ring_extension(self) -> sp.csr_matrix:
         """Operator replacing boundary-ring samples of a nodal field by the

@@ -4,14 +4,15 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft2, ifft2
 from scipy.integrate import quad
 
 from jdisk import cauchygreen, diskgrid
 from jdisk.cauchygreen import (_NEAREST, CGOperator, _clipped_cell_pieces,
-                               _clipped_region_integral_many, _region_area, _rim_sets,
-                               cg_apply, cg_build, cg_residual)
+                               _clipped_region_integral_many, _contour_nodes, _region_area,
+                               _rim_sets, cg_apply, cg_build, cg_residual)
 from jdisk.diskgrid import DiskGrid, DiskMap, d_dzbar, make_grid
 from jdisk.errors import GridMismatch
 from jdisk.kobayashi import KobayashiOptions, estimate_distance
@@ -252,7 +253,8 @@ def test_rim_columns_match_their_cells_own_integrals(r):
         pieces = [piece for j, k in cells
                   for piece in _clipped_cell_pieces(g.X[j, k] - half, g.X[j, k] + half,
                                                     g.Y[j, k] - half, g.Y[j, k] + half, r)]
-        exact = _clipped_region_integral_many(g.Z[jt, kt], pieces, r, nodes, weights) / np.pi
+        exact = _clipped_region_integral_many(
+            g.Z[jt, kt], _contour_nodes(pieces, r, nodes, weights)) / np.pi
         kern = op.kernel[N - 1 + jt - js, N - 1 + kt - ks]
         want = exact - (op.conv_frac[js, ks] - full[js, ks]) * kern
         column = rim[:, js * N + ks]
@@ -262,8 +264,10 @@ def test_rim_columns_match_their_cells_own_integrals(r):
 
 
 def test_build_integrates_one_octant(monkeypatch):
-    # a deterministic work count: one kernel row per dj >= 1 and one call
-    # per octant representative of the cut cells
+    # a deterministic work count: the contour rule runs once for the kernel's
+    # cell and once per octant representative of the cut cells, on their
+    # targets within the near radius only (85,937 targets before the far
+    # series took the rest)
     calls, targets = [], []
 
     def counting(ds, *args):
@@ -274,13 +278,143 @@ def test_build_integrates_one_octant(monkeypatch):
     monkeypatch.setattr(cauchygreen, "_clipped_region_integral_many", counting)
     N = 129
     g = make_grid(1.0, N)
-    _, _, cut = _rim_sets(g)
-    c = (N - 1) // 2
+    trusted, _, cut = _rim_sets(g)
+    c, m = (N - 1) // 2, cauchygreen._correction_radius(N)
     octant_cut = int(np.count_nonzero(np.tril(cut[c:, c:])))
+    # the kernel's near targets (dj, dk), 0 <= dk <= dj, dj^2 + dk^2 < 3.5^2
+    near = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]
+    padded, radius2 = np.pad(trusted, 3), cauchygreen._NEAR_RADIUS ** 2
+    for j, k in zip(*np.nonzero(np.tril(cut[c:, c:]))):
+        near += [(j, k, dj, dk) for dj in range(-3, 4) for dk in range(-3, 4)
+                 if dj * dj + dk * dk < radius2 and padded[c + 3 + j + dj, c + 3 + k + dk]]
+    assert cauchygreen._NEAR_RADIUS < m + 1           # the near places lie in the box
     CGOperator(g)
     assert octant_cut == 65
-    assert len(calls) <= (N - 1) + octant_cut
-    print(f"N = {N}: {len(calls)} integrator calls over {sum(targets)} targets")
+    assert len(calls) == 1 + octant_cut
+    assert sum(targets) == len(near) == 722
+
+
+def _cells_and_integrals(N, r):
+    """The build's kernel octant and boxes, with each cell's contour nodes
+    about its own node, built here from its pieces."""
+    g = make_grid(r, N)
+    trusted, _, cut = _rim_sets(g)
+    cuts = cauchygreen._cut_cells(g, cut)
+    octant, boxes, _ = cauchygreen._integrals(g, trusted, cuts)
+    assert np.array_equal(boxes[1], 1j * boxes[0], equal_nan=True)
+    half, c = 0.5 * g.h, (N - 1) // 2
+    gauss = leggauss(cauchygreen._EDGE_GAUSS)
+    cells = [(c, c)] + list(zip(c + cuts.ra, c + cuts.rb))
+    contours = [_contour_nodes(_clipped_cell_pieces(g.X[j, k] - half, g.X[j, k] + half,
+                                                    g.Y[j, k] - half, g.Y[j, k] + half, r),
+                               r, *gauss, g.Z[j, k]) for j, k in cells]
+    return g, octant, boxes[0], contours
+
+
+@pytest.mark.parametrize("N", [33, 65, 129])
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_far_series_is_the_contour_rule(N, r):
+    # every octant entry and every trusted box node against the contour rule
+    # at the same lattice offset.  The scale is the largest full-cell
+    # integral: the rule's round-off is set by a cell's side, not its inside
+    # area, so a sliver's box reads its own largest value only to about
+    # 3e-15 (measured up to N = 129)
+    g, octant, boxes, contours = _cells_and_integrals(N, r)
+    h, m = g.h, cauchygreen._correction_radius(N)
+    dj, dk = (i[1:] for i in np.tril_indices(N))
+    want = _clipped_region_integral_many(h * (dj + 1j * dk), contours[0]) / np.pi
+    top = np.abs(want).max()
+    assert np.max(np.abs(octant[dj, dk] - want)) <= 1e-15 * top
+    for box, contour in zip(boxes, contours[1:]):
+        oj, ok = np.nonzero(np.isfinite(box))
+        want = _clipped_region_integral_many(h * (oj - m - 1 + 1j * (ok - m - 1)), contour) / np.pi
+        assert np.max(np.abs(box[oj, ok] - want)) <= 1e-15 * top
+
+
+@pytest.mark.parametrize("N", [33, 129])
+def test_both_rules_agree_across_the_near_radius(N):
+    # lattice offsets from 3 to 4 steps straddle the switch at 3.5 h: the
+    # series already matches the contour rule inside it, so the switch is
+    # seamless (test_build_integrates_one_octant counts the targets below it)
+    g, _, _, contours = _cells_and_integrals(N, 1.0)
+    moments = cauchygreen._moments(contours)
+    steps = np.array([3, 3 + 1j, 3 + 2j, 2 + 3j, 4, 4 + 1j, 1 + 4j, -3 - 2j, 2 - 3j, -4 + 1j])
+    assert np.array_equal(np.abs(steps) < cauchygreen._NEAR_RADIUS, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
+    ds = g.h * steps
+    series = cauchygreen._far_field(1.0 / ds, moments)
+    top = np.abs(_clipped_region_integral_many(np.array([g.h]), contours[0]))[0]
+    for i, contour in enumerate(contours):
+        assert np.max(np.abs(series[i] - _clipped_region_integral_many(ds, contour))) <= 1e-15 * top
+
+
+def test_series_terms_and_cell_moments():
+    # every one of the _SERIES_TERMS terms counts: with M_k = 1 the series is
+    # a geometric sum, which a dropped term misses by w^24 of it
+    K = cauchygreen._SERIES_TERMS
+    w = np.array([0.9, -0.5j, 0.3 + 0.4j])
+    got = cauchygreen._far_field(w, np.ones((K, 1)))[0]
+    assert np.allclose(got, w * (1 - w ** K) / (1 - w), rtol=1e-14, atol=0)
+    # a cell's moments are the integrals of (eta - c)^k over it, which a
+    # tensor Gauss rule gives exactly; about the centre of a square they are
+    # 0 unless 4 divides k, about its corner none is
+    h = 0.25
+    x, wx = leggauss(16)
+    for x0, centre in ((-h / 2, 0j), (0.0, 0j), (-h / 2, complex(-h / 2, -h / 2))):
+        pieces = _clipped_cell_pieces(x0, x0 + h, x0, x0 + h, 1.0)
+        contour = _contour_nodes(pieces, 1.0, *leggauss(cauchygreen._EDGE_GAUSS), centre)
+        moments = cauchygreen._moments([contour])[:, 0]
+        eta = complex(x0, x0) - centre + 0.5 * h * ((1 + x[:, None]) + 1j * (1 + x[None, :]))
+        want = [np.sum(np.outer(wx, wx) * eta ** k) * h * h / 4 for k in range(K)]
+        scale = np.abs(eta).max() ** np.arange(K) * h * h
+        assert np.all(np.abs(moments - want) <= 1e-14 * scale), (x0, centre)
+        if x0 == -h / 2 and centre == 0:
+            assert np.all(np.abs(moments[np.arange(K) % 4 != 0]) <= 1e-15 * scale[np.arange(K) % 4 != 0])
+
+
+def rim_reference(g, op, boxes):
+    """The rim correction assembled column by column from the build's boxes,
+    as the build did before its arrays: each column's trusted targets,
+    each carried cell's box value at L^-1 t with its exact value transform,
+    summed in scan order, less the convolution's share of the kernel."""
+    N, c, m = g.N, (g.N - 1) // 2, cauchygreen._correction_radius(g.N)
+    W = boxes.shape[2]
+    trusted, full, cut = _rim_sets(g)
+    cuts = cauchygreen._cut_cells(g, cut)
+    rep_of = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(cuts.ra, cuts.rb))}
+    padded = np.pad(trusted, m + 1)
+    rows, cols, vals = [], [], []
+    for (js, ks), cells in carried_cells(g).items():
+        jt, kt = np.nonzero(padded[js + 1:js + 2 * m + 2, ks + 1:ks + 2 * m + 2])
+        jt, kt = jt + js - m, kt + ks - m
+        dj, dk = jt - c, kt - c
+        exact = np.zeros(jt.size, dtype=np.complex128)
+        for j, k in sorted(cells):                  # scan order
+            ra, rb = max(abs(j - c), abs(k - c)), min(abs(j - c), abs(k - c))
+            sa, sb, swap = (-1 if j < c else 1), (-1 if k < c else 1), abs(k - c) > abs(j - c)
+            p, q = (sb * dk, sa * dj) if swap else (sa * dj, sb * dk)
+            v = boxes[0, rep_of[ra, rb]].ravel()[(p - ra + m + 1) * W + q - rb + m + 1]
+            v = np.conj(v) if swap ^ (sa < 0) ^ (sb < 0) else v
+            exact += (-1j * sb if swap else sa) * v
+        kern = op.kernel[N - 1 + jt - js, N - 1 + kt - ks]
+        rows.append((jt * N + kt).astype(np.int32))
+        cols.append(np.full(jt.size, js * N + ks, dtype=np.int32))
+        vals.append(exact - (op.conv_frac[js, ks] - full[js, ks]) * kern)
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(N * N, N * N)).tocsr()
+
+
+@pytest.mark.parametrize("N, r", [(9, 1.0), (33, 1.0), (33, 2.5), (65, 2.5), (129, 1.0)])
+def test_rim_assembly_is_the_column_loop_to_the_bit(N, r):
+    g = make_grid(r, N)
+    trusted, full, cut = _rim_sets(g)
+    cuts = cauchygreen._cut_cells(g, cut)
+    _, boxes, _ = cauchygreen._integrals(g, trusted, cuts)
+    op = CGOperator(g)
+    want = rim_reference(g, op, boxes)
+    got = cauchygreen._rim_matrix(g, op.kernel, op.conv_frac, full, trusted, cuts, boxes)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert getattr(op._rim_correction, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_an_asymmetric_trusted_set_fails_the_build():

@@ -4,6 +4,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from jdisk import diskgrid
@@ -47,6 +48,42 @@ def test_ring_rows_read_interior_nodes_and_differences_stay_interior(N):
     for axis in (0, 1):
         D = g._diff_matrix(axis)
         assert np.array_equal(np.flatnonzero(D.getnnz(axis=1)), np.flatnonzero(inner))
+
+
+def ring_matrix_by_walk(g):
+    """The ring extension built node by node: each ring node walks inward
+    along its dominant lattice axis to the first interior node."""
+    N, c2 = g.N, g.N - 1
+    idx = np.arange(N * N).reshape(N, N)
+    inner = np.flatnonzero(g.interior)
+    rows, cols, vals = list(inner), list(inner), [1.0] * inner.size
+    for j, k in zip(*np.nonzero(g.mask & ~g.interior)):
+        if abs(2 * j - c2) >= abs(2 * k - c2):
+            dj, dk = (-1 if 2 * j > c2 else 1), 0
+        else:
+            dj, dk = 0, (-1 if 2 * k > c2 else 1)
+        dist = 1
+        while not g.interior[j + dist * dj, k + dist * dk]:
+            dist += 1
+        ja, ka = j + dist * dj, k + dist * dk
+        if g.interior[ja + dj, ka + dk]:
+            rows += [idx[j, k], idx[j, k]]
+            cols += [idx[ja, ka], idx[ja + dj, ka + dk]]
+            vals += [1.0 + dist, -float(dist)]
+        else:
+            rows.append(idx[j, k])
+            cols.append(idx[ja, ka])
+            vals.append(1.0)
+    return sp.coo_matrix((np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
+                         shape=(N * N, N * N)).tocsr()
+
+
+def test_ring_matrix_is_the_per_node_walk_to_the_byte():
+    for N in range(9, 130, 2):
+        got, want = DiskGrid(1.0, N)._ring_matrix(), ring_matrix_by_walk(DiskGrid(1.0, N))
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (N, name)
 
 
 @pytest.mark.parametrize("n", [1, 2])
