@@ -26,8 +26,8 @@ import numpy as np
 from .diskgrid import DiskGrid, DiskMap, eval_interp, make_grid, poincare_distance
 from .errors import (Diverged, InvalidChain, InvalidParams, NoChainFound,
                      NotHolomorphicMap, Singular)
-from .solver import (DiskSolution, SolverConfig, check_node, cr_residual, derivative_disk,
-                     two_point_disk)
+from .solver import (_RESIDUAL_CAP, DiskSolution, SolverConfig, check_node, cr_residual,
+                     derivative_disk, two_point_disk)
 from .structure import DomainDescriptor, StructureField
 
 _ENDPOINT_TOL = 1e-8     # largest accepted gap between a link's end and its target
@@ -72,6 +72,20 @@ class DistanceEstimate:
 
 
 @dataclass
+class BoundProbe:
+    """One ``derivative_bound`` solve at scale ``lam``: whether it was
+    ``feasible``, its disk's ``residual`` (None when the solve raised) and,
+    for an infeasible probe, the ``gate`` that decided it: "Diverged" or
+    "Singular" for a solve that raised, "residual" for a disk above the
+    residual cap, "containment" for one that leaves the domain."""
+
+    lam: float
+    feasible: bool
+    residual: float | None
+    gate: str | None
+
+
+@dataclass
 class BoundReport:
     lambda_lower: float
     lambda_max: float
@@ -86,7 +100,7 @@ class KobayashiOptions:
     cfg: SolverConfig = field(default_factory=SolverConfig)
     grid_n: int = 33
     grid_r: float = 1.0
-    residual_cap: float = 1e-2
+    residual_cap: float = _RESIDUAL_CAP
 
     def __post_init__(self):
         if not self.k_max >= 1:
@@ -140,7 +154,10 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     accepted link has its target endpoint, read off the grid by bilinear
     interpolation at t, within the endpoint tolerance; its ``cr_residual``,
     a sup over grid nodes only, at most ``residual_cap``; and its image at
-    the grid nodes inside the domain.  Nothing is checked between nodes,
+    the grid nodes inside the domain.  A link's disk is the Picard iterate
+    at which its solve stopped, not the fixed point itself: its distance to
+    the fixed point is at most about ``solver._THETA`` (1e-3) times its
+    residual (see ``picard_solve``).  Nothing is checked between nodes,
     and a t below the grid step falls inside the first cell, so ``upper``
     bounds the pseudo-distance only up to the discretization error.  The
     search log records one (k, t, cost) triple per attempted link solve,
@@ -253,14 +270,19 @@ def pushforward_chain(chain: Chain, f, J_target: StructureField,
 def derivative_bound(J: StructureField, p, nu, lambda_max: float,
                      cfg: SolverConfig | None = None, grid: DiskGrid | None = None,
                      bisect_tol: float = 0.01) -> BoundReport:
-    """Largest derivative scale at which a disk through p with prescribed
-    derivative exists and stays inside the domain.
+    """Largest derivative scale at which a certified disk through p with
+    prescribed derivative exists and stays inside the domain.
 
     Bisection on the scale; the result is a lower bound for the derivative
-    supremum over all disks.  Feasibility at ``lambda_max`` itself is
-    flagged as ``unbounded_suspected`` (the scan cannot certify an actual
-    supremum).  ``lambda_max`` and ``bisect_tol`` must be positive and
-    finite; the bisection also stops once it reaches adjacent floats.
+    supremum over all disks.  A scale is feasible when its solve converges
+    to a disk whose ``cr_residual`` is at most ``solver._RESIDUAL_CAP``
+    (1e-2, the default of ``KobayashiOptions.residual_cap``) and whose grid
+    nodes lie in the domain; each probe is recorded as a ``BoundProbe``
+    with its residual and the gate that rejected it.  Feasibility at
+    ``lambda_max`` itself is flagged as ``unbounded_suspected`` (the scan
+    cannot certify an actual supremum).  ``lambda_max`` and ``bisect_tol``
+    must be positive and finite; the bisection also stops once it reaches
+    adjacent floats.
     """
     for name, value in (("lambda_max", lambda_max), ("bisect_tol", bisect_tol)):
         if not (math.isfinite(value) and value > 0):
@@ -279,12 +301,18 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
     def feasible(lam: float) -> bool:
         try:
             sol = derivative_disk(J, p, lam * nu, cfg, grid)
-        except (Diverged, Singular):
-            probes.append((lam, False))
+        except (Diverged, Singular) as exc:
+            probes.append(BoundProbe(lam, False, None, type(exc).__name__))
             return False
-        ok = dom.contains(sol.v.values[grid.mask])
-        probes.append((lam, ok))
-        return ok
+        # an uncertified disk's image says nothing, so its residual decides first
+        if not sol.residual <= _RESIDUAL_CAP:
+            gate = "residual"
+        elif not dom.contains(sol.v.values[grid.mask]):
+            gate = "containment"
+        else:
+            gate = None
+        probes.append(BoundProbe(lam, gate is None, sol.residual, gate))
+        return gate is None
 
     if feasible(lambda_max):
         return BoundReport(lambda_max, lambda_max, True, probes)

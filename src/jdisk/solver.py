@@ -11,6 +11,20 @@ iteration.  For ``two_point_disk`` and ``derivative_disk`` it also picks
 the affine target at every step so that the disk carries their point or
 derivative data exactly (the fixed-point treatment of disks with prescribed
 data, Nijenhuis and Woolf, Ann. of Math. 77 (1963)).
+
+The iteration has two stopping tests.  The absolute one ends it once a
+step changes v by less than ``epsilon * tol_fixpoint``.  The relative one
+ends it once the iterate is much closer to its fixed point than the fixed
+point is to holomorphy: with step deltas d_k and the contraction ratio
+estimated as rho = d_k / d_{k-1} < 1, the a posteriori bound
+|v_k - v*| <= rho / (1 - rho) d_k of a contraction is at most ``_THETA``
+times the ``cr_residual`` of the iterate the step differenced.  Steps past
+that point refine the fixed point of the discretization far below its own
+error (algebraic against discretization error, Arioli, Liesen, Miedlar and
+Strakos, GAMM-Mitt. 36 (2013) 102).  The residual measures that error only
+for a disk an acceptance gate could take, so it counts at most up to
+``_RESIDUAL_CAP``: a disk above the cap still iterates until its
+fixed-point error bound is at most ``_THETA * _RESIDUAL_CAP`` = 1e-5.
 """
 
 from __future__ import annotations
@@ -20,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cauchygreen import cg_apply, cg_build
-# d_dzbar and eval_interp are not called here; perfbench/spans.py wraps
-# them in this namespace
+# d_dz, d_dzbar and eval_interp are not called here; perfbench/spans.py
+# wraps them in this namespace
 from .diskgrid import (DiskGrid, DiskMap, _bilinear_cells, _combine, d_dz,  # noqa: F401
                        d_dzbar, eval_interp, wirtinger_pair)
 from .errors import Diverged, InvalidParams
@@ -31,6 +45,13 @@ from .structure import ComplexConvention, StructureField, q_field
 # grows by _DIVERGENCE_FACTOR within _DIVERGENCE_WINDOW steps
 _DIVERGENCE_WINDOW = 5
 _DIVERGENCE_FACTOR = 2.0
+# a solve also stops once its iterate's a posteriori fixed-point error
+# bound is at most _THETA times that iterate's cr_residual, capped at
+# _RESIDUAL_CAP; _THETA = 0 leaves only the absolute test
+_THETA = 1e-3
+# largest cr_residual of an accepted disk: a chain link's by default
+# (KobayashiOptions.residual_cap) and a derivative_bound probe's
+_RESIDUAL_CAP = 1e-2
 
 
 @dataclass
@@ -39,10 +60,14 @@ class SolverConfig:
 
     ``epsilon`` in (0, 1] is the factor ``picard_solve`` applies to a fixed
     target, v = epsilon * h + P(q(v) dv/dz).  The matched solves choose
-    their target in disk units, so there epsilon only sets the stopping
-    test: a sup change of v below ``epsilon * tol_fixpoint``.  At most
-    ``max_iter`` steps are taken, and the iteration is declared diverged
-    when its sup norm doubles within 5 steps.
+    their target in disk units, so there epsilon only scales the absolute
+    stopping test: a sup change of v below ``epsilon * tol_fixpoint``.  A
+    solve also stops, whatever these settings, once the a posteriori bound
+    of its fixed-point error is at most ``_THETA`` (a module constant,
+    1e-3) times the residual of its iterate, capped at ``_RESIDUAL_CAP``
+    (1e-2; see ``picard_solve``).  At most ``max_iter`` steps are taken,
+    and the iteration is declared diverged when its sup norm doubles
+    within 5 steps.
     """
 
     epsilon: float = 0.1
@@ -105,6 +130,16 @@ def _beltrami(J: StructureField, values: np.ndarray, dz: np.ndarray,
     return np.einsum("mij,mj->mi", q, _rows(dz, inner))
 
 
+def _defect(J: StructureField, values: np.ndarray, grid: DiskGrid, inner: np.ndarray,
+            labels: np.ndarray) -> tuple:
+    """``(_beltrami rows, cr_residual)`` of the ``(N, N, 2n)`` values of v on
+    ``grid``, both from one pair of lattice differences; ``inner`` and
+    ``labels`` are as for ``_beltrami``."""
+    dz, dzbar = wirtinger_pair(values, grid)
+    beltrami = _beltrami(J, values, dz, inner, labels)
+    return beltrami, float(np.max(np.linalg.norm(_rows(dzbar, inner) - beltrami, axis=-1)))
+
+
 def cr_residual(J: StructureField, v: DiskMap) -> float:
     """Sup over interior nodes of | dv/dzbar - q(v) dv/dz |.
 
@@ -113,10 +148,7 @@ def cr_residual(J: StructureField, v: DiskMap) -> float:
     come from one pair of lattice differences.
     """
     g = v.grid
-    inner = np.flatnonzero(g.interior)
-    dz, dzbar = wirtinger_pair(v.values, g)
-    resid = _rows(dzbar, inner) - _beltrami(J, v.values, dz, inner, g.nodes(g.interior))
-    return float(np.max(np.linalg.norm(resid, axis=-1)))
+    return _defect(J, v.values, g, np.flatnonzero(g.interior), g.nodes(g.interior))[1]
 
 
 def affine_target(p: np.ndarray, q: np.ndarray, t: float, grid: DiskGrid) -> DiskMap:
@@ -171,11 +203,23 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     ``DiskMap``, the one it returns.  An iterate that turns non-finite at a
     retained node raises ``InvalidParams``.
 
-    The iteration stops once the sup change of v falls below
-    ``eps * cfg.tol_fixpoint``.  Raises ``Diverged``, carrying the last step
-    deltas and the worst contraction ratio, when the iteration budget is
-    exhausted or the iterate norm doubles within 5 steps; ``Singular`` when
-    the dilatation matrix fails along an iterate.
+    Every step takes both Wirtinger derivatives of its iterate v from one
+    pair of differences, so the Beltrami rows of the density also give v's
+    ``cr_residual`` res.  The iteration stops once the sup change delta of
+    v falls below ``eps * cfg.tol_fixpoint``, or once the contraction
+    ratio rho = delta / prev, prev the previous step's delta, is below 1
+    and the a posteriori bound rho / (1 - rho) * delta of the new
+    iterate's distance to the fixed point is at most ``_THETA * res``,
+    with res capped at ``_RESIDUAL_CAP``: a disk no acceptance gate takes
+    still comes within ``_THETA * _RESIDUAL_CAP`` = 1e-5 of its fixed
+    point.  The second test is that bound multiplied through by
+    prev - delta, delta**2 <= _THETA * min(res, cap) * (prev - delta),
+    which for delta > 0 holds only when delta < prev: it divides nothing,
+    and neither a zero previous delta nor rho >= 1 stops the solve.
+    Raises ``Diverged``, carrying the last step deltas and the worst
+    contraction ratio, when the iteration budget is exhausted or the
+    iterate norm doubles within 5 steps; ``Singular`` when the dilatation
+    matrix fails along an iterate.
     """
     eps = cfg.epsilon
     grid = h.grid
@@ -191,11 +235,13 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     kept = _rows(v, keep)                # v at the retained nodes
     deltas: list = []
     norms: list = [float(np.max(np.abs(kept)))]
+    prev = 0.0
     for k in range(1, cfg.max_iter + 1):
         # derivatives are zero on the boundary ring, so the density is
-        # formed at interior nodes and extended to the ring from them (the
-        # final certificate is cr_residual)
-        density = extend @ _beltrami(J, v, d_dz(v, grid), inner, labels)
+        # formed at interior nodes and extended to the ring from them; the
+        # same rows give v's cr_residual
+        beltrami, res = _defect(J, v, grid, inner, labels)
+        density = extend @ beltrami
         correction = cg_apply(op, density.reshape(v.shape))
         target = fixed if match is None else seed(data - observe(correction))
         new = target + correction
@@ -206,9 +252,11 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
         deltas.append(delta)
         v, kept = new, new_kept
         norms.append(float(np.max(np.abs(kept))))
-        if delta < eps * cfg.tol_fixpoint:
+        if (delta < eps * cfg.tol_fixpoint
+                or delta * delta <= _THETA * min(res, _RESIDUAL_CAP) * (prev - delta)):
             sol = DiskMap(grid, v)
             return DiskSolution(sol, cr_residual(J, sol), deltas)
+        prev = delta
         if k >= _DIVERGENCE_WINDOW:
             # the floor is 1e-6 in units of h, like the stopping test
             ref = max(norms[k - _DIVERGENCE_WINDOW], eps * 1e-6)

@@ -10,7 +10,7 @@ from jdisk import cli
 from jdisk.brody import RescalingReport
 from jdisk.cli import main, run
 from jdisk.errors import ConfigError
-from jdisk.kobayashi import BoundReport
+from jdisk.kobayashi import BoundProbe, BoundReport
 from jdisk.solver import SolverConfig
 
 
@@ -105,7 +105,8 @@ def test_nodes_beyond_one_on_a_wide_grid_run(capsys):
     assert main(["disk", "--structure", "conjugated", "--r", "2.5", "--p", "0,0",
                  "--q", "0.3,0.1", "--t", "1.5"]) == 0
     endpoints = json.loads(capsys.readouterr().out)["results"]["endpoints"]
-    assert endpoints["value_at_t"] == [0.3, 0.1]
+    # matching holds to round-off, as in the library's own test
+    assert endpoints["value_at_t"] == pytest.approx([0.3, 0.1], abs=1e-14)
 
 
 def test_validate_command_at_the_largest_dimension(capsys):
@@ -130,6 +131,18 @@ def test_bound_command():
     assert abs(report["results"]["lambda_lower"] - 1.0) <= 0.05
 
 
+def test_bound_report_gates_its_probes():
+    code, report = run({"command": "bound",
+                        "structure": {"name": "conjugated", "epsilon": 0.2},
+                        "params": {"p": [0.0, 0.0], "nu": [1.0, 0.3], "lambda_max": 40.0}})
+    assert code == 0
+    res = report["results"]
+    assert (res["lambda_lower"], res["unbounded_suspected"]) == (4.296875, False)
+    assert res["probes"][0] == {"lam": 40.0, "feasible": False,
+                                "residual": res["probes"][0]["residual"], "gate": "residual"}
+    assert res["probes"][0]["residual"] > 1.0
+
+
 def test_brody_command_flat_torus():
     code, report = run({"command": "brody",
                         "structure": {"name": "torus-flat", "n": 1},
@@ -146,10 +159,14 @@ def test_brody_command_flat_torus():
 
 
 def test_jsonify_serializes_a_record_by_its_fields():
-    bound = cli._jsonify(BoundReport(2.0, math.inf, True, [(1.0, True), (2.0, False)]))
+    bound = cli._jsonify(BoundReport(2.0, math.inf, True, [
+        BoundProbe(1.0, True, 1e-3, None), BoundProbe(2.0, False, None, "Diverged")]))
     assert list(bound) == ["lambda_lower", "lambda_max", "unbounded_suspected", "probes"]
     assert bound == {"lambda_lower": 2.0, "lambda_max": "inf", "unbounded_suspected": True,
-                     "probes": [[1.0, True], [2.0, False]]}
+                     "probes": [
+                         {"lam": 1.0, "feasible": True, "residual": 1e-3, "gate": None},
+                         {"lam": 2.0, "feasible": False, "residual": None,
+                          "gate": "Diverged"}]}
     # RescalingReport's properties deltas and converged are not fields
     assert cli._jsonify(RescalingReport([], None, "m")) == {
         "steps": [], "final": None, "message": "m"}
@@ -288,7 +305,7 @@ def test_disk_report_counts_every_fixed_point_step():
     assert code == 0
     res = report["results"]
     assert "newton_steps" not in res
-    assert res["iterations"] == 7
+    assert res["iterations"] == 4
     assert res["endpoints"]["value_at_t"] == pytest.approx([0.3, -0.2], abs=1e-14)
 
 

@@ -323,7 +323,8 @@ def test_derivative_bound_unit_ball():
                            cfg=SolverConfig(), grid=make_grid(1.0, 33))
     assert abs(rep.lambda_lower - 1.0) <= 0.05
     assert not rep.unbounded_suspected
-    assert rep.probes[0][0] == 4.0 and rep.probes[0][1] is False
+    assert rep.probes[0].lam == 4.0 and rep.probes[0].feasible is False
+    assert rep.probes[0].gate == "containment"
 
 
 def test_derivative_bound_torus_flags_unbounded(J_torus):
@@ -354,6 +355,39 @@ def test_derivative_bound_stops_at_float_resolution():
     J = gallery("standard", n=1, radius=1.0)
     rep = derivative_bound(J, np.zeros(2), np.array([1.0, 0.0]), 4.0,
                            grid=make_grid(1.0, 9), bisect_tol=1e-300)
-    lams = [lam for lam, ok in rep.probes]
+    lams = [probe.lam for probe in rep.probes]
     assert len(lams) == len(set(lams)) < 100
     assert abs(rep.lambda_lower - 1.0) <= 0.05
+
+
+def test_derivative_bound_gates_each_probe_on_its_residual(monkeypatch):
+    # conjugated eps 0.2 contains every disk, so only the solves and the
+    # residual cap bound lambda; an ungated scan accepts the lambda_max
+    # disk, whose residual is of order 5
+    J = gallery("conjugated", n=1, epsilon=0.2)
+    p, nu, g = np.zeros(2), np.array([1.0, 0.3]), make_grid(1.0, 33)
+    with monkeypatch.context() as m:
+        m.setattr(kobayashi, "_RESIDUAL_CAP", math.inf)
+        ungated = derivative_bound(J, p, nu, 40.0, grid=g)
+    assert ungated.unbounded_suspected and ungated.probes[0].residual > 1.0
+    for theta in (solver._THETA, 0.0):
+        monkeypatch.setattr(solver, "_THETA", theta)
+        rep = derivative_bound(J, p, nu, 40.0, grid=g)
+        assert (rep.lambda_lower, rep.unbounded_suspected, len(rep.probes)) == (
+            4.296875, False, 13)
+        for probe in rep.probes:
+            if probe.residual is None:
+                assert (probe.feasible, probe.gate) == (False, "Diverged")
+            else:
+                assert probe.feasible == (probe.residual <= solver._RESIDUAL_CAP)
+                assert probe.gate == (None if probe.feasible else "residual")
+    assert KobayashiOptions().residual_cap == kobayashi._RESIDUAL_CAP == solver._RESIDUAL_CAP
+
+
+def test_derivative_bound_records_a_failed_solve():
+    J = gallery("conjugated", n=1, epsilon=0.2)
+    rep = derivative_bound(J, np.zeros(2), np.array([1.0, 0.3]), 40.0,
+                           cfg=SolverConfig(max_iter=3), grid=make_grid(1.0, 33))
+    first = rep.probes[0]
+    assert (first.lam, first.feasible, first.residual, first.gate) == (
+        40.0, False, None, "Diverged")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -135,7 +137,7 @@ def test_two_point_disk_counters_are_pinned(J_conj):
     # them shows here without timing noise
     sol = two_point_disk(J_conj, np.zeros(2), np.array([0.3, -0.2]), 0.5,
                          SolverConfig(epsilon=0.5), make_grid(1.0, 33))
-    assert (sol.iterations, len(sol.step_deltas), sol.newton_steps) == (7, 7, 0)
+    assert (sol.iterations, len(sol.step_deltas), sol.newton_steps) == (4, 4, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -230,7 +232,7 @@ def test_derivative_observe_is_d_dz_at_the_origin_to_the_bit(r, n, monkeypatch, 
 
 def test_a_solve_builds_diskmaps_independent_of_its_length(J_std, monkeypatch):
     # the iterate stays an array: a solve wraps its seed and its result, so
-    # a 78-step solve builds as many DiskMaps as a 1-step one
+    # a 42-step solve builds as many DiskMaps as a 1-step one
     built = []
     post_init = DiskMap.__post_init__
 
@@ -247,7 +249,7 @@ def test_a_solve_builds_diskmaps_independent_of_its_length(J_std, monkeypatch):
         sol = two_point_disk(J, np.zeros(2), q, 0.5, SolverConfig(), g)
         counts.append(len(built))
         steps.append(sol.iterations)
-    assert steps == [1, 78]
+    assert steps == [1, 42]
     assert counts == [2, 2]
 
 
@@ -369,13 +371,13 @@ def test_dilatation_is_evaluated_at_interior_nodes_only(J_conj, g65, monkeypatch
 
 
 def test_slow_contraction_converges_above_the_residual_cap():
-    # J eps 0.9 with a long gap contracts slowly (worst ratio about 0.94):
+    # J eps 0.9 with a long gap contracts slowly (worst ratio about 0.93):
     # it converges within the default budget of 80 steps, but the disk is
     # too coarse for the chain search's residual cap of 1e-2
     J = gallery("conjugated", n=1, epsilon=0.9)
     sol = two_point_disk(J, np.zeros(2), np.array([1.5, 0.4]), 0.5,
                          SolverConfig(), make_grid(1.0, 33))
-    assert sol.iterations == 78
+    assert sol.iterations == 42
     assert 0.9 < max(sol.contraction_ratios()) < 1.0
     assert 1e-2 < sol.residual < 1.2e-2
 
@@ -458,7 +460,10 @@ def _nested_reference(J, cfg, seed, observe, data):
 
 
 @pytest.mark.parametrize("eps, t", [(0.1, 0.5), (0.5, 0.25), (0.5, 0.1)])
-def test_matched_loop_agrees_with_a_nested_solve(eps, t):
+def test_matched_loop_agrees_with_a_nested_solve(eps, t, monkeypatch):
+    # both sides iterate to the absolute test alone, so they differ by the
+    # matching, not by where the relative test stops each fixed point
+    monkeypatch.setattr(solver, "_THETA", 0.0)
     J = gallery("conjugated", n=1, epsilon=eps)
     g = make_grid(1.0, 33)
     cfg = SolverConfig()
@@ -475,7 +480,8 @@ def test_matched_loop_agrees_with_a_nested_solve(eps, t):
 
 
 @pytest.mark.parametrize("eps, lam", [(0.3, 0.2), (0.3, 1.0)])
-def test_matched_derivative_loop_agrees_with_a_nested_solve(eps, lam):
+def test_matched_derivative_loop_agrees_with_a_nested_solve(eps, lam, monkeypatch):
+    monkeypatch.setattr(solver, "_THETA", 0.0)
     J = gallery("conjugated", n=1, epsilon=eps)
     g = make_grid(1.0, 33)
     cfg = SolverConfig()
@@ -490,3 +496,60 @@ def test_matched_derivative_loop_agrees_with_a_nested_solve(eps, lam):
     assert np.max(np.abs(sol.v.value_at_center() - p)) < 1e-14
     assert np.max(np.abs(d_dz(sol.v).values[c] - w)) < 1e-14
     assert sol.iterations == len(sol.step_deltas) > 1
+
+
+@pytest.mark.parametrize("N", [33, 65])
+@pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
+def test_the_relative_stop_is_within_theta_of_the_residual(eps, N, monkeypatch):
+    # the solve stops once its a posteriori fixed-point error bound is at
+    # most theta times its residual; the iterate the absolute test alone
+    # reaches stands in for the fixed point
+    J = gallery("conjugated", n=1, epsilon=eps)
+    g = make_grid(1.0, N)
+    p, q, t = np.array([0.05, -0.1]), np.array([0.3, 0.1]), 0.5
+    theta = solver._THETA
+    sol = two_point_disk(J, p, q, t, SolverConfig(), g)
+    monkeypatch.setattr(solver, "_THETA", 0.0)
+    ref = two_point_disk(J, p, q, t, SolverConfig(), g)
+    assert sol.iterations < ref.iterations
+    gap = np.max(np.abs(sol.v.values[g.mask] - ref.v.values[g.mask]))
+    assert gap <= 2 * theta * sol.residual
+    # the matched data hold at every iterate, wherever the solve stops
+    assert np.max(np.abs(sol.v.value_at_center() - p)) <= 1e-14
+    assert np.max(np.abs(eval_interp(sol.v, complex(t, 0.0)) - q)) <= 1e-14
+
+
+def test_a_disk_above_the_residual_cap_stops_near_its_fixed_point(monkeypatch):
+    # the relative test counts a residual at most up to the acceptance cap:
+    # at lambda 40 the derivative disk's residual is about 4.9, and the
+    # solve stops within theta * cap of the fixed point that the absolute
+    # test alone reaches only past the default budget of 80 steps
+    nu = np.array([1.0, 0.3]) / np.hypot(1.0, 0.3)
+    J = gallery("conjugated", n=1, epsilon=0.2)
+    g = make_grid(1.0, 33)
+    sol = derivative_disk(J, np.zeros(2), 40.0 * nu, SolverConfig(), g)
+    assert sol.iterations == 48 and 4.8 < sol.residual < 4.9
+    monkeypatch.setattr(solver, "_THETA", 0.0)
+    with pytest.raises(Diverged):
+        derivative_disk(J, np.zeros(2), 40.0 * nu, SolverConfig(), g)
+    ref = derivative_disk(J, np.zeros(2), 40.0 * nu, SolverConfig(max_iter=200), g)
+    assert ref.iterations > 80
+    gap = np.max(np.abs(sol.v.values[g.mask] - ref.v.values[g.mask]))
+    assert gap <= 2e-3 * solver._RESIDUAL_CAP
+
+
+@pytest.mark.parametrize("J, q", [
+    (gallery("standard", n=1), np.array([0.3, 0.1])),                  # delta reaches 0
+    (gallery("conjugated", n=1, epsilon=0.9), np.array([3.0, 1.0])),   # ratios >= 1
+])
+def test_the_relative_stop_divides_nothing(J, q):
+    # a zero previous delta and a ratio of 1 or more must not reach a
+    # division: with RuntimeWarnings as errors the solve ends as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = two_point_disk(J, np.zeros(2), q, 0.5, SolverConfig(), make_grid(1.0, 33))
+        except Diverged as exc:
+            assert exc.ratio >= 1.0
+        else:
+            assert sol.step_deltas == [0.0]
