@@ -83,16 +83,15 @@ class DiskGrid:
             ops[name] = build(self if self.r == 1.0 else DiskGrid(1.0, self.N))
         return ops[name]
 
-    # Difference operators act on flattened (N*N, c) arrays; they take
-    # centred differences at interior nodes, and every other row is empty.
-    def _diff_matrix(self, axis: int) -> sp.csr_matrix:
+    def _difference_matrix(self) -> sp.csr_matrix:
+        """Centred x differences at the m interior nodes in row-major order,
+        then y differences, two entries a row, on ``(N*N, c)`` arrays."""
         N, h = self.N, self.h
         node = np.flatnonzero(self.interior)
-        step = N if axis == 0 else 1
-        rows = np.concatenate([node, node])
-        cols = np.concatenate([node + step, node - step])
-        vals = np.repeat([0.5 / h, -0.5 / h], node.size)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
+        row = np.arange(2 * node.size)
+        cols = np.concatenate([node + N, node + 1, node - N, node - 1])
+        vals = np.repeat([0.5 / h, -0.5 / h], row.size)
+        return sp.coo_matrix((vals, (np.tile(row, 2), cols)), shape=(row.size, N * N)).tocsr()
 
     def _ring_matrix(self) -> sp.csr_matrix:
         N, inner = self.N, self.interior
@@ -134,15 +133,27 @@ class DiskGrid:
         return self.unit_operator("ring_interior", lambda unit: unit._ring_matrix()[
             :, np.flatnonzero(unit.interior)])
 
-    def _difference(self, axis: int, values: np.ndarray) -> np.ndarray:
-        D = self.unit_operator(("dx", "dy")[axis], lambda unit: unit._diff_matrix(axis))
-        out = (D @ values.reshape(self.N * self.N, -1)).reshape(values.shape)
+    def _differences(self, values: np.ndarray, half: int | None = None) -> np.ndarray:
+        """``_difference_matrix`` applied to ``(N, N, c)`` values: its
+        interior rows, or with ``half`` 0 (x) or 1 (y) that half's rows at
+        their lattice rows, from a matrix sharing its entries whose every
+        other row is empty."""
+        D = self.unit_operator("diff", lambda unit: unit._difference_matrix())
+        if half is not None:
+            def lattice_rows(unit):
+                k, N = D.shape[0], unit.N       # k entries a half, at two a row
+                ptr = np.concatenate([[0], 2 * np.cumsum(unit.interior.ravel())])
+                return sp.csr_matrix((D.data[half * k:][:k], D.indices[half * k:][:k],
+                                      ptr.astype(D.indptr.dtype)), shape=(N * N, N * N))
+            D = self.unit_operator(("diff", half), lattice_rows)
+        rows = D @ values.reshape(self.N * self.N, -1)
         if self.r != 1.0:       # dividing by r = 1 is exact, so it is skipped
-            out /= self.r
-        return out
+            rows /= self.r
+        return rows
 
     def dx_apply(self, values: np.ndarray) -> np.ndarray:
-        return self._difference(0, values)
+        """Centred x differences at the interior nodes, 0 elsewhere."""
+        return self._differences(values, 0).reshape(values.shape)
 
     def dx_at_center(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
         """``dx_apply(values)`` (``dy_apply`` for axis 1) at the origin node
@@ -155,7 +166,7 @@ class DiskGrid:
         return out if self.r == 1.0 else out / self.r
 
     def dy_apply(self, values: np.ndarray) -> np.ndarray:
-        return self._difference(1, values)
+        return self._differences(values, 1).reshape(values.shape)
 
     def __repr__(self):
         return f"DiskGrid(r={self.r}, N={self.N}, nodes={self.node_count})"
@@ -371,7 +382,7 @@ def d_dz(u, grid: DiskGrid | None = None):
     interior nodes; it reads 0 on the boundary ring and off the disk.
 
     ``u`` is a ``DiskMap``, which gives a ``DiskMap``, or the ``(N, N, 2n)``
-    values of a map on ``grid``, which give values (the solver's loop)."""
+    values of a map on ``grid``, which give values."""
     return _wirtinger(u, grid, bar=False)
 
 
@@ -381,11 +392,11 @@ def d_dzbar(u, grid: DiskGrid | None = None):
     return _wirtinger(u, grid, bar=True)
 
 
-def wirtinger_pair(values: np.ndarray, grid: DiskGrid):
-    """``(d_dz, d_dzbar)`` of the ``(N, N, 2n)`` values of a map on ``grid``,
-    both from one pair of lattice differences, each equal to its own
-    function's to the bit."""
-    ux, uy = grid.dx_apply(values), grid.dy_apply(values)
+def interior_wirtinger(values: np.ndarray, grid: DiskGrid):
+    """``(d_dz, d_dzbar)`` of the ``(N, N, 2n)`` values of a map on ``grid``
+    as ``(m, 2n)`` rows at the interior nodes, their values there to the
+    bit, both from one difference product."""
+    ux, uy = grid._differences(values).reshape(2, -1, values.shape[-1])
     dzbar = _combine(ux, uy, bar=True)
     return _combine(ux, uy, bar=False, out=ux), dzbar
 

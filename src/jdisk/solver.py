@@ -7,10 +7,11 @@ discretization error, when it is a fixed point of
 
 with h a holomorphic target and P the solid Cauchy transform, the right
 inverse of d/dzbar on the disk.  ``picard_solve`` runs the fixed-point
-iteration.  For ``two_point_disk`` and ``derivative_disk`` it also picks
-the affine target at every step so that the disk carries their point or
-derivative data exactly (the fixed-point treatment of disks with prescribed
-data, Nijenhuis and Woolf, Ann. of Math. 77 (1963)).
+iteration; each step forms q(v) dv/dz and v's residual at the interior
+nodes alone (``_defect``).  For ``two_point_disk`` and ``derivative_disk``
+it also picks the affine target at every step so that the disk carries
+their point or derivative data exactly (the fixed-point treatment of disks
+with prescribed data, Nijenhuis and Woolf, Ann. of Math. 77 (1963)).
 
 The iteration has two stopping tests.  The absolute one ends it once a
 step changes v by less than ``epsilon * tol_fixpoint``.  The relative one
@@ -37,7 +38,7 @@ from .cauchygreen import cg_apply, cg_build
 # d_dz, d_dzbar and eval_interp are not called here; perfbench/spans.py
 # wraps them in this namespace
 from .diskgrid import (DiskGrid, DiskMap, _bilinear_cells, _combine, d_dz,  # noqa: F401
-                       d_dzbar, eval_interp, wirtinger_pair)
+                       d_dzbar, eval_interp, interior_wirtinger)
 from .errors import Diverged, InvalidParams
 from .structure import ComplexConvention, StructureField, q_field
 
@@ -119,25 +120,21 @@ def _rows(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return values.reshape(-1, values.shape[-1]).take(nodes, axis=0)
 
 
-def _beltrami(J: StructureField, values: np.ndarray, dz: np.ndarray,
-              inner: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The Beltrami term q(v) dv/dz at the interior nodes, as rows in
-    row-major node order, for the ``(N, N, 2n)`` values of v and of its
-    ``d_dz``; ``inner`` are those nodes' flat indices,
-    ``np.flatnonzero(grid.interior)``, and ``labels`` their coordinates,
-    ``grid.nodes(grid.interior)``."""
-    q = q_field(J, _rows(values, inner), labels=labels)
-    return np.einsum("mij,mj->mi", q, _rows(dz, inner))
-
-
 def _defect(J: StructureField, values: np.ndarray, grid: DiskGrid, inner: np.ndarray,
             labels: np.ndarray) -> tuple:
-    """``(_beltrami rows, cr_residual)`` of the ``(N, N, 2n)`` values of v on
-    ``grid``, both from one pair of lattice differences; ``inner`` and
-    ``labels`` are as for ``_beltrami``."""
-    dz, dzbar = wirtinger_pair(values, grid)
-    beltrami = _beltrami(J, values, dz, inner, labels)
-    return beltrami, float(np.max(np.linalg.norm(_rows(dzbar, inner) - beltrami, axis=-1)))
+    """The Beltrami rows q(v) dv/dz at the interior nodes, with flat indices
+    ``inner`` and coordinates ``labels``, and the ``cr_residual`` of the
+    ``(N, N, 2n)`` values of v: the root of the largest row sum of squares
+    (sqrt is monotone and correctly rounded, so it is the largest norm)."""
+    dz, dzbar = interior_wirtinger(values, grid)
+    q = q_field(J, _rows(values, inner), labels=labels)
+    beltrami = np.empty_like(dz)
+    for i, row in enumerate(beltrami.T):
+        np.multiply(q[:, i, 0], dz[:, 0], out=row)
+        for j in range(1, dz.shape[1]):
+            row += q[:, i, j] * dz[:, j]
+    square = sum(col * col for col in np.subtract(dzbar, beltrami, out=dzbar).T)
+    return beltrami, float(np.sqrt(np.max(square)))
 
 
 def cr_residual(J: StructureField, v: DiskMap) -> float:
@@ -145,7 +142,7 @@ def cr_residual(J: StructureField, v: DiskMap) -> float:
 
     The universal holomorphy certificate for a sampled disk: zero for exact
     solutions, O(h^2 + quadrature) for solver output.  Both derivatives
-    come from one pair of lattice differences.
+    come from one difference product at the interior nodes (``_defect``).
     """
     g = v.grid
     return _defect(J, v.values, g, np.flatnonzero(g.interior), g.nodes(g.interior))[1]
@@ -203,8 +200,7 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     ``DiskMap``, the one it returns.  An iterate that turns non-finite at a
     retained node raises ``InvalidParams``.
 
-    Every step takes both Wirtinger derivatives of its iterate v from one
-    pair of differences, so the Beltrami rows of the density also give v's
+    The Beltrami rows of each step's density also give its iterate v's
     ``cr_residual`` res.  The iteration stops once the sup change delta of
     v falls below ``eps * cfg.tol_fixpoint``, or once the contraction
     ratio rho = delta / prev, prev the previous step's delta, is below 1

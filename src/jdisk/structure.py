@@ -178,18 +178,14 @@ def validate_structure(J: StructureField, samples: np.ndarray, tol: float = 1e-1
     invalid: list = []
     try:
         mats = J.eval(samples)
-        valid_idx = np.arange(samples.shape[0])
     except Exception:
         rows = []
-        valid_idx = []
         for i, p in enumerate(samples):
             try:
                 rows.append(J.eval(p))
-                valid_idx.append(i)
             except Exception as exc:  # noqa: BLE001 - reported, not raised
                 invalid.append((i, str(exc)))
         mats = np.array(rows) if rows else np.zeros((0, J.convention.dim, J.convention.dim))
-        valid_idx = np.asarray(valid_idx, dtype=int)
 
     if mats.shape[0]:
         resid = np.max(np.abs(np.einsum("mij,mjk->mik", mats, mats) + eye))
@@ -202,50 +198,51 @@ def validate_structure(J: StructureField, samples: np.ndarray, tol: float = 1e-1
 
 
 def _cond_numbers(m: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a stack (m, 2n, 2n) of ``Jst + J``;
-    for n = 1 those of ``_cond_2x2`` on its entries."""
+    """2-norm condition numbers of a stack (m, 2n, 2n) of ``Jst + J``; for
+    n = 1, s_max^2 / |det| with s_max = (sqrt(F + 2|det|) + sqrt(F - 2|det|))
+    / 2, F = a^2 + b^2 + c^2 + d^2, the exact one ``np.linalg.cond`` gives."""
     if m.shape[-1] > 2:
         return np.linalg.cond(m)
-    return _cond_2x2(*m.reshape(-1, 4).T)[1]
+    a, b, c, d = m.reshape(-1, 4).T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det, frob2 = a * d - b * c, a * a + b * b + c * c + d * d
+        two_det = 2.0 * np.abs(det)
+        # F - 2|det| = (s_max - s_min)^2 >= 0 up to rounding
+        s_max = 0.5 * (np.sqrt(frob2 + two_det) + np.sqrt(np.maximum(frob2 - two_det, 0.0)))
+        return np.where(det == 0, np.inf, s_max * s_max / np.abs(det))
 
 
-def _cond_2x2(a, b, c, d):
-    """Determinants and 2-norm condition numbers of the 2x2 matrices
-    ``[[a, b], [c, d]]`` given by their entry arrays.
-
-    Their singular values are ``(sqrt(F + 2|det|) +- sqrt(F - 2|det|)) / 2``
-    with ``F = a^2 + b^2 + c^2 + d^2``, so the condition number
-    ``s_max^2 / |det|`` is the exact 2-norm one ``np.linalg.cond`` gives.
-    """
-    det = a * d - b * c
-    frob2 = a * a + b * b + c * c + d * d
-    two_det = 2.0 * np.abs(det)
-    # F - 2|det| = (s_max - s_min)^2 >= 0 up to rounding
-    s_max = 0.5 * (np.sqrt(frob2 + two_det) + np.sqrt(np.maximum(frob2 - two_det, 0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return det, np.where(det == 0, np.inf, s_max * s_max / np.abs(det))
+_SCREEN_BOUND = 2.0 ** 1000     # the condition screen's largest F and cap
 
 
 def _dilatation(J: StructureField, mats: np.ndarray):
-    """Condition numbers of ``Jst + J`` over a stack (m, 2n, 2n) of values of
-    ``J``, and the dilatations ``(Jst + J)^{-1} (Jst - J)``, or None in their
-    place when a condition number is non-finite or above ``J.cond_cap``.
+    """``(q, None)``, q the dilatations ``(Jst + J)^{-1} (Jst - J)`` over a
+    stack (m, 2n, 2n) of values of J, or ``(None, conds)`` with the
+    condition numbers of ``Jst + J`` when one is non-finite or above the cap.
 
-    For n = 1 the inverse is the adjugate over the determinant.  J's four
-    entries are read once, as rows, and the entries of ``Jst + J`` and
-    ``Jst - J`` formed from them by the additions that ``jst + mats`` and
-    ``jst - mats`` make, so both results are those of the stacks to the bit.
-    """
-    if J.convention.n > 1:
-        jst = J.convention.jst_f
+    For n = 1, q is the adjugate over the determinant, formed from J's
+    entries by the sums ``jst +- mats`` make, so to the bit theirs.  As
+    cond = s_max^2 / |det| <= F / |det|, F < cond_cap (1 - 1e-12) |det| at
+    every node passes the exact test: the margin covers rounding, and
+    F <= _SCREEN_BOUND (a cap above it screens as it) keeps F + 2|det| and
+    cond finite.  Only a stack failing this screen, as NaN, inf and det = 0
+    (J = -Jst) do, forms the exact condition numbers."""
+    jst, screened = J.convention.jst_f, False
+    if J.convention.n == 1:
+        j00, j01, j10, j11 = mats.reshape(-1, 4).T
+        a, b, c, d = 0.0 + j00, j01 - 1.0, 1.0 + j10, 0.0 + j11            # Jst + J
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            det, frob2 = a * d - b * c, a * a + b * b + c * c + d * d
+            cap = min(J.cond_cap, _SCREEN_BOUND) * (1.0 - 1e-12)
+            screened = (frob2 < cap * np.abs(det)).all() and frob2.max() <= _SCREEN_BOUND
+    if not screened:
         m = jst + mats
-        conds = np.linalg.cond(m)
-        return conds, np.linalg.solve(m, jst - mats) if _within_cap(J, conds) else None
-    j00, j01, j10, j11 = mats.reshape(-1, 4).T
-    a, b, c, d = 0.0 + j00, j01 - 1.0, 1.0 + j10, 0.0 + j11                # Jst + J
-    det, conds = _cond_2x2(a, b, c, d)
-    if not _within_cap(J, conds):
-        return conds, None
+        conds = _cond_numbers(m)
+        worst = np.max(conds)   # nan wherever a condition number is nan
+        if not (np.isfinite(worst) and worst <= J.cond_cap):
+            return None, conds
+        if J.convention.n > 1:
+            return np.linalg.solve(m, jst - mats), None
     r00, r01, r10, r11 = 0.0 - j00, -1.0 - j01, 1.0 - j10, 0.0 - j11       # Jst - J
     q = np.empty(mats.shape)
     q00, q01, q10, q11 = q.reshape(-1, 4).T
@@ -253,13 +250,7 @@ def _dilatation(J: StructureField, mats: np.ndarray):
     np.divide(d * r01 - b * r11, det, out=q01)
     np.divide(a * r10 - c * r00, det, out=q10)
     np.divide(a * r11 - c * r01, det, out=q11)
-    return conds, q
-
-
-def _within_cap(J: StructureField, conds: np.ndarray) -> bool:
-    """Whether every condition number is finite and at most ``J.cond_cap``."""
-    worst = np.max(conds)   # nan wherever a condition number is nan
-    return bool(np.isfinite(worst) and worst <= J.cond_cap)
+    return q, None
 
 
 def q_matrix(J: StructureField, v: np.ndarray) -> np.ndarray:
@@ -277,10 +268,11 @@ def q_field(J: StructureField, points: np.ndarray, labels: np.ndarray | None = N
 
     Raises ``Singular`` when the condition number of ``Jst + J`` at some
     point is non-finite or above ``J.cond_cap``; its ``where`` is the label
-    of that point when ``labels`` (same leading length) is given.
+    of that point when ``labels`` (same leading length) is given.  For
+    n = 1 it needs no square root unless the cap is near (``_dilatation``).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    conds, q = _dilatation(J, J.eval(points))
+    q, conds = _dilatation(J, J.eval(points))
     if q is None:
         worst = int(np.argmax(conds))
         where = np.asarray(labels[worst] if labels is not None else points[worst]).tolist()
@@ -306,18 +298,18 @@ def _conjugation_eval(conv: ComplexConvention, epsilon: float, b_field):
 
     def eval_fn(points: np.ndarray) -> np.ndarray:
         b = np.asarray(b_field(points), dtype=np.float64)
-        s = eye + epsilon * b
         if conv.n > 1:
+            s = eye + epsilon * b
             try:
                 out = s @ conv.jst_f @ np.linalg.inv(s)
             except np.linalg.LinAlgError:
                 where = points[int(np.argmin(np.abs(np.linalg.det(s))))].tolist()
                 raise Singular(f"S = Id + eps*B is singular at {where}", where) from None
         else:
-            # S Jst adj(S) / det(S) with Jst = [[0, -1], [1, 0]]
-            s00, s01, s10, s11 = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
+            # S Jst adj(S) / det(S), Jst = [[0, -1], [1, 0]], S = eye + eps B
+            s00, s01, s10, s11 = eye.reshape(4, 1) + epsilon * b.reshape(-1, 4).T
             det = s00 * s11 - s01 * s10
-            out = np.empty_like(s)
+            out = np.empty_like(b)
             with np.errstate(divide="ignore", invalid="ignore"):
                 out[:, 0, 0] = (s00 * s10 + s01 * s11) / det
                 out[:, 0, 1] = -(s00 * s00 + s01 * s01) / det
@@ -370,11 +362,11 @@ def gallery(name: str, n: int = 1, epsilon: float = 0.1, perturbation="sin",
             b_field = perturbation
         else:
             sigma = _named_shape(perturbation, periodic)
-            e00 = np.zeros((conv.dim, conv.dim))
-            e00[0, 0] = 1.0
 
             def b_field(points: np.ndarray) -> np.ndarray:
-                return sigma(points)[..., None, None] * e00
+                b = np.zeros((points.shape[0], conv.dim, conv.dim))
+                b[:, 0, 0] = sigma(points)
+                return b
 
         fld = StructureField(conv, domain, _conjugation_eval(conv, epsilon, b_field),
                              name=name)

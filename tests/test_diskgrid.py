@@ -10,9 +10,8 @@ from scipy.integrate import quad
 from jdisk import diskgrid
 from jdisk.brody import sup_poincare_derivative
 from jdisk.diskgrid import (DiskGrid, DiskMap, d_dz, d_dzbar, eval_interp,
-                            make_grid, mobius_swap, node_max,
-                            poincare_distance, resample, to_csv,
-                            wirtinger_pair)
+                            interior_wirtinger, make_grid, mobius_swap,
+                            node_max, poincare_distance, resample, to_csv)
 from jdisk.errors import (InvalidGrid, OutsideDisk, OutsideInterpolationRange)
 from jdisk.structure import ComplexConvention
 
@@ -36,6 +35,33 @@ def test_small_grid_nodes_enumerated_by_hand():
     assert {(x, y) for x, y in zip(g.X[g.interior], g.Y[g.interior])} == inner
 
 
+def lattice_difference_matrix(g, axis):
+    """The centred differences along ``axis`` as one ``(N*N, N*N)`` matrix
+    over the whole lattice, with empty rows off the interior: the
+    differences as they were built before the interior-row matrix."""
+    N, h = g.N, g.h
+    node = np.flatnonzero(g.interior)
+    step = N if axis == 0 else 1
+    rows = np.concatenate([node, node])
+    cols = np.concatenate([node + step, node - step])
+    vals = np.repeat([0.5 / h, -0.5 / h], node.size)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
+
+
+def lattice_differences(g, values):
+    """``dx_apply`` and ``dy_apply`` of ``values`` as the products with the
+    lattice matrices, divided by r unless r is 1."""
+    N = g.N
+    unit = DiskGrid(1.0, N)
+    out = []
+    for axis in (0, 1):
+        d = (lattice_difference_matrix(unit, axis) @ values.reshape(N * N, -1)).reshape(values.shape)
+        if g.r != 1.0:
+            d /= g.r
+        out.append(d)
+    return out
+
+
 @pytest.mark.parametrize("N", list(range(9, 258, 2)) + [513, 1025])
 def test_ring_rows_read_interior_nodes_and_differences_stay_interior(N):
     # built on a fresh grid, so the shared operator cache is left alone
@@ -45,9 +71,10 @@ def test_ring_rows_read_interior_nodes_and_differences_stay_interior(N):
     assert g.interior[g.center_index]
     ext = g._ring_matrix()[ring]
     assert np.all(ext.getnnz(axis=1) > 0) and inner[ext.indices].all()
-    for axis in (0, 1):
-        D = g._diff_matrix(axis)
-        assert np.array_equal(np.flatnonzero(D.getnnz(axis=1)), np.flatnonzero(inner))
+    # one x and one y row per interior node, each reading two retained nodes
+    D = g._difference_matrix()
+    assert D.shape == (2 * int(inner.sum()), N * N)
+    assert np.all(D.getnnz(axis=1) == 2) and g.mask.ravel()[D.indices].all()
 
 
 def ring_matrix_by_walk(g):
@@ -89,15 +116,35 @@ def test_ring_matrix_is_the_per_node_walk_to_the_byte():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("r", [1.0, 0.37])
 def test_one_difference_pair_gives_both_derivatives_to_the_bit(r, n):
+    # interior_wirtinger's rows are d_dz and d_dzbar at the interior nodes
     g = make_grid(r, 33)
     v = np.random.default_rng(n).standard_normal((33, 33, 2 * n))
-    dz, dzbar = wirtinger_pair(v, g)
-    assert dz.tobytes() == d_dz(v, g).tobytes()
-    assert dzbar.tobytes() == d_dzbar(v, g).tobytes()
+    dz, dzbar = interior_wirtinger(v, g)
+    assert dz.tobytes() == d_dz(v, g)[g.interior].tobytes()
+    assert dzbar.tobytes() == d_dzbar(v, g)[g.interior].tobytes()
     # (ux -+ i uy) / 2 per component, from the two lattice differences
-    ux, uy = (ComplexConvention.to_complex(d(v)) for d in (g.dx_apply, g.dy_apply))
+    ux, uy = (ComplexConvention.to_complex(d(v)[g.interior]) for d in (g.dx_apply, g.dy_apply))
     for got, want in ((dz, 0.5 * (ux - 1j * uy)), (dzbar, 0.5 * (ux + 1j * uy))):
         assert np.allclose(ComplexConvention.to_complex(got), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [9, 33, 129])
+@pytest.mark.parametrize("r", [1.0, 0.37, 40.0])
+def test_scattered_differences_are_the_lattice_products_to_the_byte(N, r):
+    # dx_apply and dy_apply place the stacked matrix's rows at their lattice
+    # rows; they, d_dz and d_dzbar equal the products with the whole-lattice
+    # matrices, whose rows off the interior are empty, byte for byte
+    g = make_grid(r, N)
+    rng = np.random.default_rng(N)
+    for c in (2, 4):
+        v = rng.standard_normal((N, N, c))
+        ux, uy = lattice_differences(g, v)
+        assert g.dx_apply(v).tobytes() == ux.tobytes()
+        assert g.dy_apply(v).tobytes() == uy.tobytes()
+        for d, bar in ((d_dz, False), (d_dzbar, True)):
+            want = diskgrid._combine(ux.copy(), uy, bar)
+            assert d(v, g).tobytes() == want.tobytes()
+            assert d(DiskMap(g, v)).values.tobytes() == DiskMap(g, want).values.tobytes()
 
 
 def test_interior_extension_is_the_ring_extension_of_interior_rows():
@@ -479,9 +526,16 @@ def test_shared_lattice_operators_at_unit_radius_are_fresh_builds(N, monkeypatch
     make_grid(0.37, N).dy_apply(v)
     make_grid(0.37, N).ring_extension()
     g = make_grid(1.0, N)
-    flat = v.reshape(N * N, -1)
-    assert np.array_equal(g.dx_apply(v), (g._diff_matrix(0) @ flat).reshape(v.shape))
-    assert np.array_equal(g.dy_apply(v), (g._diff_matrix(1) @ flat).reshape(v.shape))
+    ux, uy = lattice_differences(g, v)
+    assert np.array_equal(g.dx_apply(v), ux)
+    assert np.array_equal(g.dy_apply(v), uy)
+    D = g.unit_operator("diff", None)
+    assert (D != g._difference_matrix()).nnz == 0
+    # the lattice-row halves share the stacked matrix's entries
+    for half in (0, 1):
+        lattice = g.unit_operator(("diff", half), None)
+        assert np.shares_memory(lattice.data, D.data)
+        assert np.shares_memory(lattice.indices, D.indices)
     assert (g.ring_extension() != g._ring_matrix()).nnz == 0
     assert g.ring_extension() is make_grid(40.0, N).ring_extension()
 
@@ -514,7 +568,7 @@ def test_ring_extension_commutes_with_the_lattice_reflections(N):
 def test_scaled_differences_match_a_fresh_build(N, r):
     g = make_grid(r, N)
     v = np.random.default_rng(N).standard_normal((N, N, 2))
-    want = (g._diff_matrix(0) @ v.reshape(N * N, -1)).reshape(v.shape)
+    want = (lattice_difference_matrix(g, 0) @ v.reshape(N * N, -1)).reshape(v.shape)
     assert np.allclose(g.dx_apply(v), want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 

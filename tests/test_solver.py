@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jdisk import solver
-from jdisk.diskgrid import DiskMap, _bilinear_cells, d_dz, eval_interp, make_grid
+from jdisk.diskgrid import DiskMap, _bilinear_cells, _combine, d_dz, eval_interp, make_grid
 from jdisk.errors import Diverged, InvalidParams
 from jdisk.solver import (SolverConfig, affine_target, check_node, cr_residual,
                           derivative_disk, picard_solve, two_point_disk)
@@ -314,25 +314,80 @@ def test_two_point_disk_reads_nodes_beyond_one_on_a_wide_grid():
             affine_target(p, q, t, g)
 
 
+def wirtinger_pair(values, grid):
+    """``(d_dz, d_dzbar)`` over the lattice from the two lattice
+    differences, as the solver took them before its interior-row defect."""
+    ux, uy = grid.dx_apply(values), grid.dy_apply(values)
+    dzbar = _combine(ux, uy, bar=True)
+    return _combine(ux, uy, bar=False, out=ux), dzbar
+
+
+def reference_defect(J, values, grid):
+    """The Beltrami rows q(v) dv/dz at the interior nodes and the
+    cr_residual, as formed before the fused defect: lattice derivatives
+    taken at the interior nodes, an einsum, and the largest row norm."""
+    inner = grid.interior
+    dz, dzbar = wirtinger_pair(values, grid)
+    q = q_field(J, values[inner], labels=grid.nodes(inner))
+    rows = np.einsum("mij,mj->mi", q, dz[inner])
+    return rows, float(np.max(np.linalg.norm(dzbar[inner] - rows, axis=-1)))
+
+
+def _defect(J, values, grid):
+    return solver._defect(J, values, grid, np.flatnonzero(grid.interior),
+                          grid.nodes(grid.interior))
+
+
+def _b_field(points):
+    x, y = points[:, 0], points[:, 1]
+    return 0.5 * np.stack([np.stack([np.sin(x), np.cos(y)], -1),
+                           np.stack([x * y, np.cos(x + y)], -1)], -2)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.37])
+@pytest.mark.parametrize("perturbation", ["sin", _b_field])
+def test_fused_defect_is_the_einsum_defect_to_the_bit(r, perturbation):
+    J = gallery("conjugated", n=1, epsilon=0.3, perturbation=perturbation)
+    g = make_grid(r, 33)
+    v = np.random.default_rng(7).uniform(-0.5, 0.5, (33, 33, 2))
+    v[:, :12] = 0.25                  # dz and the rows vanish on a band
+    rows, res = _defect(J, v, g)
+    want_rows, want_res = reference_defect(J, v, g)
+    # the einsum starts each sum at +0, so where both products are -0 its
+    # zero is +0; adding +0 changes no other value, and the density the
+    # rows extend to has +0 there either way
+    assert (rows + 0.0).tobytes() == want_rows.tobytes()
+    ext = g.interior_extension()
+    assert (ext @ rows).tobytes() == (ext @ want_rows).tobytes()
+    assert res == want_res and cr_residual(J, DiskMap(g, v)) == want_res
+
+
+def test_fused_defect_agrees_with_the_einsum_for_n2():
+    J = gallery("conjugated", n=2, epsilon=0.2)
+    g = make_grid(0.37, 33)
+    v = np.random.default_rng(2).uniform(-0.5, 0.5, (33, 33, 4))
+    rows, res = _defect(J, v, g)
+    want_rows, want_res = reference_defect(J, v, g)
+    assert np.max(np.abs(rows - want_rows)) <= 1e-15 * np.max(np.abs(want_rows))
+    assert abs(res - want_res) <= 1e-15 * want_res
+
+
 def test_solver_and_certificate_share_one_beltrami_term(J_conj, g65, monkeypatch):
     # every Picard step and the final cr_residual form q(v) dv/dz through
-    # _beltrami, on v's values; the solve forms its node labels once
+    # _defect, on v's values; the solve forms its node labels once
     labels = []
-    beltrami = solver._beltrami
+    defect = solver._defect
 
-    def counted(J, values, dz, inner, node_labels):
+    def counted(J, values, grid, inner, node_labels):
         labels.append(node_labels)
-        return beltrami(J, values, dz, inner, node_labels)
+        return defect(J, values, grid, inner, node_labels)
 
-    monkeypatch.setattr(solver, "_beltrami", counted)
+    monkeypatch.setattr(solver, "_defect", counted)
     sol = two_point_disk(J_conj, np.zeros(2), np.array([0.1, 0.0]), 0.5, SolverConfig(), g65)
     assert len(labels) == sol.iterations + 1
     assert all(x is labels[0] for x in labels[:-1])
     assert np.array_equal(labels[-1], g65.nodes(g65.interior))
-    inner = g65.interior
-    resid = solver.d_dzbar(sol.v).values[inner] - beltrami(
-        J_conj, sol.v.values, solver.d_dz(sol.v).values, np.flatnonzero(inner), labels[-1])
-    assert sol.residual == float(np.max(np.linalg.norm(resid, axis=-1)))
+    assert sol.residual == reference_defect(J_conj, sol.v.values, g65)[1]
 
 
 def test_failed_match_raises_after_one_picard_call(J_conj, g65, monkeypatch):

@@ -1,8 +1,11 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jdisk.errors import InvalidParams, Singular, UnknownName
 from jdisk.structure import (ComplexConvention, DomainDescriptor,
@@ -224,11 +227,15 @@ def test_entry_row_dilatation_is_the_adjugate_formula_to_the_bit(rng):
     jst = ComplexConvention(1).jst_f
     mats = s @ jst @ np.linalg.inv(s)
     mats[:2] = [[[0.0, -1.0], [1.0, 0.0]], [[-0.0, -1.0], [1.0, -0.0]]]
-    conds, q = _dilatation(_constant_field(mats, cond_cap=np.inf), mats)
     want_conds, want = _adjugate_dilatation(mats)
-    assert conds.tobytes() == want_conds.tobytes()
-    assert q.tobytes() == want.tobytes()
-    assert np.allclose(conds, np.linalg.cond(jst + mats), rtol=1e-8)
+    assert np.allclose(want_conds, np.linalg.cond(jst + mats), rtol=1e-8)
+    # every node passes the condition screen, so no condition number is
+    # returned; with the largest one as the cap the screen fails at its
+    # node, the exact numbers pass, and q is the same to the bit
+    for cap in (np.inf, float(want_conds.max())):
+        q, conds = _dilatation(_constant_field(mats, cond_cap=cap), mats)
+        assert conds is None
+        assert q.tobytes() == want.tobytes()
 
 
 def test_one_ill_conditioned_point_raises_with_its_label_and_cond():
@@ -244,8 +251,70 @@ def test_one_ill_conditioned_point_raises_with_its_label_and_cond():
         q_field(J, np.zeros((6, 2)), labels=labels)
     assert info.value.where == [6.0, 7.0]
     assert str(info.value) == f"Jst + J ill conditioned (cond={want_conds[3]:.3e}) at [6.0, 7.0]"
-    conds, q = _dilatation(J, mats)
+    q, conds = _dilatation(J, mats)
     assert q is None and conds.tobytes() == want_conds.tobytes()
+
+
+_SPECIAL_NODES = ("near_cap", "minus_jst", "nan", "inf", "-inf", "tiny", "huge", "tiny_det")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 30),
+       cap=st.sampled_from([1e8, 10.0, np.inf]),
+       specials=st.lists(st.sampled_from(_SPECIAL_NODES), max_size=4))
+def test_condition_screen_raises_exactly_where_the_exact_condition_does(seed, m, cap, specials):
+    # Jst + J = R(a) diag(s, s / c) R(b) with c log-uniform over 1 to 1e10,
+    # and some nodes replaced: c within 2e-12 of the cap on either side (as
+    # diag(c, 1), whose condition number rounds to about 1e-16, so the
+    # screen passes, the exact test alone passes, or both fail),
+    # J = -Jst (det = 0), a NaN or infinite entry, a scale of 2^-530,
+    # 2^511 Id (F + 2|det| overflows, so the exact condition number reads
+    # inf) or diag(1, 2^-1060) (s_max^2 / |det| overflows)
+    rng = np.random.default_rng(seed)
+    jst = ComplexConvention(1).jst_f
+
+    def rot(t):
+        return np.stack([np.stack([np.cos(t), -np.sin(t)], -1),
+                         np.stack([np.sin(t), np.cos(t)], -1)], -2)
+
+    s = np.exp(rng.uniform(-3.0, 3.0, m))
+    c = 10.0 ** rng.uniform(0.0, 10.0, m)
+    diag = np.zeros((m, 2, 2))
+    diag[:, 0, 0], diag[:, 1, 1] = s, s / c
+    sums = rot(rng.uniform(0, 2 * np.pi, m)) @ diag @ rot(rng.uniform(0, 2 * np.pi, m))
+    for kind in specials:
+        i, j, k = rng.integers(m), rng.integers(2), rng.integers(2)
+        if kind == "near_cap":
+            near = min(cap, 1e9) * (1.0 + rng.uniform(-2e-12, 2e-12))
+            sums[i] = np.diag([near, 1.0])
+        elif kind == "minus_jst":
+            sums[i] = 0.0
+        elif kind == "tiny":
+            sums[i] *= 2.0 ** -530
+        elif kind == "huge":
+            sums[i] = 2.0 ** 511 * np.eye(2)
+        elif kind == "tiny_det":
+            sums[i] = np.diag([1.0, 2.0 ** -1060])
+        else:
+            sums[i, j, k] = float(kind)
+    mats = sums - jst
+    labels = np.arange(2.0 * m).reshape(m, 2)
+    with np.errstate(all="ignore"):
+        conds, want = _adjugate_dilatation(mats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            q, raised = q_field(_constant_field(mats, cond_cap=cap), np.zeros((m, 2)),
+                                labels=labels), None
+        except Singular as exc:
+            raised = exc
+    worst = np.max(conds)
+    if np.isfinite(worst) and worst <= cap:
+        assert raised is None and q.tobytes() == want.tobytes()
+    else:
+        k = int(np.argmax(conds))
+        assert raised is not None and raised.where == labels[k].tolist()
+        assert str(raised) == f"Jst + J ill conditioned (cond={conds[k]:.3e}) at {raised.where}"
 
 
 def test_q_matrix_matches_dense_inverse_oracle():
