@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .diskgrid import DiskGrid, DiskMap, make_grid, mobius_swap, node_max, resample
 from .errors import (HypothesisViolated, InvalidParams,
@@ -52,7 +53,18 @@ def _safe_radius(r: float, h: float, t0: float, a: float) -> float:
 
 
 def _derivative_norms(f: DiskMap) -> np.ndarray:
-    return np.linalg.norm(f.grid.dx_apply(f.values), axis=-1)
+    """|df/dx| at the interior nodes, 0 elsewhere, as an (N, N) array: the
+    x rows of the grid's difference matrix alone, since no y row is read."""
+    g = f.grid
+    D = g.difference_matrix()
+    m = D.shape[0] // 2
+    dx = sp.csr_matrix((D.data, D.indices, D.indptr[:m + 1]), shape=(m, D.shape[1]))
+    rows = dx @ f.values.reshape(D.shape[1], -1)
+    if g.r != 1.0:
+        rows /= g.r
+    norms = np.zeros((g.N, g.N))
+    norms[g.interior] = np.linalg.norm(rows, axis=-1)
+    return norms
 
 
 def _derivative_at_origin(f: DiskMap) -> float:

@@ -63,7 +63,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft, fft2, ifft, next_fast_len
 
-from .diskgrid import DiskGrid, DiskMap, d_dzbar
+from .diskgrid import DiskGrid, DiskMap, interior_wirtinger
 from .errors import GridMismatch
 
 _EDGE_GAUSS = 24       # quadrature points per contour piece
@@ -518,7 +518,6 @@ def cg_apply(op: CGOperator, phi):
 def cg_residual(op: CGOperator, phi: DiskMap) -> float:
     """Sup over interior nodes of | d/dzbar (P phi) - phi |, the headline
     quadrature-quality diagnostic."""
-    transformed = cg_apply(op, phi)
-    diff = d_dzbar(transformed).values - phi.values
-    inner = phi.grid.interior
-    return float(np.max(np.linalg.norm(diff[inner], axis=-1)))
+    g = phi.grid
+    diff = interior_wirtinger(cg_apply(op, phi).values, g)[1] - phi.values[g.interior]
+    return float(np.max(np.linalg.norm(diff, axis=-1)))

@@ -2,12 +2,13 @@
 
 A ``DiskGrid`` is the Cartesian lattice over [-r, r]^2 with an odd node
 count per axis (so the origin is a node), restricted to the closed disk
-|z| <= r.  Derivatives are centred differences on the interior mask
-|z| <= r - 2h and read zero elsewhere.  The boundary ring between the two
-masks gets its values in one way only: ``ring_extension`` extrapolates them
-linearly from interior nodes.  Every sup-type diagnostic is taken over the
-interior mask.  Grids have at least 9 nodes per axis, the fewest for which
-the origin is interior and every ring node has an interior source.
+|z| <= r.  Derivatives are centred differences at the interior mask
+|z| <= r - 2h, all read from one matrix of x and y rows there.  The
+boundary ring between the two masks gets its values in one way only:
+``interior_extension`` extrapolates them linearly from interior nodes.
+Every sup-type diagnostic is taken over the interior mask.  Grids have at
+least 9 nodes per axis, the fewest for which the origin is interior and
+every ring node has an interior source.
 
 The lattice operators depend on N alone up to a power of r (differences
 scale like 1/r, the ring extension not at all), so one module cache keeps
@@ -74,7 +75,8 @@ class DiskGrid:
     def unit_operator(self, name: str, build):
         """The operator ``name`` of the unit-radius grid with this N, made by
         ``build(unit_grid)`` on first use and shared by every grid of that N;
-        the cache holds no grid, and callers scale results to their r."""
+        the cache holds no grid, and callers scale results to their r.  An N
+        keeps one entry per operator: ``"diff"``, ``"ring_interior"``, ``"cg"``."""
         ops = _unit_sets.pop(self.N, None) or {}
         _unit_sets[self.N] = ops
         while len(_unit_sets) > _UNIT_SETS_KEPT:
@@ -118,45 +120,29 @@ class DiskGrid:
                                -dist[two].astype(float)])
         return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
 
-    def ring_extension(self) -> sp.csr_matrix:
-        """Operator replacing boundary-ring samples of a nodal field by the
-        linear inward extrapolation of its interior values (along the
-        dominant lattice axis); ring rows read interior nodes only.  Fields
-        built from derivatives are zero on the ring, so solvers fill their
-        densities there through this operator.  It does not depend on r."""
-        return self.unit_operator("ring", lambda unit: unit._ring_matrix())
-
     def interior_extension(self) -> sp.csr_matrix:
-        """``ring_extension``'s columns at the interior nodes: it takes a
-        field's rows at those nodes, in row-major order, to the lattice,
-        extended to the ring as ``ring_extension`` extends it."""
+        """Operator taking a field's rows at the interior nodes (row-major) to
+        the lattice, where each ring node gets their linear extrapolation
+        inward along the dominant lattice axis; solvers fill their densities
+        on the ring through it.  It does not depend on r."""
         return self.unit_operator("ring_interior", lambda unit: unit._ring_matrix()[
             :, np.flatnonzero(unit.interior)])
 
-    def _differences(self, values: np.ndarray, half: int | None = None) -> np.ndarray:
-        """``_difference_matrix`` applied to ``(N, N, c)`` values: its
-        interior rows, or with ``half`` 0 (x) or 1 (y) that half's rows at
-        their lattice rows, from a matrix sharing its entries whose every
-        other row is empty."""
-        D = self.unit_operator("diff", lambda unit: unit._difference_matrix())
-        if half is not None:
-            def lattice_rows(unit):
-                k, N = D.shape[0], unit.N       # k entries a half, at two a row
-                ptr = np.concatenate([[0], 2 * np.cumsum(unit.interior.ravel())])
-                return sp.csr_matrix((D.data[half * k:][:k], D.indices[half * k:][:k],
-                                      ptr.astype(D.indptr.dtype)), shape=(N * N, N * N))
-            D = self.unit_operator(("diff", half), lattice_rows)
-        rows = D @ values.reshape(self.N * self.N, -1)
+    def difference_matrix(self) -> sp.csr_matrix:
+        """``_difference_matrix`` of the unit-radius grid, shared by every
+        grid of this N; a grid's differences are its products divided by r."""
+        return self.unit_operator("diff", lambda unit: unit._difference_matrix())
+
+    def differences(self, values: np.ndarray) -> np.ndarray:
+        """The x and y differences of ``(N, N, c)`` values at the interior
+        nodes, as ``(2, m, c)`` rows: one product with ``difference_matrix``."""
+        rows = self.difference_matrix() @ values.reshape(self.N * self.N, -1)
         if self.r != 1.0:       # dividing by r = 1 is exact, so it is skipped
             rows /= self.r
-        return rows
-
-    def dx_apply(self, values: np.ndarray) -> np.ndarray:
-        """Centred x differences at the interior nodes, 0 elsewhere."""
-        return self._differences(values, 0).reshape(values.shape)
+        return rows.reshape(2, -1, rows.shape[-1])
 
     def dx_at_center(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
-        """``dx_apply(values)`` (``dy_apply`` for axis 1) at the origin node
+        """The x row of ``differences(values)`` (y for axis 1) at the origin
         alone: the centred difference there without building the operator,
         in the same arithmetic (unit-radius weights, then division by r)."""
         j, k = self.center_index
@@ -164,9 +150,6 @@ class DiskGrid:
         w = 0.5 / (2.0 / (self.N - 1))
         out = (-w) * values[j - dj, k - dk] + w * values[j + dj, k + dk]
         return out if self.r == 1.0 else out / self.r
-
-    def dy_apply(self, values: np.ndarray) -> np.ndarray:
-        return self._differences(values, 1).reshape(values.shape)
 
     def __repr__(self):
         return f"DiskGrid(r={self.r}, N={self.N}, nodes={self.node_count})"
@@ -370,33 +353,30 @@ def _combine(ux: np.ndarray, uy: np.ndarray, bar: bool, out=None) -> np.ndarray:
     return out
 
 
-def _wirtinger(u, grid: DiskGrid | None, bar: bool):
-    values, g = (u.values, u.grid) if isinstance(u, DiskMap) else (u, grid)
-    ux = g.dx_apply(values)
-    out = _combine(ux, g.dy_apply(values), bar, out=ux)
-    return DiskMap(g, out) if isinstance(u, DiskMap) else out
+def _on_lattice(u: DiskMap, rows: np.ndarray) -> DiskMap:
+    out = np.zeros_like(u.values)
+    out[u.grid.interior] = rows
+    return DiskMap(u.grid, out)
 
 
-def d_dz(u, grid: DiskGrid | None = None):
-    """Wirtinger derivative (d/dx - i d/dy)/2, per complex component, at
-    interior nodes; it reads 0 on the boundary ring and off the disk.
-
-    ``u`` is a ``DiskMap``, which gives a ``DiskMap``, or the ``(N, N, 2n)``
-    values of a map on ``grid``, which give values."""
-    return _wirtinger(u, grid, bar=False)
+def d_dz(u: DiskMap) -> DiskMap:
+    """Wirtinger derivative (d/dx - i d/dy)/2, per complex component: the
+    ``interior_wirtinger`` rows at the interior nodes, 0 on the boundary
+    ring and off the disk."""
+    return _on_lattice(u, interior_wirtinger(u.values, u.grid)[0])
 
 
-def d_dzbar(u, grid: DiskGrid | None = None):
+def d_dzbar(u: DiskMap) -> DiskMap:
     """Conjugate Wirtinger derivative (d/dx + i d/dy)/2; zero where
-    ``d_dz`` is.  Takes and returns what ``d_dz`` does."""
-    return _wirtinger(u, grid, bar=True)
+    ``d_dz`` is."""
+    return _on_lattice(u, interior_wirtinger(u.values, u.grid)[1])
 
 
 def interior_wirtinger(values: np.ndarray, grid: DiskGrid):
     """``(d_dz, d_dzbar)`` of the ``(N, N, 2n)`` values of a map on ``grid``
     as ``(m, 2n)`` rows at the interior nodes, their values there to the
     bit, both from one difference product."""
-    ux, uy = grid._differences(values).reshape(2, -1, values.shape[-1])
+    ux, uy = grid.differences(values)
     dzbar = _combine(ux, uy, bar=True)
     return _combine(ux, uy, bar=False, out=ux), dzbar
 

@@ -272,13 +272,14 @@ def _constant_solution(J: StructureField, p: np.ndarray, grid: DiskGrid) -> Disk
 
 def check_node(t: float, grid: DiskGrid) -> None:
     """Raise ``InvalidParams`` unless ``two_point_disk`` can match a point
-    at z = t on ``grid``: 0 < t < r - h, r and h the grid's radius and step.
-    The bound scales with the grid, so on r > 1 a node t >= 1 is valid."""
-    if not t > 0.0:
-        raise InvalidParams(f"t must be positive, got {t}")
-    # the bilinear cell at t must lie in the disk; the cell of the node r - h
-    # has a corner off the disk, and sampling snaps t onto it from within
-    # 1e-9 h plus the round-off of (t + r) / h, so t stays 2e-9 h below it
+    at z = t on ``grid``: 2e-9 h <= t < r - h (1 + 2e-9), r and h the grid's
+    radius and step.  The bound scales with the grid, so on r > 1 a node
+    t >= 1 is valid."""
+    # sampling snaps t onto a node from within 1e-9 h plus the round-off of
+    # (t + r) / h, so t stays 2e-9 h clear of the origin, where v(t) would
+    # read v(0), and of r - h, whose bilinear cell has a corner off the disk
+    if not t >= 2e-9 * grid.h:
+        raise InvalidParams(f"t must be at least 2e-9 h = {2e-9 * grid.h:.4g}, got {t}")
     if t >= grid.r - grid.h * (1.0 + 2e-9):
         raise InvalidParams(
             f"t={t} is not below the interpolation limit {grid.r - grid.h:.4g} of the grid")

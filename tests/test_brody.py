@@ -9,7 +9,7 @@ from jdisk.errors import HypothesisViolated, InvalidParams, ZeroDerivative
 from jdisk.solver import SolverConfig
 from jdisk.structure import gallery
 
-from conftest import complex_map
+from conftest import complex_map, lattice_differences
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ def scan_and_bisect(f, c):
         else:
             lo = mid
     g = f.grid
-    norms = np.linalg.norm(g.dx_apply(f.values), axis=-1)
+    norms = np.linalg.norm(lattice_differences(g, f.values)[0], axis=-1)
     sel = g.interior & (g.R2 < (hi * g.r) ** 2)
     vals = hi * norms[sel] * (g.r ** 2 - g.R2[sel] / hi ** 2) / g.r ** 2
     best = np.lexsort((g.Y[sel], g.X[sel], g.R2[sel], -vals))[0]

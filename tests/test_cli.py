@@ -255,6 +255,7 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
     ["brody", "--structure", "torus-flat", "--tol=-1e-8"],
     ["validate", "--N", "7"],
     ["disk", "--p", "0,0", "--q", "0.1,0", "--N", "9", "--t", "0.75"],
+    ["disk", "--p", "0,0", "--q", "0.1,0", "--t", "1e-12"],
     ["disk", "--structure", "conjugated", "--epsilon", "0.1", "--p", "0,0", "--q", "0.1,0",
      "--N", "33", "--cfg", "divergence_factor=-1"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "divergence_window=5"],

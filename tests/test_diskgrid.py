@@ -8,14 +8,16 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 
 from jdisk import diskgrid
-from jdisk.brody import sup_poincare_derivative
+from jdisk.brody import _derivative_norms, brody_reparametrize, sup_poincare_derivative
+from jdisk.cauchygreen import cg_apply, cg_build, cg_residual
 from jdisk.diskgrid import (DiskGrid, DiskMap, d_dz, d_dzbar, eval_interp,
                             interior_wirtinger, make_grid, mobius_swap,
                             node_max, poincare_distance, resample, to_csv)
 from jdisk.errors import (InvalidGrid, OutsideDisk, OutsideInterpolationRange)
-from jdisk.structure import ComplexConvention
+from jdisk.solver import SolverConfig, two_point_disk
+from jdisk.structure import ComplexConvention, gallery
 
-from conftest import complex_map
+from conftest import complex_map, lattice_difference_matrix, lattice_differences
 
 
 def test_small_grid_nodes_enumerated_by_hand():
@@ -33,33 +35,6 @@ def test_small_grid_nodes_enumerated_by_hand():
     assert (len(disk), len(inner)) == (49, 13)
     assert {tuple(p) for p in g.nodes(g.mask)} == disk
     assert {(x, y) for x, y in zip(g.X[g.interior], g.Y[g.interior])} == inner
-
-
-def lattice_difference_matrix(g, axis):
-    """The centred differences along ``axis`` as one ``(N*N, N*N)`` matrix
-    over the whole lattice, with empty rows off the interior: the
-    differences as they were built before the interior-row matrix."""
-    N, h = g.N, g.h
-    node = np.flatnonzero(g.interior)
-    step = N if axis == 0 else 1
-    rows = np.concatenate([node, node])
-    cols = np.concatenate([node + step, node - step])
-    vals = np.repeat([0.5 / h, -0.5 / h], node.size)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
-
-
-def lattice_differences(g, values):
-    """``dx_apply`` and ``dy_apply`` of ``values`` as the products with the
-    lattice matrices, divided by r unless r is 1."""
-    N = g.N
-    unit = DiskGrid(1.0, N)
-    out = []
-    for axis in (0, 1):
-        d = (lattice_difference_matrix(unit, axis) @ values.reshape(N * N, -1)).reshape(values.shape)
-        if g.r != 1.0:
-            d /= g.r
-        out.append(d)
-    return out
 
 
 @pytest.mark.parametrize("N", list(range(9, 258, 2)) + [513, 1025])
@@ -120,10 +95,10 @@ def test_one_difference_pair_gives_both_derivatives_to_the_bit(r, n):
     g = make_grid(r, 33)
     v = np.random.default_rng(n).standard_normal((33, 33, 2 * n))
     dz, dzbar = interior_wirtinger(v, g)
-    assert dz.tobytes() == d_dz(v, g)[g.interior].tobytes()
-    assert dzbar.tobytes() == d_dzbar(v, g)[g.interior].tobytes()
-    # (ux -+ i uy) / 2 per component, from the two lattice differences
-    ux, uy = (ComplexConvention.to_complex(d(v)[g.interior]) for d in (g.dx_apply, g.dy_apply))
+    assert dz.tobytes() == d_dz(DiskMap(g, v)).values[g.interior].tobytes()
+    assert dzbar.tobytes() == d_dzbar(DiskMap(g, v)).values[g.interior].tobytes()
+    # (ux -+ i uy) / 2 per component, from the x and y difference rows
+    ux, uy = (ComplexConvention.to_complex(d) for d in g.differences(v))
     for got, want in ((dz, 0.5 * (ux - 1j * uy)), (dzbar, 0.5 * (ux + 1j * uy))):
         assert np.allclose(ComplexConvention.to_complex(got), want, rtol=0, atol=1e-12)
 
@@ -131,20 +106,26 @@ def test_one_difference_pair_gives_both_derivatives_to_the_bit(r, n):
 @pytest.mark.parametrize("N", [9, 33, 129])
 @pytest.mark.parametrize("r", [1.0, 0.37, 40.0])
 def test_scattered_differences_are_the_lattice_products_to_the_byte(N, r):
-    # dx_apply and dy_apply place the stacked matrix's rows at their lattice
-    # rows; they, d_dz and d_dzbar equal the products with the whole-lattice
-    # matrices, whose rows off the interior are empty, byte for byte
+    # every derivative reads the interior rows of one difference matrix:
+    # those rows, d_dz and d_dzbar (written into a zero lattice), the Brody
+    # derivative norms (the x rows alone) and cg_residual equal what the
+    # whole-lattice matrices, whose rows off the interior are empty, give
     g = make_grid(r, N)
+    inner = g.interior
     rng = np.random.default_rng(N)
     for c in (2, 4):
         v = rng.standard_normal((N, N, c))
         ux, uy = lattice_differences(g, v)
-        assert g.dx_apply(v).tobytes() == ux.tobytes()
-        assert g.dy_apply(v).tobytes() == uy.tobytes()
+        assert g.differences(v).tobytes() == np.stack([ux[inner], uy[inner]]).tobytes()
         for d, bar in ((d_dz, False), (d_dzbar, True)):
             want = diskgrid._combine(ux.copy(), uy, bar)
-            assert d(v, g).tobytes() == want.tobytes()
             assert d(DiskMap(g, v)).values.tobytes() == DiskMap(g, want).values.tobytes()
+        assert _derivative_norms(DiskMap(g, v)).tobytes() == np.linalg.norm(ux, axis=-1).tobytes()
+    phi = DiskMap(g, rng.standard_normal((N, N, 2)))
+    op = cg_build(g)
+    ux, uy = lattice_differences(g, cg_apply(op, phi).values)
+    diff = diskgrid._combine(ux, uy, bar=True) - phi.values
+    assert cg_residual(op, phi) == float(np.max(np.linalg.norm(diff[inner], axis=-1)))
 
 
 def test_interior_extension_is_the_ring_extension_of_interior_rows():
@@ -153,7 +134,7 @@ def test_interior_extension_is_the_ring_extension_of_interior_rows():
     rows = np.random.default_rng(5).standard_normal((inner.size, 2))
     full = np.zeros((33 * 33, 2))
     full[inner] = rows
-    assert (g.interior_extension() @ rows).tobytes() == (g.ring_extension() @ full).tobytes()
+    assert (g.interior_extension() @ rows).tobytes() == (g._ring_matrix() @ full).tobytes()
     assert g.interior_extension() is make_grid(0.5, 33).interior_extension()
 
 
@@ -434,15 +415,17 @@ def test_weighted_derivative_sup_identity_and_constant(grid65):
 
 
 @pytest.mark.parametrize("N", [9, 33, 129])
-def test_dx_at_center_is_the_origin_row_of_dx_apply(N):
+def test_dx_at_center_is_the_origin_row_of_differences(N):
     rng = np.random.default_rng(N)
     for r in (1.0, 0.37, 40.0):
         g = make_grid(r, N)
+        j, k = g.center_index
+        row = np.searchsorted(np.flatnonzero(g.interior), j * N + k)
         for scale in (1e-4, 1.0, 1e4):
             v = rng.standard_normal((N, N, 4)) * scale
-            j, k = g.center_index
-            assert np.array_equal(g.dx_at_center(v), g.dx_apply(v)[j, k])
-            assert np.array_equal(g.dx_at_center(v, axis=1), g.dy_apply(v)[j, k])
+            ux, uy = g.differences(v)
+            assert np.array_equal(g.dx_at_center(v), ux[row])
+            assert np.array_equal(g.dx_at_center(v, axis=1), uy[row])
 
 
 @pytest.mark.parametrize("levels", [1, 2, 5, 1000])
@@ -484,7 +467,7 @@ def test_weighted_derivative_sup_invariant_under_mobius_recentering():
         L = mobius_swap(0.3 + 0.2j, 1.0)
         shrunk = make_grid(0.88, N)
         fi = resample(f, shrunk, transform=L)
-        norms = np.linalg.norm(shrunk.dx_apply(fi.values), axis=-1)
+        norms = np.linalg.norm(lattice_differences(shrunk, fi.values)[0], axis=-1)
         inner = shrunk.interior
         s2, _ = node_max(norms[inner] * (1.0 - shrunk.R2[inner]), shrunk, inner)
         diffs.append(abs(s1 - s2))
@@ -522,22 +505,31 @@ def test_shared_lattice_operators_at_unit_radius_are_fresh_builds(N, monkeypatch
     monkeypatch.setattr(diskgrid, "_unit_sets", OrderedDict())
     rng = np.random.default_rng(N)
     v = rng.standard_normal((N, N, 2))
-    make_grid(0.37, N).dx_apply(v)
-    make_grid(0.37, N).dy_apply(v)
-    make_grid(0.37, N).ring_extension()
+    make_grid(0.37, N).differences(v)
+    make_grid(0.37, N).interior_extension()
     g = make_grid(1.0, N)
+    inner = g.interior
     ux, uy = lattice_differences(g, v)
-    assert np.array_equal(g.dx_apply(v), ux)
-    assert np.array_equal(g.dy_apply(v), uy)
+    assert np.array_equal(g.differences(v), np.stack([ux[inner], uy[inner]]))
     D = g.unit_operator("diff", None)
-    assert (D != g._difference_matrix()).nnz == 0
-    # the lattice-row halves share the stacked matrix's entries
-    for half in (0, 1):
-        lattice = g.unit_operator(("diff", half), None)
-        assert np.shares_memory(lattice.data, D.data)
-        assert np.shares_memory(lattice.indices, D.indices)
-    assert (g.ring_extension() != g._ring_matrix()).nnz == 0
-    assert g.ring_extension() is make_grid(40.0, N).ring_extension()
+    assert D is g.difference_matrix() and (D != g._difference_matrix()).nnz == 0
+    fresh = g._ring_matrix()[:, np.flatnonzero(inner)]
+    assert (g.interior_extension() != fresh).nnz == 0
+    assert g.interior_extension() is make_grid(40.0, N).interior_extension()
+
+
+def test_cache_holds_one_entry_per_operator(monkeypatch):
+    # a two-point solve, a Cauchy residual and a Brody step at one N leave
+    # the difference matrix, the interior extension and the Cauchy operator
+    monkeypatch.setattr(diskgrid, "_unit_sets", OrderedDict())
+    g = make_grid(1.0, 33)
+    two_point_disk(gallery("conjugated", epsilon=0.1), np.zeros(2), np.array([0.1, 0.05]),
+                   0.5, SolverConfig(epsilon=0.05), g)
+    phi = complex_map(g, lambda z: z * np.conj(z))
+    cg_residual(cg_build(g), phi)
+    brody_reparametrize(complex_map(g, lambda z: 4 * z + 3 * z ** 2), 1.0)
+    assert list(diskgrid._unit_sets) == [33]
+    assert set(diskgrid._unit_sets[33]) == {"diff", "ring_interior", "cg"}
 
 
 @pytest.mark.parametrize("N", [13, 33, 35])
@@ -553,11 +545,12 @@ def test_masks_and_ring_extension_do_not_depend_on_the_radius(N):
 
 @pytest.mark.parametrize("N", [11, 13, 33, 35])
 def test_ring_extension_commutes_with_the_lattice_reflections(N):
-    ext = make_grid(1.0, N).ring_extension()
+    g = make_grid(1.0, N)
+    ext = g.interior_extension()
     v = np.random.default_rng(N).standard_normal((N, N))
 
     def extend(a):
-        return (ext @ a.ravel()).reshape(N, N)
+        return (ext @ a[g.interior]).reshape(N, N)
 
     for flip in (lambda a: a[::-1, :], lambda a: a[:, ::-1]):
         assert np.array_equal(extend(flip(v)), flip(extend(v)))
@@ -568,8 +561,10 @@ def test_ring_extension_commutes_with_the_lattice_reflections(N):
 def test_scaled_differences_match_a_fresh_build(N, r):
     g = make_grid(r, N)
     v = np.random.default_rng(N).standard_normal((N, N, 2))
-    want = (lattice_difference_matrix(g, 0) @ v.reshape(N * N, -1)).reshape(v.shape)
-    assert np.allclose(g.dx_apply(v), want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+    rows = np.flatnonzero(g.interior)
+    for axis, got in enumerate(g.differences(v)):
+        want = (lattice_difference_matrix(g, axis) @ v.reshape(N * N, -1))[rows]
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("factor", [1e-320, 1e-170, np.inf, np.nan, 0.0, -2.0])

@@ -13,7 +13,7 @@ from jdisk.solver import (SolverConfig, affine_target, check_node, cr_residual,
                           derivative_disk, picard_solve, two_point_disk)
 from jdisk.structure import ComplexConvention, gallery, q_field
 
-from conftest import complex_map
+from conftest import complex_map, lattice_differences
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ def test_two_point_disk_standard_exact(J_std, g65, rng):
         q = rng.uniform(-1, 1, size=2)
         t = rng.choice([0.5, 0.25])
         sol = two_point_disk(J_std, p, q, t, cfg, g65)
-        target = affine_target(p, q, t, g65) if not np.array_equal(p, q) else None
+        target = affine_target(p, q, t, g65)
         assert np.max(np.abs(sol.v.values - target.values)) < 1e-12
         assert np.linalg.norm(sol.v.value_at_center() - p) < 1e-12
         assert np.linalg.norm(eval_interp(sol.v, complex(t, 0)) - q) < 1e-12
@@ -293,6 +293,12 @@ def test_two_point_disk_rejects_bad_t(J_std, g65):
             two_point_disk(J_std, p, q, t, SolverConfig(), grid)
     sol = two_point_disk(J_std, p, q, 0.74, SolverConfig(), g9)
     assert np.allclose(eval_interp(sol.v, 0.74 + 0j), q, atol=1e-14)
+    # t within 1e-9 h of the origin would be snapped onto it, and v(t) read
+    # as v(0): on N = 33 (h = 1/16) 6e-11 snaps, and the bound 2e-9 h keeps
+    # the same margin as the one below r - h
+    for t, grid in ((1e-12, make_grid(1.0, 33)), (6e-11, make_grid(1.0, 33)), (6e-11, g65)):
+        with pytest.raises(InvalidParams):
+            two_point_disk(J_std, p, q, t, SolverConfig(), grid)
 
 
 def test_two_point_disk_reads_nodes_beyond_one_on_a_wide_grid():
@@ -315,9 +321,10 @@ def test_two_point_disk_reads_nodes_beyond_one_on_a_wide_grid():
 
 
 def wirtinger_pair(values, grid):
-    """``(d_dz, d_dzbar)`` over the lattice from the two lattice
-    differences, as the solver took them before its interior-row defect."""
-    ux, uy = grid.dx_apply(values), grid.dy_apply(values)
+    """``(d_dz, d_dzbar)`` over the lattice from the two whole-lattice
+    difference matrices, as the solver took them before its interior-row
+    defect."""
+    ux, uy = lattice_differences(grid, values)
     dzbar = _combine(ux, uy, bar=True)
     return _combine(ux, uy, bar=False, out=ux), dzbar
 
@@ -412,7 +419,7 @@ def test_failed_match_raises_after_one_picard_call(J_conj, g65, monkeypatch):
 
 
 def test_dilatation_is_evaluated_at_interior_nodes_only(J_conj, g65, monkeypatch):
-    # the density's ring rows come from ring_extension, so no Picard step
+    # the density's ring rows come from interior_extension, so no Picard step
     # evaluates q on the ring; the final cr_residual reads interior nodes too
     sizes = []
 
