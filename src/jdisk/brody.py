@@ -25,6 +25,7 @@ from .structure import StructureField
 
 # A scaling root this close to 1 is round-off of the root t0 = 1.
 _UNIT_ROOT_SNAP = 2e-6
+_STREAK = 3   # extract_line converges after this many window deltas below tol in a row
 
 
 def _safe_radius(r: float, h: float, t0: float, a: float) -> float:
@@ -217,26 +218,25 @@ class RescalingReport:
 
 
 def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
-                 n_max: int = 12, consecutive: int = 3) -> RescalingReport:
+                 n_max: int = 12) -> RescalingReport:
     """Run the rescaling pipeline over a family of disks with growing
     origin derivative and compare the normalized maps on the window of
     radius R.
 
-    Convergence is declared after ``consecutive`` successive sup distances
+    Convergence is declared after ``_STREAK`` (3) successive sup distances
     below ``tol`` on the window (a Cauchy criterion standing in for
     compactness; the delta trace is reported either way).  Steps whose
     normalized map does not yet cover the window are recorded without a
     delta.  Exhausting the family yields a report with
     ``converged = False`` rather than an exception.  ``tol`` must be
-    positive and finite, and ``n_max`` and ``consecutive`` at least 1.
+    positive and finite, and ``n_max`` at least 1.
     """
     if R <= 0:
         raise InvalidParams("window radius must be positive")
     if not (np.isfinite(tol) and tol > 0):
         raise InvalidParams(f"tol must be positive and finite, got {tol}")
-    if n_max < 1 or consecutive < 1:
-        raise InvalidParams(f"n_max and consecutive must be at least 1, "
-                            f"got {n_max} and {consecutive}")
+    if n_max < 1:
+        raise InvalidParams(f"n_max must be at least 1, got {n_max}")
     steps: list = []
     window = None
     prev_restrict = None
@@ -265,12 +265,12 @@ def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
             prev_restrict = None
             streak = 0
         steps.append(RescaleRecord(n, r_n, rep.s_sup, rep.z0 is not None, rep.t0, delta))
-        if streak >= consecutive or n >= n_max:
+        if streak >= _STREAK or n >= n_max:
             break
 
     if last_restrict is None:
         return RescalingReport(steps, None, f"window never covered after {len(steps)} steps")
-    converged = streak >= consecutive
+    converged = streak >= _STREAK
     final = LineCandidate(
         samples=last_restrict,
         derivative_at_0=_derivative_at_origin(last_restrict),

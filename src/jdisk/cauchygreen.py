@@ -315,29 +315,17 @@ def _integrals(grid: DiskGrid, trusted: np.ndarray, cuts: _CutCells):
     return octant, stack.reshape(2, -1, W, W), areas
 
 
-def _by_column(cuts: _CutCells):
-    """The carrying columns, sorted, with the cut cells grouped by column
-    in scan order: ``order[first[i] + n]`` is the n-th cell of column
-    ``columns[i]``, n < ``count[i]``."""
-    order = np.argsort(cuts.column, kind="stable")
-    columns, first, count = np.unique(cuts.column[order], return_index=True,
-                                      return_counts=True)
-    return columns, order, first, count
-
-
 def _fractions(full: np.ndarray, cuts: _CutCells, areas: np.ndarray):
     """``frac`` and ``conv_frac``: each cut cell's area goes to its column's
-    ``conv_frac``, added in scan order, and to its own ``frac`` when it is
+    ``conv_frac``, added in scan order (``ufunc.at`` adds in index order,
+    and the cells are in scan order), and to its own ``frac`` when it is
     its own column."""
     frac = full.astype(float)
     conv_frac = frac.copy()
     area = areas[cuts.rep]
     own = cuts.column == cuts.j * full.shape[1] + cuts.k
     frac.ravel()[cuts.column[own]] = area[own]
-    _, order, first, count = _by_column(cuts)
-    for n in range(count.max()):
-        cells = order[first[count > n] + n]
-        conv_frac.ravel()[cuts.column[cells]] += area[cells]
+    np.add.at(conv_frac.ravel(), cuts.column, area)
     return frac, conv_frac
 
 
@@ -349,7 +337,11 @@ def _rim_matrix(grid: DiskGrid, kernel, conv_frac, full, trusted, cuts: _CutCell
     entry.  A carried cell L(rep) reads its representative's box at L^-1 t."""
     N, c, m = grid.N, (grid.N - 1) // 2, _correction_radius(grid.N)
     W, B = boxes.shape[2], 2 * m + 1
-    columns, order, first, count = _by_column(cuts)
+    # the carrying columns, sorted, with the cut cells grouped by column in
+    # scan order: order[first[i] + n] is the n-th cell of column columns[i]
+    order = np.argsort(cuts.column, kind="stable")
+    columns, first, count = np.unique(cuts.column[order], return_index=True,
+                                      return_counts=True)
     # every column's targets t = s + (oj, ok) in one list, column by column
     # and row-major within, as the place ``at`` of (oj, ok) in a B x B
     # window; a window row meets the trusted disk in one run

@@ -2,9 +2,10 @@
 
 Commands: validate, disk, distance, bound, brody, selftest.  A run is
 described by a config: a JSON file given with --config, overlaid by any
-inline flags.  ``_TABLE`` is the one description of a config; the flags,
-the key check, the conversions and the defaults all come from it.  A run
-executes deterministically for a fixed seed and writes a JSON report
+inline flags.  ``_TABLE`` describes every config key and ``_COMMANDS``
+the sections each command reads; a command's flags, key check,
+conversions and defaults come from them, so it takes only keys it reads.
+A run executes deterministically for a fixed seed and writes a JSON report
 carrying the fully resolved config echo, results, diagnostics and library
 versions.  Exit codes: 0 success, 2 config error, 3 solver/check failure.
 """
@@ -148,7 +149,6 @@ _TABLE = {
             "p": _Key(_point, _REQUIRED), "q": _Key(_point, _REQUIRED),
             "k_max": _Key(_int, KobayashiOptions.k_max),
             "t_grid": _Key(_floats, KobayashiOptions.t_grid),
-            "residual_cap": _Key(_float, KobayashiOptions.residual_cap, None),
         },
         "bound": {
             "p": _Key(_point, _REQUIRED), "nu": _Key(_point, _e1),
@@ -200,19 +200,27 @@ def _section(table: dict, given, path: str, dim=None) -> dict:
 
 
 def _command_table(command: str) -> dict:
-    return {"command": _Key(_str, flag=None), **_TABLE, "params": _TABLE["params"][command]}
+    """The keys of a ``command`` config in ``_TABLE``'s order: its params,
+    output.report and the sections ``_COMMANDS`` names for it ("csv" is
+    output.csv)."""
+    reads = {"params", "output", "report", *_COMMANDS[command][1]}
+    table = {key: {k: v for k, v in spec.items() if k in reads} if key == "output" else spec
+             for key, spec in _TABLE.items() if key in reads}
+    return {"command": _Key(_str, flag=None), **table, "params": _TABLE["params"][command]}
 
 
 def _normalize(config) -> dict:
-    """Check every key of a config against ``_TABLE``, convert each value by
-    its kind and fill every default: the fully resolved config."""
+    """Check every key of a config against its command's table, convert each
+    value by its kind and fill every default: the fully resolved config."""
     if not isinstance(config, dict):
         raise ConfigError(f"a config must be a JSON object, got {config!r}")
     command = config.get("command")
-    if not isinstance(command, str) or command not in _TABLE["params"]:
-        raise ConfigError(f"command must be one of {tuple(_TABLE['params'])}, got {command!r}")
-    dim = 2 * _section(_TABLE["structure"], config.get("structure", {}), "structure.")["n"]
-    return _section(_command_table(command), config, "", dim)
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ConfigError(f"command must be one of {tuple(_COMMANDS)}, got {command!r}")
+    table, dim = _command_table(command), None
+    if "structure" in table:
+        dim = 2 * _section(table["structure"], config.get("structure", {}), "structure.")["n"]
+    return _section(table, config, "", dim)
 
 
 def _jsonify(obj):
@@ -237,8 +245,6 @@ def _jsonify(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     return obj
 
 
@@ -250,7 +256,7 @@ def _create(path: str):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def _cmd_validate(config, J, grid, cfg, rng):
+def _cmd_validate(config, J, grid, rng):
     dim = J.convention.dim
     count = config["params"]["samples"]
     if J.domain.is_torus:
@@ -265,33 +271,25 @@ def _cmd_validate(config, J, grid, cfg, rng):
             0 if report.passed else 3)
 
 
-@contextlib.contextmanager
 def _csv_out(config):
     """The ``--csv`` file, or None without one.  It is opened before the
     solve, so an unwritable path fails before any work is done."""
     path = config["output"]["csv"]
-    if not path:
-        yield None
-        return
-    with _create(path) as fh:
-        yield fh
+    return _create(path) if path else contextlib.nullcontext()
 
 
-def _cmd_disk(config, J, grid, cfg, rng):
+def _cmd_disk(config, J, grid, cfg):
     params = config["params"]
     if params["w"] is None and params["q"] is None:
         raise ConfigError("disk needs params.q or params.w")
     with _csv_out(config) as csv:
         if params["w"] is not None:
             sol = derivative_disk(J, params["p"], params["w"], cfg, grid)
-            endpoint = {"value_at_0": sol.v.value_at_center().tolist()}
         else:
-            t = params["t"]
-            sol = two_point_disk(J, params["p"], params["q"], t, cfg, grid)
-            endpoint = {
-                "value_at_0": sol.v.value_at_center().tolist(),
-                "value_at_t": eval_interp(sol.v, complex(t, 0.0)).tolist(),
-            }
+            sol = two_point_disk(J, params["p"], params["q"], params["t"], cfg, grid)
+        endpoint = {"value_at_0": sol.v.value_at_center().tolist()}
+        if params["w"] is None:
+            endpoint["value_at_t"] = eval_interp(sol.v, complex(params["t"], 0.0)).tolist()
         results = {"residual": sol.residual, "iterations": sol.iterations,
                    "endpoints": endpoint}
         if csv:
@@ -300,11 +298,10 @@ def _cmd_disk(config, J, grid, cfg, rng):
     return results, 0
 
 
-def _cmd_distance(config, J, grid, cfg, rng):
+def _cmd_distance(config, J, grid, cfg):
     params = config["params"]
     opts = KobayashiOptions(k_max=params["k_max"], t_grid=tuple(params["t_grid"]),
-                            cfg=cfg, grid_n=grid.N, grid_r=grid.r,
-                            residual_cap=params["residual_cap"])
+                            cfg=cfg, grid_n=grid.N, grid_r=grid.r)
     est = estimate_distance(J, params["p"], params["q"], opts)
     return {
         "upper": est.upper,
@@ -315,13 +312,13 @@ def _cmd_distance(config, J, grid, cfg, rng):
     }, 0
 
 
-def _cmd_bound(config, J, grid, cfg, rng):
+def _cmd_bound(config, J, grid, cfg):
     params = config["params"]
     return derivative_bound(J, params["p"], params["nu"], params["lambda_max"],
                             cfg=cfg, grid=grid, bisect_tol=params["bisect_tol"]), 0
 
 
-def _cmd_brody(config, J, grid, cfg, rng):
+def _cmd_brody(config, J, grid, cfg):
     params = config["params"]
     fam = params["family"]
     with _csv_out(config) as csv:
@@ -348,7 +345,7 @@ def _cmd_brody(config, J, grid, cfg, rng):
     return results, 0 if report.final is not None else 3
 
 
-def _cmd_selftest(config, J, grid, cfg, rng):
+def _cmd_selftest(config, rng):
     checks = []
 
     def record(name, passed, observed, threshold):
@@ -467,21 +464,20 @@ def _cmd_selftest(config, J, grid, cfg, rng):
 
     all_passed = all(c["passed"] for c in checks)
     width = max(len(c["name"]) for c in checks)
-    lines = ["self test results:"]
-    for c in checks:
-        lines.append(f"  {c['name']:<{width}}  {'PASS' if c['passed'] else 'FAIL'}")
-    lines.append(f"  {'overall':<{width}}  {'PASS' if all_passed else 'FAIL'}")
-    print("\n".join(lines))
+    print("self test results:")
+    for name, ok in [(c["name"], c["passed"]) for c in checks] + [("overall", all_passed)]:
+        print(f"  {name:<{width}}  {'PASS' if ok else 'FAIL'}")
     return {"checks": checks, "all_passed": all_passed}, 0 if all_passed else 3
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "disk": _cmd_disk,
-    "distance": _cmd_distance,
-    "bound": _cmd_bound,
-    "brody": _cmd_brody,
-    "selftest": _cmd_selftest,
+# each command's runner and the sections it reads besides params and output.report
+_COMMANDS = {
+    "validate": (_cmd_validate, ("structure", "grid", "seed")),
+    "disk": (_cmd_disk, ("structure", "grid", "solver", "csv")),
+    "distance": (_cmd_distance, ("structure", "grid", "solver")),
+    "bound": (_cmd_bound, ("structure", "grid", "solver")),
+    "brody": (_cmd_brody, ("structure", "grid", "solver", "csv")),
+    "selftest": (_cmd_selftest, ("seed",)),
 }
 
 
@@ -492,23 +488,22 @@ def run(config: dict):
     again reproduces the report apart from its timestamp.
     """
     config = _normalize(config)
-    report = {
-        "config": config,
-        "versions": {
-            "jdisk": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": sys.version.split()[0],
-        },
-    }
+    report = {"config": config, "versions": {
+        "jdisk": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+        "python": sys.version.split()[0]}}
     try:
-        s = config["structure"]
-        J = gallery(s["name"], n=s["n"], epsilon=s["epsilon"], perturbation=s["perturbation"],
-                    radius=math.inf if s["radius"] is None else s["radius"])
-        grid = make_grid(config["grid"]["r"], config["grid"]["N"])
-        cfg = SolverConfig(**config["solver"])
-        rng = np.random.default_rng(config["seed"])
-        results, code = _DISPATCH[config["command"]](config, J, grid, cfg, rng)
+        built = {}   # the objects of the sections the command reads
+        if "structure" in config:   # its keys are gallery's parameters
+            s = config["structure"]
+            radius = math.inf if s["radius"] is None else s["radius"]
+            built["J"] = gallery(**{**s, "radius": radius})
+        if "grid" in config:
+            built["grid"] = make_grid(config["grid"]["r"], config["grid"]["N"])
+        if "solver" in config:
+            built["cfg"] = SolverConfig(**config["solver"])
+        if "seed" in config:
+            built["rng"] = np.random.default_rng(config["seed"])
+        results, code = _COMMANDS[config["command"]][0](config, **built)
         report["results"] = _jsonify(results)
     except (ConfigError, InvalidGrid, InvalidParams, UnknownName) as exc:
         raise ConfigError(str(exc)) from exc
@@ -538,12 +533,14 @@ def _add_flags(parser, table: dict, prefix: str) -> None:
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="jdisk", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for command in _TABLE["params"]:
+    for command in _COMMANDS:
         sp = sub.add_parser(command)
         sp.add_argument("--config", help="JSON config file; flags given with it overlay it")
-        sp.add_argument("--cfg", action="append", default=[], metavar="KEY=VALUE",
-                        help="sets solver.KEY")
-        _add_flags(sp, _command_table(command), "")
+        table = _command_table(command)
+        if "solver" in table:
+            sp.add_argument("--cfg", action="append", default=[], metavar="KEY=VALUE",
+                            help="sets solver.KEY")
+        _add_flags(sp, table, "")
         if command == "brody":
             sp.add_argument("--family", dest="params.family.kind", default=argparse.SUPPRESS,
                             help=f"sets params.family.kind, one of {', '.join(_FAMILIES)}")
@@ -566,7 +563,7 @@ def _config_from_args(args) -> dict:
     """The --config file (or an empty config) with the given flags laid over it."""
     flags = dict(vars(args))
     command, path = flags.pop("command"), flags.pop("config")
-    for item in flags.pop("cfg"):
+    for item in flags.pop("cfg", []):
         key, eq, value = item.partition("=")
         if not eq:
             raise ConfigError(f"--cfg expects KEY=VALUE, got {item!r}")

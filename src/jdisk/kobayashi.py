@@ -26,8 +26,8 @@ import numpy as np
 from .diskgrid import DiskGrid, DiskMap, eval_interp, make_grid, poincare_distance
 from .errors import (Diverged, InvalidChain, InvalidParams, NoChainFound,
                      NotHolomorphicMap, Singular)
-from .solver import (_RESIDUAL_CAP, DiskSolution, SolverConfig, check_node, cr_residual,
-                     derivative_disk, two_point_disk)
+from .solver import (_RESIDUAL_CAP, DiskSolution, SolverConfig, _point, check_node,
+                     cr_residual, derivative_disk, two_point_disk)
 from .structure import DomainDescriptor, StructureField
 
 _ENDPOINT_TOL = 1e-8     # largest accepted gap between a link's end and its target
@@ -95,20 +95,22 @@ class BoundReport:
 
 @dataclass
 class KobayashiOptions:
+    """``estimate_distance``'s search: at most ``k_max`` links, each tried at
+    the distinct ``t_grid`` nodes and solved with ``cfg`` on ``make_grid(grid_r,
+    grid_n)``.  ``residual_cap`` is the constant ``solver._RESIDUAL_CAP``."""
+
     k_max: int = 3
     t_grid: tuple = (0.05, 0.1, 0.25, 0.5)
     cfg: SolverConfig = field(default_factory=SolverConfig)
     grid_n: int = 33
     grid_r: float = 1.0
-    residual_cap: float = _RESIDUAL_CAP
+    residual_cap = _RESIDUAL_CAP
 
     def __post_init__(self):
         if not self.k_max >= 1:
             raise InvalidParams(f"k_max must be at least 1, got {self.k_max}")
         if len(self.t_grid) == 0:
             raise InvalidParams("t_grid must hold at least one node")
-        if not self.residual_cap > 0:
-            raise InvalidParams(f"residual_cap must be positive, got {self.residual_cap}")
 
 
 def chain_cost(chain: Chain, tol: float = 1e-8) -> float:
@@ -150,18 +152,19 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     ``upper`` is the cost of the returned chain, whatever the search
     pruned; a link accepted at node t costs arctanh(t / r), its hyperbolic
     length in the disk of the search grid's radius r = ``grid_r``.  What is
-    certified is the chain of *discretized* disks: every
-    accepted link has its target endpoint, read off the grid by bilinear
-    interpolation at t, within the endpoint tolerance; its ``cr_residual``,
-    a sup over grid nodes only, at most ``residual_cap``; and its image at
-    the grid nodes inside the domain.  A link's disk is the Picard iterate
+    certified is the chain of *discretized* disks: every accepted link has
+    its target endpoint, read off the grid by bilinear interpolation at t,
+    within the endpoint tolerance; its ``cr_residual``, a sup over grid
+    nodes only, at most ``residual_cap`` (1e-2); and its image at the grid
+    nodes inside the domain.  A link's disk is the Picard iterate
     at which its solve stopped, not the fixed point itself: its distance to
     the fixed point is at most about ``solver._THETA`` (1e-3) times its
     residual (see ``picard_solve``).  Nothing is checked between nodes,
     and a t below the grid step falls inside the first cell, so ``upper``
     bounds the pseudo-distance only up to the discretization error.  The
     search log records one (k, t, cost) triple per attempted link solve,
-    with infinite cost for rejected attempts.
+    with infinite cost for rejected attempts; a node repeated in ``t_grid``
+    is tried once.
 
     The search is an exact branch and bound.  Before solving link i of a
     k-link chain at node t it sums the accepted links' costs, t's cost and
@@ -176,8 +179,7 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     before any solve.
     """
     opts = opts or KobayashiOptions()
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    p, q = _point(J, "p", p), _point(J, "q", q)
     dom = J.domain
     if dom.point_gap(p, q) == 0.0:
         return DistanceEstimate(Chain([], dom), [])
@@ -185,7 +187,7 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     grid = make_grid(opts.grid_r, opts.grid_n)
     for t in opts.t_grid:
         check_node(t, grid)
-    t_values = sorted(opts.t_grid)
+    t_values = sorted(set(opts.t_grid))
     delta = dom.shortest_delta(p, q)
 
     # a link accepted at node t costs cost_t, the same float ChainLink.cost
@@ -276,7 +278,7 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
     Bisection on the scale; the result is a lower bound for the derivative
     supremum over all disks.  A scale is feasible when its solve converges
     to a disk whose ``cr_residual`` is at most ``solver._RESIDUAL_CAP``
-    (1e-2, the default of ``KobayashiOptions.residual_cap``) and whose grid
+    (1e-2, also ``KobayashiOptions.residual_cap``) and whose grid
     nodes lie in the domain; each probe is recorded as a ``BoundProbe``
     with its residual and the gate that rejected it.  Feasibility at
     ``lambda_max`` itself is flagged as ``unbounded_suspected`` (the scan
@@ -289,8 +291,7 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
             raise InvalidParams(f"{name} must be positive and finite, got {value}")
     cfg = cfg or SolverConfig()
     grid = grid or make_grid(1.0, 33)
-    p = np.asarray(p, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
+    p, nu = _point(J, "p", p), _point(J, "nu", nu)
     nrm = np.linalg.norm(nu)
     if nrm == 0:
         raise InvalidParams("direction must be nonzero")

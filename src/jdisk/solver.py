@@ -50,7 +50,7 @@ _DIVERGENCE_FACTOR = 2.0
 # bound is at most _THETA times that iterate's cr_residual, capped at
 # _RESIDUAL_CAP; _THETA = 0 leaves only the absolute test
 _THETA = 1e-3
-# largest cr_residual of an accepted disk: a chain link's by default
+# largest cr_residual of an accepted disk: a chain link's
 # (KobayashiOptions.residual_cap) and a derivative_bound probe's
 _RESIDUAL_CAP = 1e-2
 
@@ -270,6 +270,16 @@ def _constant_solution(J: StructureField, p: np.ndarray, grid: DiskGrid) -> Disk
     return DiskSolution(v, cr_residual(J, v))
 
 
+def _point(J: StructureField, name: str, x) -> np.ndarray:
+    """``x`` as a float vector; ``InvalidParams`` unless it has the real
+    dimension 2n of ``J``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (J.convention.dim,):
+        raise InvalidParams(f"{name} must have {J.convention.dim} coordinates, "
+                            f"got shape {x.shape}")
+    return x
+
+
 def check_node(t: float, grid: DiskGrid) -> None:
     """Raise ``InvalidParams`` unless ``two_point_disk`` can match a point
     at z = t on ``grid``: 2e-9 h <= t < r - h (1 + 2e-9), r and h the grid's
@@ -293,8 +303,7 @@ def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
     bilinear interpolation of ``eval_interp``.  A failed solve raises the
     ``Diverged`` or ``Singular`` of ``picard_solve``.
     """
-    p0 = np.asarray(p0, dtype=np.float64)
-    q0 = np.asarray(q0, dtype=np.float64)
+    p0, q0 = _point(J, "p0", p0), _point(J, "q0", q0)
     check_node(t, grid)
     if np.array_equal(p0, q0):
         return _constant_solution(J, p0, grid)
@@ -325,8 +334,7 @@ def derivative_disk(J: StructureField, p, w, cfg: SolverConfig,
     real representation), both matched to round-off, dv/dz(0) through the
     centred differences of ``d_dz``, read at the origin alone.  Fails like
     ``two_point_disk``."""
-    p = np.asarray(p, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    p, w = _point(J, "p", p), _point(J, "w", w)
     if not np.any(w):
         return _constant_solution(J, p, grid)
 

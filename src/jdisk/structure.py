@@ -198,11 +198,16 @@ def validate_structure(J: StructureField, samples: np.ndarray, tol: float = 1e-1
 
 
 def _cond_numbers(m: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a stack (m, 2n, 2n) of ``Jst + J``; for
-    n = 1, s_max^2 / |det| with s_max = (sqrt(F + 2|det|) + sqrt(F - 2|det|))
-    / 2, F = a^2 + b^2 + c^2 + d^2, the exact one ``np.linalg.cond`` gives."""
+    """2-norm condition numbers of a stack (m, 2n, 2n) of ``Jst + J``, nan
+    for a matrix with a non-finite entry; for n = 1, s_max^2 / |det| with
+    s_max = (sqrt(F + 2|det|) + sqrt(F - 2|det|)) / 2, F = a^2 + b^2 + c^2
+    + d^2, the exact one ``np.linalg.cond`` gives.  For n > 1 only the
+    finite matrices reach LAPACK, whose SVD fails on a NaN or inf."""
     if m.shape[-1] > 2:
-        return np.linalg.cond(m)
+        finite = np.isfinite(m).all(axis=(1, 2))
+        conds = np.full(m.shape[0], np.nan)
+        conds[finite] = np.linalg.cond(m[finite])
+        return conds
     a, b, c, d = m.reshape(-1, 4).T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         det, frob2 = a * d - b * c, a * a + b * b + c * c + d * d

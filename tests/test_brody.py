@@ -214,7 +214,7 @@ def test_extract_line_reports_nonconvergence_without_crash():
 
 
 @pytest.mark.parametrize("bad", [
-    {"consecutive": 0}, {"consecutive": -1}, {"n_max": 0},
+    {"n_max": 0},
     {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")}, {"tol": float("inf")},
 ])
 def test_extract_line_rejects_parameters_that_decide_nothing(bad):
@@ -224,12 +224,11 @@ def test_extract_line_rejects_parameters_that_decide_nothing(bad):
         extract_line(J, family, **{"R": 2.0, "tol": 1e-10, "n_max": 8, **bad})
 
 
-def test_extract_line_single_comparison_converges_on_a_delta():
+def test_extract_line_streak_is_a_constant_not_an_option():
     J = gallery("torus-flat", n=1)
-    rep = extract_line(J, dilation_family(make_grid(1.0, 33)), R=2.0,
-                       tol=1e-10, n_max=8, consecutive=1)
-    assert rep.converged
-    assert rep.steps[-1].delta is not None and rep.steps[-1].delta < 1e-10
+    with pytest.raises(TypeError):
+        extract_line(J, dilation_family(make_grid(1.0, 33)), R=2.0, tol=1e-10, n_max=8,
+                     consecutive=1)
 
 
 def test_extract_line_perturbed_torus_ladder():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -11,7 +12,6 @@ from jdisk.brody import RescalingReport
 from jdisk.cli import main, run
 from jdisk.errors import ConfigError
 from jdisk.kobayashi import BoundProbe, BoundReport
-from jdisk.solver import SolverConfig
 
 
 def strip_timestamp(report: dict) -> str:
@@ -364,7 +364,97 @@ def test_flags_overlay_config_file(tmp_path):
     assert config["structure"]["name"] == "conjugated"
     assert config["structure"]["epsilon"] == 0.1
     assert config["params"]["samples"] == 10
-    assert config["solver"]["max_iter"] == SolverConfig().max_iter
+    # validate reads no solver settings, so its echo carries none
+    assert "solver" not in config and config["seed"] == 0
+
+
+# the sections of each command's config, in echo order, the objects run()
+# builds for it, and the settable leaves of its table besides ``command``
+_READS = {
+    "validate": (["structure", "grid", "params", "output", "seed"], {"J", "grid", "rng"}, 10),
+    "disk": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 16),
+    "distance": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 15),
+    "bound": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 15),
+    "brody": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 16),
+    "selftest": (["params", "output", "seed"], {"rng"}, 2),
+}
+_MINIMAL_PARAMS = {"disk": _DISK, "distance": _DISTANCE, "bound": {"p": [0, 0]}}
+
+
+def _assert_same_keys(echo: dict, table: dict):
+    assert list(echo) == list(table)
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            _assert_same_keys(echo[key], spec)
+
+
+def _leaves(table: dict) -> int:
+    return sum(_leaves(spec) if isinstance(spec, dict) else 1 for spec in table.values())
+
+
+@pytest.mark.parametrize("command", list(_READS))
+def test_each_command_echoes_exactly_the_keys_it_reads(command, monkeypatch):
+    sections, objects, leaves = _READS[command]
+    built = {}
+
+    def runner(config, **kwargs):
+        built.update(kwargs)
+        return {}, 0
+
+    monkeypatch.setitem(cli._COMMANDS, command, (runner, cli._COMMANDS[command][1]))
+    code, report = run({"command": command, "params": _MINIMAL_PARAMS.get(command, {})})
+    table = cli._command_table(command)
+    assert code == 0 and list(report["config"]) == ["command", *sections]
+    _assert_same_keys(report["config"], table)
+    writes_csv = command in ("disk", "brody")
+    assert list(table["output"]) == (["report", "csv"] if writes_csv else ["report"])
+    assert set(built) == objects
+    assert _leaves(table) - 1 == leaves
+
+
+def test_settable_values_total_74():
+    assert sum(_leaves(cli._command_table(c)) - 1 for c in cli._COMMANDS) == 74
+
+
+def test_selftest_builds_nothing_from_its_config(monkeypatch, capsys):
+    # gallery and make_grid raise when run() calls them; the battery's own
+    # structures and grids are built as before
+    def refuse(fn):
+        def guarded(*args, **kwargs):
+            if inspect.currentframe().f_back.f_code is cli.run.__code__:
+                raise AssertionError(f"run() called {fn.__name__} for selftest")
+            return fn(*args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(cli, "gallery", refuse(cli.gallery))
+    monkeypatch.setattr(cli, "make_grid", refuse(cli.make_grid))
+    assert main(["selftest", "--seed", "11"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("\n{") + 1:])["results"]["all_passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--cfg", "max_iter=0"],
+    ["validate", "--cfg", "max_iter=5"],
+    ["selftest", "--structure", "conjugated", "--n", "8"],
+    ["validate", "--csv", "out.csv"],
+    ["distance", "--p", "0,0", "--q", "0.3,0", "--seed", "1"],
+])
+def test_flags_of_unread_keys_are_unrecognized(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section", [
+    ("selftest", {"structure": {"n": 8}}), ("selftest", {"grid": {"N": 33}}),
+    ("validate", {"solver": {"max_iter": 5}}), ("bound", {"params": {"p": [0, 0]}, "output": {"csv": None}}),
+    ("distance", {"params": dict(_DISTANCE, residual_cap=0.01)}),
+])
+def test_an_echo_carrying_unread_sections_is_a_config_error(command, section):
+    with pytest.raises(ConfigError, match="unknown keys"):
+        run({"command": command, **section})
 
 
 _NOT_A_VALUE = object()   # stands for a key removed from the config

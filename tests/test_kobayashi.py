@@ -10,7 +10,7 @@ from jdisk.errors import (Diverged, InvalidChain, InvalidParams, NoChainFound,
 from jdisk.kobayashi import (Chain, ChainLink, KobayashiOptions, chain_cost,
                              concatenate_chains, derivative_bound, estimate_distance,
                              pushforward_chain, validate_chain)
-from jdisk.solver import SolverConfig, picard_solve, two_point_disk
+from jdisk.solver import SolverConfig, derivative_disk, picard_solve, two_point_disk
 from jdisk.structure import gallery
 
 
@@ -220,11 +220,46 @@ def test_options_reject_an_empty_search():
         KobayashiOptions(t_grid=())
 
 
-@pytest.mark.parametrize("cap", [0.0, -1.0, float("nan")])
-def test_options_reject_a_residual_cap_that_is_not_positive(cap):
-    # no disk could pass such a cap, so it is refused before any solve
-    with pytest.raises(InvalidParams):
-        KobayashiOptions(residual_cap=cap)
+def test_residual_cap_is_a_constant_not_an_option():
+    # the search and derivative_bound take the one cap solver._RESIDUAL_CAP
+    with pytest.raises(TypeError):
+        KobayashiOptions(residual_cap=0.5)
+    assert KobayashiOptions().residual_cap == solver._RESIDUAL_CAP
+
+
+def test_search_tries_a_repeated_node_once():
+    # the link at t = 0.05 is rejected for k = 1, and a repeat of the node
+    # neither solves it again nor logs it twice
+    J, p, q = gallery("conjugated", n=1, epsilon=0.1), [0.0, 0.0], [0.3, 0.0]
+    est = estimate_distance(J, p, q, KobayashiOptions(t_grid=(0.05, 0.05, 0.5)))
+    ref = estimate_distance(J, p, q, KobayashiOptions(t_grid=(0.05, 0.5)))
+    assert est.search_log[0] == (1, 0.05, math.inf)
+    assert est.search_log.count((1, 0.05, math.inf)) == 1
+    assert (est.upper, est.search_log, est.pruned) == (ref.upper, ref.search_log, ref.pruned)
+    assert len(est.best_chain.links) == len(ref.best_chain.links)
+    for link, want in zip(est.best_chain.links, ref.best_chain.links):
+        assert (link.b, link.src.tolist(), link.dst.tolist()) == (
+            want.b, want.src.tolist(), want.dst.tolist())
+        assert link.disk.v.values.tobytes() == want.disk.v.values.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda J: two_point_disk(J, [0.0, 0.0], [0.1, 0.0, 0.0, 0.0], 0.5, SolverConfig(),
+                             make_grid(1.0, 9)),
+    lambda J: two_point_disk(J, [0.0, 0.0], [0.1], 0.5, SolverConfig(), make_grid(1.0, 9)),
+    lambda J: two_point_disk(J, [0.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0], 0.5,
+                             SolverConfig(), make_grid(1.0, 9)),
+    lambda J: derivative_disk(J, [0.0, 0.0], [0.1, 0.0, 0.0, 0.0], SolverConfig(),
+                              make_grid(1.0, 9)),
+    lambda J: derivative_disk(J, [0.0, 0.0], [0.1], SolverConfig(), make_grid(1.0, 9)),
+    lambda J: derivative_bound(J, [0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 4.0),
+    lambda J: estimate_distance(J, [0.0, 0.0], [0.3, 0.0, 0.0, 0.0]),
+], ids=["two_point_disk-q4", "two_point_disk-q1", "two_point_disk-p4q4", "derivative_disk-w4",
+        "derivative_disk-w1", "derivative_bound-nu4", "estimate_distance-q4"])
+def test_a_vector_of_the_wrong_length_is_invalid(call, J_std):
+    # each vector is checked against the real dimension 2n = 2 before any solve
+    with pytest.raises(InvalidParams, match="must have 2 coordinates"):
+        call(J_std)
 
 
 def test_search_uses_nodes_beyond_one_on_a_wide_grid(J_std):

@@ -255,6 +255,24 @@ def test_one_ill_conditioned_point_raises_with_its_label_and_cond():
     assert q is None and conds.tobytes() == want_conds.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_value_of_J_is_singular_at_its_point(n, bad):
+    # LAPACK's SVD does not converge on a NaN or inf, so only finite
+    # matrices reach it; a non-finite one has condition number nan
+    mats = np.broadcast_to(gallery("standard", n=n).eval(np.zeros(2 * n)),
+                           (3, 2 * n, 2 * n)).copy()
+    mats[1, 0, -1] = bad
+    J = _constant_field(mats)
+    conds = _cond_numbers(ComplexConvention(n).jst_f + mats)
+    assert conds[[0, 2]].tolist() == [1.0, 1.0] and math.isnan(conds[1])
+    with pytest.raises(Singular) as info:
+        q_field(J, np.zeros((3, 2 * n)), labels=np.arange(6.0 * n).reshape(3, 2 * n))
+    assert info.value.where == list(range(2 * n, 4 * n))
+    report = validate_structure(J, np.zeros((3, 2 * n)))
+    assert not report.passed and math.isnan(report.cond_max)
+
+
 _SPECIAL_NODES = ("near_cap", "minus_jst", "nan", "inf", "-inf", "tiny", "huge", "tiny_det")
 
 
