@@ -50,6 +50,16 @@ octant 0 <= dk <= dj and each cut cell at its representative.  For a map L,
 I_{LA}(d) = conj(u) I_A(L^-1 d) when L z = u z and conj(u) conj(I_A(L^-1 d))
 when L z = u conj(z), exactly in floating point; values on a mirror line
 are made their own image, so the kernel and the fractions are D4-invariant.
+
+Memory.  The operator keeps the kernel, its FFT, the fractions and the rim
+correction as CSR: 9.4 MiB at N = 129 and 69.0 MiB at N = 257, most of it
+the rim.  The build's phases free their arrays before the next allocates:
+the octant once the kernel is unfolded, the representatives' boxes and the
+rim assembly's temporaries before the rim's CSR copy is made beside its CSC
+parts, which is the build's peak, and those parts before the kernel's FFT.
+With numpy 2.4 and scipy 1.17 the live peak (tracemalloc) is 17.2 MiB at
+N = 129 and 124.7 MiB at N = 257; a process that only builds one operator
+peaks 20 and 140 MiB above the resident size of its imports.
 """
 
 from __future__ import annotations
@@ -315,6 +325,20 @@ def _integrals(grid: DiskGrid, trusted: np.ndarray, cuts: _CutCells):
     return octant, stack.reshape(2, -1, W, W), areas
 
 
+def _unfold(octant: np.ndarray) -> np.ndarray:
+    """The (2N - 1, 2N - 1) kernel from its (N, N) octant, which is made
+    D4-invariant in place first: entry [N - 1 + dj, N - 1 + dk] is the
+    weight at index offset (dj, dk)."""
+    N = octant.shape[0]
+    octant[:, 0] = octant[:, 0].real                    # its own conj image
+    diag = np.diagonal(octant)                          # its own -i conj image
+    octant[np.diag_indices(N)] = 0.5 * (diag - 1j * np.conj(diag))
+    # unfold by K(i conj d) = -i conj K(d), K(conj d) = conj K(d), K(-conj d) = -conj K(d)
+    quadrant = np.where(np.tri(N, dtype=bool), octant, -1j * np.conj(octant.T))
+    right = np.hstack([np.conj(quadrant[:, :0:-1]), quadrant])     # dj >= 0
+    return np.vstack([-np.conj(right[:0:-1]), right])
+
+
 def _fractions(full: np.ndarray, cuts: _CutCells, areas: np.ndarray):
     """``frac`` and ``conv_frac``: each cut cell's area goes to its column's
     ``conv_frac``, added in scan order (``ufunc.at`` adds in index order,
@@ -329,22 +353,13 @@ def _fractions(full: np.ndarray, cuts: _CutCells, areas: np.ndarray):
     return frac, conv_frac
 
 
-def _rim_matrix(grid: DiskGrid, kernel, conv_frac, full, trusted, cuts: _CutCells, boxes):
-    """The rim correction of the module docstring's boundary treatment.
-    Column s holds, at each trusted node t within the correction radius of
-    s, the exact integrals over the cut cells it carries, added in scan
-    order, less the convolution's (conv_frac - full) share of its kernel
-    entry.  A carried cell L(rep) reads its representative's box at L^-1 t."""
-    N, c, m = grid.N, (grid.N - 1) // 2, _correction_radius(grid.N)
-    W, B = boxes.shape[2], 2 * m + 1
-    # the carrying columns, sorted, with the cut cells grouped by column in
-    # scan order: order[first[i] + n] is the n-th cell of column columns[i]
-    order = np.argsort(cuts.column, kind="stable")
-    columns, first, count = np.unique(cuts.column[order], return_index=True,
-                                      return_counts=True)
-    # every column's targets t = s + (oj, ok) in one list, column by column
-    # and row-major within, as the place ``at`` of (oj, ok) in a B x B
-    # window; a window row meets the trusted disk in one run
+def _targets(trusted: np.ndarray, columns: np.ndarray, m: int):
+    """Every column's targets t = s + (oj, ok), the trusted nodes within
+    Chebyshev radius m of s, in one list, column by column and row-major
+    within, as the place ``at`` of (oj, ok) in a B x B window, B = 2m + 1;
+    and each column's count of them.  A window row meets the trusted disk
+    in one run."""
+    N, B = trusted.shape[0], 2 * m + 1
     window = sliding_window_view(np.pad(trusted, m), (B, B))[columns // N, columns % N]
     runs = np.count_nonzero(window, axis=2)
     size = runs.sum(axis=1)
@@ -353,7 +368,24 @@ def _rim_matrix(grid: DiskGrid, kernel, conv_frac, full, trusted, cuts: _CutCell
     at = np.ones(size.sum(), dtype=np.int32)
     at[0] = start[0]
     at[np.cumsum(runs[:-1])] = start[1:] - start[:-1] - runs[:-1] + 1
-    np.cumsum(at, out=at)
+    return np.cumsum(at, out=at), size
+
+
+def _rim_columns(grid: DiskGrid, kernel, conv_frac, full, trusted, cuts: _CutCells, boxes):
+    """The rim correction of the module docstring's boundary treatment, as
+    a CSC matrix.  Column s holds, at each trusted node t within the
+    correction radius of s, the exact integrals over the cut cells it
+    carries, added in scan order, less the convolution's (conv_frac - full)
+    share of its kernel entry.  A carried cell L(rep) reads its
+    representative's box at L^-1 t."""
+    N, c, m = grid.N, (grid.N - 1) // 2, _correction_radius(grid.N)
+    W, B = boxes.shape[2], 2 * m + 1
+    # the carrying columns, sorted, with the cut cells grouped by column in
+    # scan order: order[first[i] + n] is the n-th cell of column columns[i]
+    order = np.argsort(cuts.column, kind="stable")
+    columns, first, count = np.unique(cuts.column[order], return_index=True,
+                                      return_counts=True)
+    at, size = _targets(trusted, columns, m)
     oj, ok = np.divmod(np.arange(B * B, dtype=np.int32), B) - np.array(m, dtype=np.int32)
 
     # L^-1 flips the signs of a, b < 0, then swaps if |b| > |a|; a cell in
@@ -406,7 +438,7 @@ def _rim_matrix(grid: DiskGrid, kernel, conv_frac, full, trusted, cuts: _CutCell
     indptr = np.zeros(N * N + 1, dtype=np.int32)
     indptr[columns + 1] = size
     return sp.csc_matrix((exact, rows, np.cumsum(indptr, dtype=np.int32)),
-                         shape=(N * N, N * N)).tocsr()
+                         shape=(N * N, N * N))
 
 
 class CGOperator:
@@ -425,20 +457,18 @@ class CGOperator:
         trusted, full, cut = _rim_sets(grid)
         cuts = _cut_cells(grid, cut)
         octant, boxes, areas = _integrals(grid, trusted, cuts)
-
-        octant[:, 0] = octant[:, 0].real                    # its own conj image
-        diag = np.diagonal(octant)                          # its own -i conj image
-        octant[np.diag_indices(N)] = 0.5 * (diag - 1j * np.conj(diag))
-        # unfold by K(i conj d) = -i conj K(d), K(conj d) = conj K(d), K(-conj d) = -conj K(d)
-        quadrant = np.where(np.tri(N, dtype=bool), octant, -1j * np.conj(octant.T))
-        right = np.hstack([np.conj(quadrant[:, :0:-1]), quadrant])     # dj >= 0
-        self.kernel = np.vstack([-np.conj(right[:0:-1]), right])
-
+        self.kernel = _unfold(octant)
+        del octant
+        self.frac, self.conv_frac = _fractions(full, cuts, areas)
+        # the rim's CSR copy sets the build's memory peak: the boxes and the
+        # assembly's temporaries are freed before it is made, and its CSC
+        # parts before the kernel's FFT, which runs last for that reason
+        rim = _rim_columns(grid, self.kernel, self.conv_frac, full, trusted, cuts, boxes)
+        del boxes
+        self._rim_correction = rim.tocsr()
+        del rim
         self._pad = next_fast_len(2 * N - 1)
         self._kernel_fft = fft2(self.kernel, s=(self._pad, self._pad))
-        self.frac, self.conv_frac = _fractions(full, cuts, areas)
-        self._rim_correction = _rim_matrix(grid, self.kernel, self.conv_frac, full,
-                                           trusted, cuts, boxes)
 
     def cell_weight(self, dj: int, dk: int) -> complex:
         """Weight applied to a unit-fraction source cell at index offset

@@ -587,6 +587,9 @@ def _config_from_args(args) -> dict:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+    except SystemExit as exc:       # argparse's --help (0) or a bad flag (2)
+        return exc.code
+    try:
         code, report = run(_config_from_args(args))
         text = json.dumps(report, indent=2)
         out_path = report["config"]["output"]["report"]
