@@ -22,8 +22,8 @@ from .solver import (DiskSolution, SolverConfig, affine_target, cr_residual,
                      derivative_disk, picard_solve, two_point_disk)
 from .kobayashi import (BoundProbe, BoundReport, Chain, ChainLink,
                         DistanceEstimate, KobayashiOptions, chain_cost,
-                        concatenate_chains, derivative_bound,
-                        estimate_distance, pushforward_chain, validate_chain)
+                        derivative_bound, estimate_distance,
+                        pushforward_chain, validate_chain)
 from .brody import (LineCandidate, ReparamResult, RescalingReport,
                     brody_reparametrize, derivative_ladder_family,
                     dilation_family, extract_line, rescale_step, scaling_sup,

@@ -470,12 +470,6 @@ class CGOperator:
         self._pad = next_fast_len(2 * N - 1)
         self._kernel_fft = fft2(self.kernel, s=(self._pad, self._pad))
 
-    def cell_weight(self, dj: int, dk: int) -> complex:
-        """Weight applied to a unit-fraction source cell at index offset
-        (target minus source)."""
-        N = self.N
-        return self._scale * complex(self.kernel[N - 1 + dj, N - 1 + dk])
-
     def apply_complex(self, phi: np.ndarray) -> np.ndarray:
         """Transform one complex component sampled on the full (N, N) lattice.
 

@@ -280,8 +280,8 @@ def _csv_out(config):
 
 def _cmd_disk(config, J, grid, cfg):
     params = config["params"]
-    if params["w"] is None and params["q"] is None:
-        raise ConfigError("disk needs params.q or params.w")
+    if (params["w"] is None) == (params["q"] is None):
+        raise ConfigError("disk needs exactly one of params.q and params.w")
     with _csv_out(config) as csv:
         if params["w"] is not None:
             sol = derivative_disk(J, params["p"], params["w"], cfg, grid)

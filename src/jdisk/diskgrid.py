@@ -233,19 +233,12 @@ class DiskMap:
         if not np.isfinite(self.values).all():
             raise InvalidParams("map has non-finite values at retained nodes")
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[2] // 2
-
     def component_complex(self, m: int) -> np.ndarray:
         return self.values[..., 2 * m] + 1j * self.values[..., 2 * m + 1]
 
     def value_at_center(self) -> np.ndarray:
         c = self.grid.center_index
         return self.values[c[0], c[1], :].copy()
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values[self.grid.mask])))
 
     def sample(self, points, method: str = "bilinear") -> np.ndarray:
         """Interpolate at complex points; returns (m, 2n).

@@ -97,7 +97,8 @@ class BoundReport:
 class KobayashiOptions:
     """``estimate_distance``'s search: at most ``k_max`` links, each tried at
     the distinct ``t_grid`` nodes and solved with ``cfg`` on ``make_grid(grid_r,
-    grid_n)``.  ``residual_cap`` is the constant ``solver._RESIDUAL_CAP``."""
+    grid_n)``.  ``residual_cap``, the constant ``solver._RESIDUAL_CAP``, stays
+    only for the benchmark's distance check (``perfbench/workloads.py``)."""
 
     k_max: int = 3
     t_grid: tuple = (0.05, 0.1, 0.25, 0.5)
@@ -137,13 +138,15 @@ def validate_chain(chain: Chain, tol_endpoint: float = 1e-6) -> None:
     chain_cost(chain, tol=tol_endpoint)
 
 
-def concatenate_chains(c1: Chain, c2: Chain, tol: float = 1e-8) -> Chain:
-    """Join two chains end to end; the joint must match within tolerance."""
-    if c1.domain.kind != c2.domain.kind:
-        raise InvalidChain("chains live on different domain kinds")
-    if c1.links and c2.links and c1.domain.point_gap(c1.links[-1].dst, c2.links[0].src) > tol:
-        raise InvalidChain("chains do not meet at a common waypoint")
-    return Chain(c1.links + c2.links, c1.domain)
+def _gate(sol: DiskSolution, dom: DomainDescriptor) -> str | None:
+    """The gate a solved disk fails, or None: "residual" above
+    ``solver._RESIDUAL_CAP`` (an uncertified disk's image says nothing, so
+    this decides first), else "containment" for a node outside ``dom``."""
+    if not sol.residual <= _RESIDUAL_CAP:
+        return "residual"
+    if not dom.contains(sol.v.values[sol.v.grid.mask]):
+        return "containment"
+    return None
 
 
 def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = None) -> DistanceEstimate:
@@ -155,16 +158,16 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     certified is the chain of *discretized* disks: every accepted link has
     its target endpoint, read off the grid by bilinear interpolation at t,
     within the endpoint tolerance; its ``cr_residual``, a sup over grid
-    nodes only, at most ``residual_cap`` (1e-2); and its image at the grid
-    nodes inside the domain.  A link's disk is the Picard iterate
-    at which its solve stopped, not the fixed point itself: its distance to
-    the fixed point is at most about ``solver._THETA`` (1e-3) times its
-    residual (see ``picard_solve``).  Nothing is checked between nodes,
-    and a t below the grid step falls inside the first cell, so ``upper``
-    bounds the pseudo-distance only up to the discretization error.  The
-    search log records one (k, t, cost) triple per attempted link solve,
-    with infinite cost for rejected attempts; a node repeated in ``t_grid``
-    is tried once.
+    nodes only, at most ``solver._RESIDUAL_CAP`` (1e-2); and its image at
+    the grid nodes inside the domain (``_gate``).  A link's disk is the
+    Picard iterate at which its solve stopped, not the fixed point itself:
+    its distance to the fixed point is at most about ``solver._THETA``
+    (1e-3) times its residual (see ``picard_solve``).  Nothing is checked
+    between nodes, and a t below the grid step falls inside the first cell,
+    so ``upper`` bounds the pseudo-distance only up to the discretization
+    error.  The search log records one (k, t, cost) triple per attempted
+    link solve, with infinite cost for rejected attempts; a node repeated
+    in ``t_grid`` is tried once.
 
     The search is an exact branch and bound.  Before solving link i of a
     k-link chain at node t it sums the accepted links' costs, t's cost and
@@ -221,8 +224,7 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
                     log.append((k, t, math.inf))
                     continue
                 cand = ChainLink(sol, complex(t, 0.0), waypoints[i], waypoints[i + 1])
-                ok = (sol.residual <= opts.residual_cap
-                      and dom.contains(sol.v.values[grid.mask])
+                ok = (_gate(sol, dom) is None
                       and dom.point_gap(eval_interp(sol.v, cand.b), cand.dst)
                       <= _ENDPOINT_TOL)
                 log.append((k, t, cand.cost if ok else math.inf))
@@ -278,8 +280,8 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
     Bisection on the scale; the result is a lower bound for the derivative
     supremum over all disks.  A scale is feasible when its solve converges
     to a disk whose ``cr_residual`` is at most ``solver._RESIDUAL_CAP``
-    (1e-2, also ``KobayashiOptions.residual_cap``) and whose grid
-    nodes lie in the domain; each probe is recorded as a ``BoundProbe``
+    (1e-2, the distance search's cap too) and whose grid nodes lie in the
+    domain (``_gate``); each probe is recorded as a ``BoundProbe``
     with its residual and the gate that rejected it.  Feasibility at
     ``lambda_max`` itself is flagged as ``unbounded_suspected`` (the scan
     cannot certify an actual supremum).  ``lambda_max`` and ``bisect_tol``
@@ -305,13 +307,7 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
         except (Diverged, Singular) as exc:
             probes.append(BoundProbe(lam, False, None, type(exc).__name__))
             return False
-        # an uncertified disk's image says nothing, so its residual decides first
-        if not sol.residual <= _RESIDUAL_CAP:
-            gate = "residual"
-        elif not dom.contains(sol.v.values[grid.mask]):
-            gate = "containment"
-        else:
-            gate = None
+        gate = _gate(sol, dom)
         probes.append(BoundProbe(lam, gate is None, sol.residual, gate))
         return gate is None
 

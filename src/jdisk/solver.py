@@ -50,8 +50,8 @@ _DIVERGENCE_FACTOR = 2.0
 # bound is at most _THETA times that iterate's cr_residual, capped at
 # _RESIDUAL_CAP; _THETA = 0 leaves only the absolute test
 _THETA = 1e-3
-# largest cr_residual of an accepted disk: a chain link's
-# (KobayashiOptions.residual_cap) and a derivative_bound probe's
+# largest cr_residual of an accepted disk, a chain link's or a
+# derivative_bound probe's (kobayashi._gate)
 _RESIDUAL_CAP = 1e-2
 
 
@@ -91,8 +91,8 @@ class DiskSolution:
     holds the sup-norm increments of v (contraction diagnostics), one per
     fixed-point step, so ``iterations``, their count, counts every step of
     the solve.  ``newton_steps`` is a class constant 0, not a field: matching
-    happens inside the fixed point, and it stays for readers of the old
-    outer-loop counter.
+    happens inside the fixed point.  No solve reads it; it stays only
+    because the benchmark's span tracer (``perfbench/spans.py``) counts it.
     """
 
     v: DiskMap
@@ -160,11 +160,10 @@ def affine_target(p: np.ndarray, q: np.ndarray, t: float, grid: DiskGrid) -> Dis
 
 def _affine_values(grid: DiskGrid, basis: np.ndarray):
     """``(p, d) -> p + basis * d`` (complex product, real representation) on
-    ``grid``'s mask and 0 off it, as ``(N, N, 2n)`` values: the products and
-    sums of ``p + ComplexConvention.cmul(basis, d)``, so the same to the
-    bit, formed per component on ``(N, N)`` planes, several times faster
-    than broadcasting over the short last axis, and written straight into
-    the retained nodes of the result."""
+    ``grid``'s mask and 0 off it, as ``(N, N, 2n)`` values: ``d Re(basis) +
+    (i d) Im(basis) + p``, formed per component on ``(N, N)`` planes,
+    several times faster than broadcasting over the short last axis, and
+    written straight into the retained nodes of the result."""
     x, y = basis.real.copy(), basis.imag.copy()
 
     def affine(p, d):

@@ -30,8 +30,8 @@ class ComplexConvention:
 
     ``jst_f`` is the block-diagonal matrix with 2x2 blocks ``[[0, -1], [1, 0]]``;
     multiplying a real vector by ``jst_f`` equals multiplying the
-    corresponding complex vector by ``i``.  The vector operations read n off
-    the last axis of their input, so they need no instance.
+    corresponding complex vector by ``i``.  ``mul_i`` reads n off the last
+    axis of its input, so it needs no instance.
     """
 
     def __init__(self, n: int):
@@ -54,22 +54,6 @@ class ComplexConvention:
         out[..., 0::2] = -v[..., 1::2]
         out[..., 1::2] = v[..., 0::2]
         return out
-
-    @staticmethod
-    def cmul(z, v: np.ndarray) -> np.ndarray:
-        """Multiply real-represented vectors by a complex scalar (broadcasts).
-
-        ``z`` may be a scalar or an array; the result has shape
-        ``np.shape(z) + (2n,)`` when ``v`` is a single vector.
-        """
-        z = np.asarray(z, dtype=np.complex128)
-        v = np.asarray(v, dtype=np.float64)
-        return z.real[..., None] * v + z.imag[..., None] * ComplexConvention.mul_i(v)
-
-    @staticmethod
-    def to_complex(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        return v[..., 0::2] + 1j * v[..., 1::2]
 
     def __repr__(self):
         return f"ComplexConvention(n={self.n})"
@@ -171,9 +155,12 @@ def validate_structure(J: StructureField, samples: np.ndarray, tol: float = 1e-1
     Reports the worst residual (max absolute entry of ``J^2 + Id``) and the
     worst condition number of ``Jst + J(p)``, which predicts where the
     dilatation matrix is computable.  Evaluation failures at individual
-    samples are collected instead of raised.
+    samples are collected instead of raised.  An empty sample set raises
+    ``InvalidParams``: no sample can pass or fail.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    if samples.size == 0:
+        raise InvalidParams("validation needs at least one sample point")
     eye = np.eye(J.convention.dim)
     invalid: list = []
     try:

@@ -17,6 +17,30 @@ def complex_map(grid, fn):
     return DiskMap(grid, vals)
 
 
+def to_complex(v):
+    """The complex vectors (..., n) that real-represented vectors (..., 2n)
+    stand for, in interleaved order (x1, y1, ..., xn, yn)."""
+    v = np.asarray(v, dtype=np.float64)
+    return v[..., 0::2] + 1j * v[..., 1::2]
+
+
+def cmul(z, v):
+    """Real representation of the complex product ``z * v``, broadcast as
+    ``z[..., None] * to_complex(v)``: a reference formed in complex
+    arithmetic, apart from ``ComplexConvention.mul_i``."""
+    w = np.asarray(z, dtype=np.complex128)[..., None] * to_complex(v)
+    out = np.empty(w.shape[:-1] + (2 * w.shape[-1],))
+    out[..., 0::2], out[..., 1::2] = w.real, w.imag
+    return out
+
+
+def cell_weight(op, dj, dk):
+    """The weight ``op`` gives a unit-fraction source cell at index offset
+    (dj, dk), target minus source: its kernel entry times its radius scale."""
+    N = op.N
+    return op._scale * complex(op.kernel[N - 1 + dj, N - 1 + dk])
+
+
 def lattice_difference_matrix(g, axis):
     """The centred differences along ``axis`` as one ``(N*N, N*N)`` matrix
     over the whole lattice, with empty rows off the interior: a reference

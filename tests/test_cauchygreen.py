@@ -19,7 +19,7 @@ from jdisk.errors import GridMismatch
 from jdisk.kobayashi import KobayashiOptions, estimate_distance
 from jdisk.structure import gallery
 
-from conftest import complex_map
+from conftest import cell_weight, complex_map
 
 
 def cell_integral_2d_oracle(d, h, m=32):
@@ -58,7 +58,7 @@ def op33(g33):
 
 
 def test_self_cell_weight_is_zero(op33):
-    assert op33.cell_weight(0, 0) == 0
+    assert cell_weight(op33, 0, 0) == 0
 
 
 def test_cell_weights_match_area_quadrature_oracle(op33, g33):
@@ -66,7 +66,7 @@ def test_cell_weights_match_area_quadrature_oracle(op33, g33):
     for dj, dk in [(1, 0), (1, 1), (0, 2), (-2, 1), (2, 2), (-1, -1),
                    (7, 3), (0, 12), (-20, 5)]:
         oracle = cell_integral_2d_oracle(h * complex(dj, dk), h) / np.pi
-        got = op33.cell_weight(dj, dk)
+        got = cell_weight(op33, dj, dk)
         assert abs(got - oracle) < 1e-13 * max(1.0, abs(oracle))
 
 
@@ -462,7 +462,7 @@ def test_transform_matches_dense_row_summation():
     dense = np.empty((m, m), dtype=np.complex128)
     for a in range(m):
         for b in range(m):
-            dense[a, b] = op.cell_weight(jj[a] - jj[b], kk[a] - kk[b]) \
+            dense[a, b] = cell_weight(op, jj[a] - jj[b], kk[a] - kk[b]) \
                 * op.conv_frac[jj[b], kk[b]]
     flat_a = jj * g.N + kk
     dense += op._rim_correction.toarray()[np.ix_(flat_a, flat_a)]
@@ -604,7 +604,8 @@ def test_output_bounded_by_input(grid65):
                lambda z: np.exp(z.real) + 0j):
         phi = complex_map(grid65, fn)
         out = cg_apply(op, phi)
-        ratios.append(out.sup_norm() / phi.sup_norm())
+        ratios.append(np.max(np.abs(out.values[grid65.mask]))
+                      / np.max(np.abs(phi.values[grid65.mask])))
     bound = max(ratios)
     print(f"measured transform bound sup|P phi| / sup|phi| = {bound:.4f}")
     assert bound < 4.0
@@ -657,7 +658,7 @@ def test_scaled_operator_matches_a_fresh_build(N, r):
     phi = complex_map(g, lambda z: np.exp(z / r) + 1j * (z / r).conj() ** 2)
     got, want = cg_apply(op, phi).values, cg_apply(fresh, phi).values
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
-    assert op.cell_weight(3, -1) == pytest.approx(fresh.cell_weight(3, -1), rel=1e-13)
+    assert cell_weight(op, 3, -1) == pytest.approx(cell_weight(fresh, 3, -1), rel=1e-13)
 
 
 def test_scaled_operator_rejects_another_radius():

@@ -247,6 +247,8 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
     ["validate", "--n", "100000"],
     ["validate", "--r", "1e-170"],
     ["validate", "--samples", "1000000000"],
+    ["validate", "--samples", "0"],
+    ["disk", "--p", "0,0", "--q", "0.2,0", "--w", "0.2,0"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "tol_newton=1e-8"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "max_newton=25"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "fd_step=1e-6"],

@@ -15,9 +15,10 @@ from jdisk.diskgrid import (DiskGrid, DiskMap, d_dz, d_dzbar, eval_interp,
                             node_max, poincare_distance, resample, to_csv)
 from jdisk.errors import (InvalidGrid, OutsideDisk, OutsideInterpolationRange)
 from jdisk.solver import SolverConfig, two_point_disk
-from jdisk.structure import ComplexConvention, gallery
+from jdisk.structure import gallery
 
-from conftest import complex_map, lattice_difference_matrix, lattice_differences
+from conftest import (cmul, complex_map, lattice_difference_matrix, lattice_differences,
+                      to_complex)
 
 
 def test_small_grid_nodes_enumerated_by_hand():
@@ -98,9 +99,9 @@ def test_one_difference_pair_gives_both_derivatives_to_the_bit(r, n):
     assert dz.tobytes() == d_dz(DiskMap(g, v)).values[g.interior].tobytes()
     assert dzbar.tobytes() == d_dzbar(DiskMap(g, v)).values[g.interior].tobytes()
     # (ux -+ i uy) / 2 per component, from the x and y difference rows
-    ux, uy = (ComplexConvention.to_complex(d) for d in g.differences(v))
+    ux, uy = (to_complex(d) for d in g.differences(v))
     for got, want in ((dz, 0.5 * (ux - 1j * uy)), (dzbar, 0.5 * (ux + 1j * uy))):
-        assert np.allclose(ComplexConvention.to_complex(got), want, rtol=0, atol=1e-12)
+        assert np.allclose(to_complex(got), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("N", [9, 33, 129])
@@ -232,10 +233,9 @@ def test_interpolation_exact_at_nodes(grid33):
 
 def test_interpolation_reproduces_affine_two_point_form(grid33):
     # h(z) = p + 2 z (q - p) satisfies h(1/2) = q exactly
-    conv = ComplexConvention(1)
     p = np.array([0.3, -0.2])
     q = np.array([-0.1, 0.5])
-    vals = p + conv.cmul(2 * grid33.Z, q - p)
+    vals = p + cmul(2 * grid33.Z, q - p)
     u = DiskMap(grid33, vals)
     assert np.allclose(eval_interp(u, 0.5 + 0j), q, atol=1e-14)
     assert np.allclose(eval_interp(u, 0j), p, atol=1e-15)

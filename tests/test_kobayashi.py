@@ -8,8 +8,8 @@ from jdisk.diskgrid import eval_interp, make_grid
 from jdisk.errors import (Diverged, InvalidChain, InvalidParams, NoChainFound,
                           NotHolomorphicMap, Singular)
 from jdisk.kobayashi import (Chain, ChainLink, KobayashiOptions, chain_cost,
-                             concatenate_chains, derivative_bound, estimate_distance,
-                             pushforward_chain, validate_chain)
+                             derivative_bound, estimate_distance, pushforward_chain,
+                             validate_chain)
 from jdisk.solver import SolverConfig, derivative_disk, picard_solve, two_point_disk
 from jdisk.structure import gallery
 
@@ -46,7 +46,7 @@ def test_chain_cost_single_and_double_link(J_std):
     assert est2.upper == est.upper
     # out-and-back concatenation: two links of equal cost add exactly
     back = estimate_distance(J_std, q, p, quick_opts(t_grid=(0.5,), k_max=1))
-    loop = concatenate_chains(est.best_chain, back.best_chain)
+    loop = Chain(est.best_chain.links + back.best_chain.links, J_std.domain)
     assert chain_cost(loop) == 2 * est.upper
 
 
@@ -301,16 +301,19 @@ def test_triangle_via_concatenation(J_std):
     r = np.array([0.2, 0.2])
     pq = estimate_distance(J_std, p, q, quick_opts())
     qr = estimate_distance(J_std, q, r, quick_opts())
-    joined = concatenate_chains(pq.best_chain, qr.best_chain)
+    joined = Chain(pq.best_chain.links + qr.best_chain.links, J_std.domain)
     validate_chain(joined)
     assert chain_cost(joined) == pq.upper + qr.upper
 
 
-def test_concatenation_rejects_disjoint_chains(J_std):
+def test_chain_cost_rejects_disjoint_links(J_std):
     a = estimate_distance(J_std, np.zeros(2), np.array([0.2, 0.0]), quick_opts())
     b = estimate_distance(J_std, np.array([0.5, 0.5]), np.array([0.7, 0.5]), quick_opts())
+    joined = Chain(a.best_chain.links + b.best_chain.links, J_std.domain)
     with pytest.raises(InvalidChain):
-        concatenate_chains(a.best_chain, b.best_chain)
+        chain_cost(joined)
+    with pytest.raises(InvalidChain):
+        validate_chain(joined)
 
 
 def test_pushforward_preserves_cost_exactly(J_std, J_torus):

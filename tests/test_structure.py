@@ -13,6 +13,8 @@ from jdisk.structure import (ComplexConvention, DomainDescriptor,
                              _validation_lattice, gallery, q_field, q_matrix,
                              validate_structure)
 
+from conftest import cmul, to_complex
+
 
 def test_jst_squares_to_minus_identity_exactly():
     for n in (1, 2, 3):
@@ -25,19 +27,21 @@ def test_jst_action_matches_multiplication_by_i(rng):
     for n in (1, 2):
         conv = ComplexConvention(n)
         v = rng.normal(size=(50, 2 * n))
-        lhs = conv.to_complex(conv.mul_i(v))
-        rhs = 1j * conv.to_complex(v)
+        lhs = to_complex(conv.mul_i(v))
+        rhs = 1j * to_complex(v)
         assert np.array_equal(lhs, rhs)
         # matrix action agrees with the vectorized form
         assert np.allclose(v @ conv.jst_f.T, conv.mul_i(v), atol=0)
 
 
 def test_cmul_is_complex_scalar_multiplication(rng):
-    conv = ComplexConvention(2)
+    # the reference product the tests build affine disks with, and the
+    # library's form of it, Re(z) v + Im(z) (i v), as the solver forms it
     z = 0.3 - 1.7j
     v = rng.normal(size=(10, 4))
-    assert np.allclose(conv.to_complex(conv.cmul(z, v)), z * conv.to_complex(v),
-                       atol=1e-15)
+    assert np.allclose(to_complex(cmul(z, v)), z * to_complex(v), atol=1e-15)
+    assert np.allclose(cmul(z, v), z.real * v + z.imag * ComplexConvention.mul_i(v),
+                       rtol=0, atol=1e-15)
 
 
 def test_validate_standard_structure_exact():
@@ -56,6 +60,13 @@ def test_validate_identity_field_fails():
     report = validate_structure(J, np.zeros((5, 2)), tol=1e-10)
     assert not report.passed
     assert report.max_residual == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("samples", [np.zeros((0, 2)), []])
+def test_validate_rejects_an_empty_sample_set(samples):
+    # no sample can fail, so an empty set neither passes nor fails
+    with pytest.raises(InvalidParams, match="at least one sample"):
+        validate_structure(gallery("standard", n=1), samples)
 
 
 def test_validate_conjugated_structure_residual_small(rng):
