@@ -143,8 +143,9 @@ _TABLE = {
                for f in dataclasses.fields(SolverConfig)},
     "params": {
         "validate": {"samples": _Key(_int, 1000, most=100_000)},
+        # t is read only with q, where _cmd_disk fills in 0.5
         "disk": {"p": _Key(_point, _REQUIRED), "q": _Key(_point), "w": _Key(_point),
-                 "t": _Key(_float, 0.5)},
+                 "t": _Key(_float)},
         "distance": {
             "p": _Key(_point, _REQUIRED), "q": _Key(_point, _REQUIRED),
             "k_max": _Key(_int, KobayashiOptions.k_max),
@@ -282,6 +283,10 @@ def _cmd_disk(config, J, grid, cfg):
     params = config["params"]
     if (params["w"] is None) == (params["q"] is None):
         raise ConfigError("disk needs exactly one of params.q and params.w")
+    if params["w"] is not None and params["t"] is not None:
+        raise ConfigError("params.t is read only with params.q, not with params.w")
+    if params["q"] is not None and params["t"] is None:
+        params["t"] = 0.5   # the echoed config shows the node solved at
     with _csv_out(config) as csv:
         if params["w"] is not None:
             sol = derivative_disk(J, params["p"], params["w"], cfg, grid)

@@ -10,14 +10,16 @@ explores waypoints equally spaced along the chart segment (shortest
 lattice representative on a torus) and sweeps the interpolation node t per
 link, keeping the cheapest chain found.  Every link costs at least
 arctanh(t_min / r), so a k-link chain costs at least k arctanh(t_min / r);
-the search skips the link solves that this bound shows cannot beat the best
-chain so far, and returns the chain the full search would.  The returned
+the search solves links best first on this bound (A*, Hart, Nilsson and
+Raphael, IEEE Trans. SSC 4 (1968) 100), never solves one whose bound is
+above the optimum, and returns the chain the full search would.  The returned
 bound is monotone: enlarging ``k_max`` or refining ``t_grid`` can only grow
 the candidate set.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +63,11 @@ class Chain:
 
 @dataclass
 class DistanceEstimate:
+    """``estimate_distance``'s result.  ``search_log`` holds one (k, t, cost)
+    triple per link solve, in the order the best-first search made them, so
+    the entries of different k interleave; ``pruned`` holds one
+    (k, i, t, lower) entry per k the search started and left unfinished."""
+
     best_chain: Chain
     search_log: list
     pruned: list = field(default_factory=list)
@@ -165,21 +172,25 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     (1e-3) times its residual (see ``picard_solve``).  Nothing is checked
     between nodes, and a t below the grid step falls inside the first cell,
     so ``upper`` bounds the pseudo-distance only up to the discretization
-    error.  The search log records one (k, t, cost) triple per attempted
-    link solve, with infinite cost for rejected attempts; a node repeated
-    in ``t_grid`` is tried once.
+    error.  The search log records one (k, t, cost) triple per link solve,
+    in the order made, with infinite cost for rejected attempts; a node
+    repeated in ``t_grid`` is tried once.
 
-    The search is an exact branch and bound.  Before solving link i of a
-    k-link chain at node t it sums the accepted links' costs, t's cost and
-    k - i - 1 copies of f = arctanh(t_min / r), the least cost of a link; no
-    chain completed from there costs less.  If that sum reaches the best
-    cost so far, the rest of k is skipped (larger nodes cost more, and a tie
-    goes to the best chain's smaller k) and ``pruned`` records
-    (k, i, t, lower).  An entry (k, 0, t_min, lower) means k f is already
-    out of reach, so it also ends the search over every larger k.  The
-    result is the chain the unpruned search returns.  A ``t_grid`` node that
-    ``check_node`` rejects on the search grid raises ``InvalidParams``
-    before any solve.
+    The search is an exact best-first branch and bound.  Each k-link chain
+    is built link by link, each link at the smallest node whose disk
+    passes, and its next solve, link i at node t, has the lower bound
+    ``lower``: the accepted links' costs, t's cost and k - i - 1 copies of
+    f = arctanh(t_min / r), the least cost of a link, summed in the order of
+    ``Chain.total_cost``.  No chain completed from there costs less.  One
+    such state per k waits in a heap keyed by (lower, k); each step solves
+    the smallest state's link and pushes its successor, and k + 1 starts
+    when k's first link is tried.  Keys only grow, so the first chain
+    completed is the cheapest, ties going to the smaller k, and every state
+    still waiting has lower above its cost, or equal to it with a larger k.
+    ``pruned`` records those states as (k, i, t, lower), one per unfinished
+    k, in key order.  The result is the chain the unpruned search returns,
+    from a subset of its solves.  A ``t_grid`` node that ``check_node``
+    rejects on the search grid raises ``InvalidParams`` before any solve.
     """
     opts = opts or KobayashiOptions()
     p, q = _point(J, "p", p), _point(J, "q", q)
@@ -198,52 +209,50 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     costs = [poincare_distance(0, complex(t, 0.0), r=grid.r) for t in t_values]
     f = costs[0]
 
+    def lower(k, i, j, prefix):
+        # summed in the order of Chain.total_cost, so no chain completed
+        # from link i of k at node j costs less
+        total = prefix + costs[j]
+        for _ in range(k - i - 1):
+            total += f
+        return total
+
+    # one frontier state per k, (lower, k, link i, node index j, prefix cost,
+    # links); (lower, k) is unique, so the heap never compares the rest
+    heap = [(lower(1, 0, 0, 0), 1, 0, 0, 0, [])]
     best: Chain | None = None
     log: list = []
-    pruned: list = []
-    for k in range(1, opts.k_max + 1):
-        waypoints = [p + (i / k) * delta for i in range(k + 1)]
-        links = []
-        prefix = 0
-        for i in range(k):
+    while heap and best is None:
+        _, k, i, j, prefix, links = heapq.heappop(heap)
+        if i == j == 0 and k < opts.k_max:
+            heapq.heappush(heap, (lower(k + 1, 0, 0, 0), k + 1, 0, 0, 0, []))
+        t = t_values[j]
+        src, dst = p + (i / k) * delta, p + ((i + 1) / k) * delta
+        try:
+            sol = two_point_disk(J, src, dst, t, opts.cfg, grid)
+        except (Diverged, Singular):
             link = None
-            for t, cost_t in zip(t_values, costs):
-                if best is not None:
-                    # summed in the order of Chain.total_cost, so no chain
-                    # completed from here costs less than lower; a tie
-                    # loses too, since best has fewer links
-                    lower = prefix + cost_t
-                    for _ in range(k - i - 1):
-                        lower += f
-                    if lower >= best.total_cost:
-                        pruned.append((k, i, t, lower))
-                        break
-                try:
-                    sol = two_point_disk(J, waypoints[i], waypoints[i + 1], t, opts.cfg, grid)
-                except (Diverged, Singular):
-                    log.append((k, t, math.inf))
-                    continue
-                cand = ChainLink(sol, complex(t, 0.0), waypoints[i], waypoints[i + 1])
-                ok = (_gate(sol, dom) is None
-                      and dom.point_gap(eval_interp(sol.v, cand.b), cand.dst)
-                      <= _ENDPOINT_TOL)
-                log.append((k, t, cand.cost if ok else math.inf))
-                if ok:
-                    link = cand
-                    break
-            if link is None:
-                break
-            links.append(link)
-            prefix += link.cost
         else:
-            # beats best: its last link passed lower < best.total_cost, lower is its cost
-            best = Chain(links, dom)
-        if pruned and pruned[-1][:3] == (k, 0, t_values[0]):
-            # k f is out of reach, and so is every larger multiple
-            break
+            link = ChainLink(sol, complex(t, 0.0), src, dst)
+            if (_gate(sol, dom) is not None
+                    or dom.point_gap(eval_interp(sol.v, link.b), dst) > _ENDPOINT_TOL):
+                link = None
+        log.append((k, t, math.inf if link is None else link.cost))
+        if link is not None:
+            i, j, prefix, links = i + 1, 0, prefix + link.cost, links + [link]
+            if i == k:
+                best = Chain(links, dom)
+                continue
+        elif j + 1 < len(t_values):
+            j += 1
+        else:
+            continue   # link i has no node, so k has no chain
+        heapq.heappush(heap, (lower(k, i, j, prefix), k, i, j, prefix, links))
     if best is None:
         raise NoChainFound(
             f"no (k <= {opts.k_max}, t in {tuple(t_values)}) chain joins the points")
+    # every state left has a larger (lower, k) than the best chain's (cost, k)
+    pruned = [(k, i, t_values[j], bound) for bound, k, i, j, _, _ in sorted(heap)]
     return DistanceEstimate(best, log, pruned)
 
 

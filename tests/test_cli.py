@@ -52,6 +52,17 @@ def test_disk_command_affine_case(tmp_path):
     assert header == "x,y,v0,v1"
 
 
+def test_disk_command_echoes_the_node_it_solved_at():
+    # t defaults to 0.5 with q and is left unset with w, which never reads it
+    for params, t in (({"q": [0.2, 0.0]}, 0.5), ({"q": [0.2, 0.0], "t": 0.25}, 0.25),
+                      ({"w": [0.2, 0.0]}, None)):
+        code, report = run({"command": "disk", "grid": {"N": 9},
+                            "params": {"p": [0.0, 0.0], **params}})
+        assert code == 0
+        assert report["config"]["params"]["t"] == t
+        assert ("value_at_t" in report["results"]["endpoints"]) == (t is not None)
+
+
 def test_disk_command_derivative_mode():
     code, report = run({"command": "disk",
                         "structure": {"name": "conjugated", "n": 1, "epsilon": 0.1},
@@ -264,6 +275,7 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
     ["distance", "--p", "0,0", "--q", "0.1,0", "--N", "9", "--t-grid", "0.5,0.75", "--k-max", "1"],
     ["distance", "--config", {"params": dict(_DISTANCE, residual_cap=-1)}],
     ["disk", "--p", "0,0", "--q", "0.3,0.1", "--r", "2.5", "--t", "2.45"],
+    ["disk", "--p", "0,0", "--w", "0.1,0", "--t", "0.3"],
 ])
 def test_main_bad_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jdisk import kobayashi, solver
-from jdisk.diskgrid import eval_interp, make_grid
+from jdisk.diskgrid import eval_interp, make_grid, poincare_distance
 from jdisk.errors import (Diverged, InvalidChain, InvalidParams, NoChainFound,
                           NotHolomorphicMap, Singular)
 from jdisk.kobayashi import (Chain, ChainLink, KobayashiOptions, chain_cost,
@@ -159,17 +159,27 @@ def test_pruned_search_returns_the_exhaustive_best_chain(J, p, q, opts):
     for link, ref_link in zip(est.best_chain.links, ref.links):
         assert link.b == ref_link.b
         assert np.array_equal(link.disk.v.values, ref_link.disk.v.values)
-    # pruning only drops attempts; the ones it makes come in the same order
-    remaining = iter(ref_log)
-    assert all(entry in remaining for entry in est.search_log)
+    # pruning only drops attempts; the ones it makes for each k come in the
+    # order the exhaustive search makes them for that k
+    for k in range(1, opts.k_max + 1):
+        remaining = iter([entry for entry in ref_log if entry[0] == k])
+        assert all(entry in remaining for entry in est.search_log if entry[0] == k)
     assert len(est.search_log) + len(est.pruned) <= len(ref_log)
     for k, i, t, lower in est.pruned:
         assert lower >= est.upper
+        # a tie is pruned only for a k above the best chain's
+        assert (lower, k) > (est.upper, len(est.best_chain.links))
 
 
-def test_search_skips_the_links_that_cannot_beat_the_best(monkeypatch):
-    # the benchmark's warm-up op: k = 1 is rejected at t = 0.05 and accepted
-    # at 0.1, k = 2 costs 2 f at 0.05, and three links cost at least 3 f
+def _warmup_input():
+    """The benchmark's warm-up op: k = 1 is rejected at t = 0.05 and accepted
+    at 0.1, and k = 2 costs 2 f at 0.05, less than the one link at 0.1."""
+    p = np.zeros(2)
+    q = p + 0.3 * np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
+    return gallery("conjugated", epsilon=0.2), p, q
+
+
+def _count_solves(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
@@ -177,15 +187,59 @@ def test_search_skips_the_links_that_cannot_beat_the_best(monkeypatch):
         return two_point_disk(*args, **kwargs)
 
     monkeypatch.setattr(kobayashi, "two_point_disk", counted)
-    J = gallery("conjugated", epsilon=0.2)
-    p = np.zeros(2)
-    q = p + 0.3 * np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
+    return calls
+
+
+def test_search_skips_the_links_that_cannot_beat_the_best(monkeypatch):
+    # best first: k = 1 at 0.05 (rejected), then both links of k = 2 at
+    # 0.05; k = 1 at 0.1 and three links cost more than 2 f
+    calls = _count_solves(monkeypatch)
+    J, p, q = _warmup_input()
     est = estimate_distance(J, p, q, KobayashiOptions())
-    assert calls == [0.05, 0.1, 0.05, 0.05]
-    assert len(est.search_log) == 4
-    ((k, i, t, lower),) = est.pruned
-    assert (k, i, t) == (3, 0, 0.05)
-    assert lower >= est.upper
+    assert calls == [0.05, 0.05, 0.05]
+    assert len(est.search_log) == 3
+    assert [entry[:3] for entry in est.pruned] == [(1, 0, 0.1), (3, 0, 0.05)]
+    for k, i, t, lower in est.pruned:
+        assert lower >= est.upper
+
+
+def test_a_longer_chain_limit_makes_no_more_solves(monkeypatch):
+    # k + 1 starts only when k's first link is tried, so k = 4 and on are
+    # never reached once the two-link chain is found
+    calls = _count_solves(monkeypatch)
+    J, p, q = _warmup_input()
+    short = estimate_distance(J, p, q, KobayashiOptions(k_max=3))
+    short_calls = list(calls)
+    calls.clear()
+    long = estimate_distance(J, p, q, KobayashiOptions(k_max=50))
+    assert calls == short_calls == [0.05, 0.05, 0.05]
+    assert (long.upper, long.search_log, long.pruned) == (short.upper, short.search_log,
+                                                         short.pruned)
+
+
+def _attempt_bounds(est, opts):
+    """The lower bound of each logged attempt: its k's accepted links' costs,
+    the cost of its node and one least link cost f per link still to come."""
+    r = opts.grid_r
+    node_cost = {t: poincare_distance(0, complex(t, 0.0), r=r) for t in opts.t_grid}
+    f = node_cost[min(opts.t_grid)]
+    prefix, done = {}, {}
+    for k, t, cost in est.search_log:
+        bound = prefix.get(k, 0) + node_cost[t]
+        for _ in range(k - done.get(k, 0) - 1):
+            bound += f
+        yield bound
+        if cost != math.inf:
+            prefix[k], done[k] = prefix.get(k, 0) + cost, done.get(k, 0) + 1
+
+
+@pytest.mark.parametrize("J, p, q, opts", [(*_warmup_input(), KobayashiOptions()),
+                                           *_SEARCH_INPUTS],
+                         ids=["warmup", *(f"{J.name}-{i}"
+                                          for i, (J, *_) in enumerate(_SEARCH_INPUTS))])
+def test_no_link_is_solved_above_the_best_cost(J, p, q, opts):
+    est = estimate_distance(J, p, q, opts)
+    assert max(_attempt_bounds(est, opts)) <= est.upper
 
 
 def test_torus_distance_vanishes_with_t(J_torus):
