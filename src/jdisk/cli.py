@@ -6,8 +6,9 @@ inline flags.  ``_TABLE`` describes every config key and ``_COMMANDS``
 the sections each command reads; a command's flags, key check,
 conversions and defaults come from them, so it takes only keys it reads.
 A run executes deterministically for a fixed seed and writes a JSON report
-carrying the fully resolved config echo, results, diagnostics and library
-versions.  Exit codes: 0 success, 2 config error, 3 solver/check failure.
+carrying the fully resolved config echo, library versions, the results or
+an error, and a timestamp.  Exit codes: 0 success, 2 config error,
+3 solver/check failure.
 """
 
 from __future__ import annotations
@@ -133,7 +134,6 @@ _TABLE = {
         "name": _Key(_str, "standard", "--structure"),
         "n": _Key(_int, _arg_default(gallery, "n"), most=8),
         "epsilon": _Key(_float, _arg_default(gallery, "epsilon")),
-        "perturbation": _Key(_str, _arg_default(gallery, "perturbation")),
         "radius": _Key(_float),   # None: the unbounded chart
     },
     "grid": {"N": _Key(_int, KobayashiOptions.grid_n, most=1025),
@@ -257,6 +257,11 @@ def _create(path: str):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _unit_density(grid) -> DiskMap:
+    """The constant density 1 on ``grid``."""
+    return DiskMap(grid, np.stack([np.ones_like(grid.X), np.zeros_like(grid.X)], axis=-1))
+
+
 def _cmd_validate(config, J, grid, rng):
     dim = J.convention.dim
     count = config["params"]["samples"]
@@ -266,9 +271,8 @@ def _cmd_validate(config, J, grid, rng):
         b = 1.0 if not math.isfinite(J.domain.radius) else 0.9 * J.domain.radius
         samples = rng.uniform(-b, b, size=(count, dim))
     report = validate_structure(J, samples)
-    op = cg_build(grid)
-    ones = DiskMap(grid, np.stack([np.ones_like(grid.X), np.zeros_like(grid.X)], axis=-1))
-    return ({**_jsonify(report), "cg_residual_constant_density": cg_residual(op, ones)},
+    return ({**_jsonify(report),
+             "cg_residual_constant_density": cg_residual(cg_build(grid), _unit_density(grid))},
             0 if report.passed else 3)
 
 
@@ -350,128 +354,102 @@ def _cmd_brody(config, J, grid, cfg):
     return results, 0 if report.final is not None else 3
 
 
-def _cmd_selftest(config, rng):
-    checks = []
-
-    def record(name, passed, observed, threshold):
-        checks.append({"name": name, "passed": bool(passed),
-                       "observed": observed, "threshold": threshold})
-
+def _selftest_checks(rng):
+    """Yield one (name, passed, observed, threshold) row per self-test check
+    in report order, which is also the order of the ``rng`` draws."""
     # structure algebra for n = 1 and 2
-    worst_resid, worst_equiv = 0.0, 0.0
-    q_std_max = 0.0
+    resid = equiv = q_std = 0.0
     for n in (1, 2):
         Jc = gallery("conjugated", n=n, epsilon=0.1)
         pts = rng.uniform(-1, 1, size=(200, 2 * n))
-        mats = Jc.eval(pts)
-        worst_resid = max(worst_resid, float(np.max(np.abs(
-            np.einsum("mij,mjk->mik", mats, mats) + np.eye(2 * n)))))
-        conv = Jc.convention
         a = rng.normal(size=(200, 2 * n))
-        qm = q_field(Jc, pts)
-        uy = np.einsum("mij,mj->mi", mats, a)
-        lhs = a + conv.mul_i(uy)
-        rhs = np.einsum("mij,mj->mi", qm, a - conv.mul_i(uy))
-        worst_equiv = max(worst_equiv, float(np.max(np.linalg.norm(lhs - rhs, axis=-1))))
-        Js = gallery("standard", n=n)
-        q_std_max = max(q_std_max, float(np.max(np.abs(q_field(Js, pts)))))
-    record("structure-algebra-residual", worst_resid < 1e-12, worst_resid, 1e-12)
-    record("dilatation-zero-for-standard", q_std_max == 0.0, q_std_max, 0.0)
-    record("cauchy-riemann-form-equivalence", worst_equiv < 1e-10, worst_equiv, 1e-10)
+        resid = max(resid, validate_structure(Jc, pts).max_residual)
+        iuy = Jc.convention.mul_i(np.einsum("mij,mj->mi", Jc.eval(pts), a))
+        rhs = np.einsum("mij,mj->mi", q_field(Jc, pts), a - iuy)
+        equiv = max(equiv, float(np.max(np.linalg.norm(a + iuy - rhs, axis=-1))))
+        q_std = max(q_std, float(np.max(np.abs(q_field(gallery("standard", n=n), pts)))))
+    yield "structure-algebra-residual", resid < 1e-12, resid, 1e-12
+    yield "dilatation-zero-for-standard", q_std == 0.0, q_std, 0.0
+    yield "cauchy-riemann-form-equivalence", equiv < 1e-10, equiv, 1e-10
 
     # transform inverts the conjugate derivative
     g = make_grid(1.0, 33)
-    op = cg_build(g)
-    ones = DiskMap(g, np.stack([np.ones_like(g.X), np.zeros_like(g.X)], axis=-1))
-    res_const = cg_residual(op, ones)
-    record("cauchy-transform-residual", res_const < 0.1, res_const, 0.1)
-    p1 = cg_apply(op, ones)
-    err = np.abs(p1.component_complex(0) - np.conj(g.Z))[g.interior].max()
-    record("cauchy-transform-of-constant", err < 0.1, float(err), 0.1)
+    op, ones = cg_build(g), _unit_density(g)
+    res = cg_residual(op, ones)
+    yield "cauchy-transform-residual", res < 0.1, res, 0.1
+    err = float(np.abs(cg_apply(op, ones).component_complex(0) - np.conj(g.Z))[g.interior].max())
+    yield "cauchy-transform-of-constant", err < 0.1, err, 0.1
 
     # integrable reduction: standard structure leaves affine targets fixed
     Js = gallery("standard", n=1)
-    cfg = SolverConfig()
     worst = 0.0
     for _ in range(5):
-        p = rng.uniform(-0.5, 0.5, size=2)
-        q = rng.uniform(-0.5, 0.5, size=2)
-        sol = two_point_disk(Js, p, q, 0.5, cfg, g)
-        target = affine_target(p, q, 0.5, g)
-        worst = max(worst, float(np.max(np.abs(sol.v.values - target.values))),
+        p, q = rng.uniform(-0.5, 0.5, size=2), rng.uniform(-0.5, 0.5, size=2)
+        sol = two_point_disk(Js, p, q, 0.5, SolverConfig(), g)
+        worst = max(worst, float(np.max(np.abs(sol.v.values - affine_target(p, q, 0.5, g).values))),
                     float(np.linalg.norm(sol.v.value_at_center() - p)))
-    record("integrable-reduction", worst < 1e-12, worst, 1e-12)
+    yield "integrable-reduction", worst < 1e-12, worst, 1e-12
 
     # non-integrable solve: contraction, endpoint matching, small residual
-    Jc1 = gallery("conjugated", n=1, epsilon=0.1)
-    scfg = SolverConfig(epsilon=0.05)
-    sol = two_point_disk(Jc1, np.zeros(2), np.array([0.1, 0.0]), 0.5, scfg, g)
-    end_err = float(np.linalg.norm(
-        eval_interp(sol.v, 0.5 + 0j) - np.array([0.1, 0.0])))
-    ratios = sol.contraction_ratios()
-    ok = (sol.iterations <= 50 and (not ratios or max(ratios) <= 0.9)
+    sol = two_point_disk(gallery("conjugated", n=1, epsilon=0.1), np.zeros(2),
+                         np.array([0.1, 0.0]), 0.5, SolverConfig(epsilon=0.05), g)
+    end_err = float(np.linalg.norm(eval_interp(sol.v, 0.5 + 0j) - np.array([0.1, 0.0])))
+    ok = (sol.iterations <= 50 and max(sol.contraction_ratios(), default=0.0) <= 0.9
           and end_err < 1e-6 and sol.residual < 1e-3)
-    record("non-integrable-solve", ok, sol.residual, 1e-3)
+    yield "non-integrable-solve", ok, sol.residual, 1e-3
 
     # hyperbolic distance sanity
-    d_half = poincare_distance(0, 0.5)
-    err = abs(d_half - float(np.arctanh(0.5)))
-    tri_ok = True
-    zs = rng.uniform(-0.9, 0.9, size=(200, 3, 2))
-    for trio in zs:
-        pts = [complex(*xy) for xy in trio if np.hypot(*xy) < 0.95]
-        if len(pts) < 3:
-            continue
-        a, b, c = pts
-        if poincare_distance(a, c) > poincare_distance(a, b) + poincare_distance(b, c) + 1e-12:
-            tri_ok = False
-    record("hyperbolic-distance-axioms", err < 1e-14 and tri_ok, err, 1e-14)
+    d = poincare_distance
+    err = abs(d(0, 0.5) - float(np.arctanh(0.5)))
+    trios = [[complex(*xy) for xy in trio if np.hypot(*xy) < 0.95]
+             for trio in rng.uniform(-0.9, 0.9, size=(200, 3, 2))]
+    tri_ok = all(d(a, c) <= d(a, b) + d(b, c) + 1e-12 for a, b, c in
+                 (trio for trio in trios if len(trio) == 3))
+    yield "hyperbolic-distance-axioms", err < 1e-14 and tri_ok, err, 1e-14
 
     L = mobius_swap(0.3 - 0.2j, 1.0)
     zs = rng.uniform(-0.6, 0.6, size=(100, 2))
     zc = zs[:, 0] + 1j * zs[:, 1]
     inv_err = float(np.max(np.abs(L(L(zc)) - zc)))
-    record("mobius-involution", inv_err < 1e-12, inv_err, 1e-12)
+    yield "mobius-involution", inv_err < 1e-12, inv_err, 1e-12
 
     g65 = make_grid(1.0, 65)
     sq = DiskMap(g65, np.stack([(g65.Z ** 2).real, (g65.Z ** 2).imag], axis=-1))
-    s_val = scaling_sup(sq, 1.0)
-    err = abs(s_val - 4.0 / (3.0 * math.sqrt(3.0)))
-    record("weighted-derivative-analytic", err < 1e-3, err, 1e-3)
+    err = abs(scaling_sup(sq, 1.0) - 4.0 / (3.0 * math.sqrt(3.0)))
+    yield "weighted-derivative-analytic", err < 1e-3, err, 1e-3
 
     est = estimate_distance(Js, np.array([0.0, 0.0]), np.array([0.3, 0.0]),
                             KobayashiOptions(k_max=1, t_grid=(0.05, 0.5), grid_n=33))
     bound = float(np.arctanh(0.05)) + 1e-9
-    record("flat-upper-bound", est.upper <= bound, est.upper, bound)
-
-    Jt0 = gallery("torus-flat", n=1)
-    est_t = estimate_distance(Jt0, np.zeros(2), np.array([0.5, 0.0]),
-                              KobayashiOptions(k_max=1, t_grid=(0.25, 0.5), grid_n=33))
-    pushed = pushforward_chain(est_t.best_chain, lambda v: v + np.array([0.3, -0.8]),
-                               Jt0, residual_tol=1e-3)
-    cost_gap = abs(chain_cost(pushed) - est_t.upper)
-    record("pushforward-cost-preserving", cost_gap <= 1e-15, cost_gap, 1e-15)
-
-    Jb = gallery("standard", n=1, radius=1.0)
-    bnd = derivative_bound(Jb, np.zeros(2), np.array([1.0, 0.0]), 4.0,
-                           cfg=SolverConfig(), grid=g)
-    record("derivative-scale-bound", abs(bnd.lambda_lower - 1.0) <= 0.05,
-           bnd.lambda_lower, 0.05)
+    yield "flat-upper-bound", est.upper <= bound, est.upper, bound
 
     Jt = gallery("torus-flat", n=1)
-    rep = extract_line(Jt, dilation_family(g, base=4.0, factor=2.0), R=2.0,
-                       tol=1e-10, n_max=6)
-    ok = (rep.converged and rep.final is not None
-          and abs(rep.final.derivative_at_0 - 1.0) < 1e-6
-          and rep.final.cr_residual < 1e-10)
-    record("line-extraction-flat-torus", ok,
-           None if rep.final is None else rep.final.derivative_at_0, 1e-6)
+    est = estimate_distance(Jt, np.zeros(2), np.array([0.5, 0.0]),
+                            KobayashiOptions(k_max=1, t_grid=(0.25, 0.5), grid_n=33))
+    pushed = pushforward_chain(est.best_chain, lambda v: v + np.array([0.3, -0.8]),
+                               Jt, residual_tol=1e-3)
+    gap = abs(chain_cost(pushed) - est.upper)
+    yield "pushforward-cost-preserving", gap <= 1e-15, gap, 1e-15
 
+    bnd = derivative_bound(gallery("standard", n=1, radius=1.0), np.zeros(2),
+                           np.array([1.0, 0.0]), 4.0, cfg=SolverConfig(), grid=g)
+    yield "derivative-scale-bound", abs(bnd.lambda_lower - 1.0) <= 0.05, bnd.lambda_lower, 0.05
+
+    rep = extract_line(Jt, dilation_family(g, base=4.0, factor=2.0), R=2.0, tol=1e-10, n_max=6)
+    line = rep.final
+    ok = (rep.converged and line is not None and abs(line.derivative_at_0 - 1.0) < 1e-6
+          and line.cr_residual < 1e-10)
+    yield "line-extraction-flat-torus", ok, None if line is None else line.derivative_at_0, 1e-6
+
+
+def _cmd_selftest(config, rng):
+    checks = [{"name": name, "passed": bool(passed), "observed": observed, "threshold": threshold}
+              for name, passed, observed, threshold in _selftest_checks(rng)]
     all_passed = all(c["passed"] for c in checks)
-    width = max(len(c["name"]) for c in checks)
-    print("self test results:")
-    for name, ok in [(c["name"], c["passed"]) for c in checks] + [("overall", all_passed)]:
-        print(f"  {name:<{width}}  {'PASS' if ok else 'FAIL'}")
+    rows = [(c["name"], c["passed"]) for c in checks] + [("overall", all_passed)]
+    width = max(len(name) for name, _ in rows)
+    print("self test results:", *(f"  {name:<{width}}  {'PASS' if ok else 'FAIL'}"
+                                  for name, ok in rows), sep="\n", file=sys.stderr)
     return {"checks": checks, "all_passed": all_passed}, 0 if all_passed else 3
 
 

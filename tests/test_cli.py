@@ -384,11 +384,11 @@ def test_flags_overlay_config_file(tmp_path):
 # the sections of each command's config, in echo order, the objects run()
 # builds for it, and the settable leaves of its table besides ``command``
 _READS = {
-    "validate": (["structure", "grid", "params", "output", "seed"], {"J", "grid", "rng"}, 10),
-    "disk": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 16),
-    "distance": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 15),
-    "bound": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 15),
-    "brody": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 16),
+    "validate": (["structure", "grid", "params", "output", "seed"], {"J", "grid", "rng"}, 9),
+    "disk": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 15),
+    "distance": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 14),
+    "bound": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 14),
+    "brody": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 15),
     "selftest": (["params", "output", "seed"], {"rng"}, 2),
 }
 _MINIMAL_PARAMS = {"disk": _DISK, "distance": _DISTANCE, "bound": {"p": [0, 0]}}
@@ -425,8 +425,8 @@ def test_each_command_echoes_exactly_the_keys_it_reads(command, monkeypatch):
     assert _leaves(table) - 1 == leaves
 
 
-def test_settable_values_total_74():
-    assert sum(_leaves(cli._command_table(c)) - 1 for c in cli._COMMANDS) == 74
+def test_settable_values_total_69():
+    assert sum(_leaves(cli._command_table(c)) - 1 for c in cli._COMMANDS) == 69
 
 
 def test_selftest_builds_nothing_from_its_config(monkeypatch, capsys):
@@ -442,8 +442,24 @@ def test_selftest_builds_nothing_from_its_config(monkeypatch, capsys):
     monkeypatch.setattr(cli, "gallery", refuse(cli.gallery))
     monkeypatch.setattr(cli, "make_grid", refuse(cli.make_grid))
     assert main(["selftest", "--seed", "11"]) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out[out.index("\n{") + 1:])["results"]["all_passed"] is True
+    out, err = capsys.readouterr()
+    assert json.loads(out)["results"]["all_passed"] is True
+    assert err.startswith("self test results:\n") and "FAIL" not in err
+
+
+def test_a_failing_check_fails_the_self_test(monkeypatch, capsys):
+    # the weighted derivative of z**2 is 4/(3*sqrt(3)), not 0
+    monkeypatch.setattr(cli, "scaling_sup", lambda f, r: 0.0)
+    code, report = run({"command": "selftest"})
+    results = report["results"]
+    assert code == 3 and results["all_passed"] is False
+    assert [c["name"] for c in results["checks"] if not c["passed"]] == [
+        "weighted-derivative-analytic"]
+    capsys.readouterr()
+    assert main(["selftest"]) == 3
+    rows = dict(line.split() for line in capsys.readouterr().err.splitlines()[1:])
+    assert [name for name, verdict in rows.items() if verdict == "FAIL"] == [
+        "weighted-derivative-analytic", "overall"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -452,6 +468,7 @@ def test_selftest_builds_nothing_from_its_config(monkeypatch, capsys):
     ["selftest", "--structure", "conjugated", "--n", "8"],
     ["validate", "--csv", "out.csv"],
     ["distance", "--p", "0,0", "--q", "0.3,0", "--seed", "1"],
+    ["validate", "--perturbation", "sin"],
 ])
 def test_flags_of_unread_keys_are_unrecognized(argv, capsys):
     assert main(argv) == 2
@@ -462,6 +479,7 @@ def test_flags_of_unread_keys_are_unrecognized(argv, capsys):
     ("selftest", {"structure": {"n": 8}}), ("selftest", {"grid": {"N": 33}}),
     ("validate", {"solver": {"max_iter": 5}}), ("bound", {"params": {"p": [0, 0]}, "output": {"csv": None}}),
     ("distance", {"params": dict(_DISTANCE, residual_cap=0.01)}),
+    ("validate", {"structure": {"perturbation": "sin"}}),
 ])
 def test_an_echo_carrying_unread_sections_is_a_config_error(command, section):
     with pytest.raises(ConfigError, match="unknown keys"):
