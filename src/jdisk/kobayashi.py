@@ -84,7 +84,10 @@ class BoundProbe:
     ``feasible``, its disk's ``residual`` (None when the solve raised) and,
     for an infeasible probe, the ``gate`` that decided it: "Diverged" or
     "Singular" for a solve that raised, "residual" for a disk above the
-    residual cap, "containment" for one that leaves the domain."""
+    residual cap, "containment" for one that leaves the domain.  A solve
+    rejected early, once sure to miss the cap (``picard_solve``), carries
+    the residual of its last iterate; it may be one whose full solve would
+    have raised ``Diverged``, and is infeasible either way."""
 
     lam: float
     feasible: bool
@@ -169,12 +172,14 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     the grid nodes inside the domain (``_gate``).  A link's disk is the
     Picard iterate at which its solve stopped, not the fixed point itself:
     its distance to the fixed point is at most about ``solver._THETA``
-    (1e-3) times its residual (see ``picard_solve``).  Nothing is checked
-    between nodes, and a t below the grid step falls inside the first cell,
-    so ``upper`` bounds the pseudo-distance only up to the discretization
-    error.  The search log records one (k, t, cost) triple per link solve,
-    in the order made, with infinite cost for rejected attempts; a node
-    repeated in ``t_grid`` is tried once.
+    (1e-3) times its residual (see ``picard_solve``).  A link that will
+    miss the residual cap stops once its miss is sure, at an iterate above
+    the cap, so it is rejected as the fully iterated one would be.  Nothing
+    is checked between nodes, and a t below the grid step falls inside the
+    first cell, so ``upper`` bounds the pseudo-distance only up to the
+    discretization error.  The search log records one (k, t, cost) triple
+    per link solve, in the order made, with infinite cost for rejected
+    attempts; a node repeated in ``t_grid`` is tried once.
 
     The search is an exact best-first branch and bound.  Each k-link chain
     is built link by link, each link at the smallest node whose disk
@@ -229,7 +234,7 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
         t = t_values[j]
         src, dst = p + (i / k) * delta, p + ((i + 1) / k) * delta
         try:
-            sol = two_point_disk(J, src, dst, t, opts.cfg, grid)
+            sol = two_point_disk(J, src, dst, t, opts.cfg, grid, cap=_RESIDUAL_CAP)
         except (Diverged, Singular):
             link = None
         else:
@@ -312,7 +317,7 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
 
     def feasible(lam: float) -> bool:
         try:
-            sol = derivative_disk(J, p, lam * nu, cfg, grid)
+            sol = derivative_disk(J, p, lam * nu, cfg, grid, cap=_RESIDUAL_CAP)
         except (Diverged, Singular) as exc:
             probes.append(BoundProbe(lam, False, None, type(exc).__name__))
             return False

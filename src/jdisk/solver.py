@@ -26,10 +26,20 @@ Strakos, GAMM-Mitt. 36 (2013) 102).  The residual measures that error only
 for a disk an acceptance gate could take, so it counts at most up to
 ``_RESIDUAL_CAP``: a disk above the cap still iterates until its
 fixed-point error bound is at most ``_THETA * _RESIDUAL_CAP`` = 1e-5.
+
+A solve given a residual cap, as the distance search's links and the
+derivative bound's probes are, has a third test, the same estimate made
+for the residual: it rejects a solve once its disk is sure to miss the
+cap.  With R_k the residual rows of iterate v_k, res_k their largest norm,
+dR_k the largest row norm of R_k - R_{k-1} and rho = dR_k / dR_{k-1} < 1,
+every later iterate has res >= res_k - rho / (1 - rho) dR_k as long as the
+row changes keep contracting at rho; once that bound is above the cap the
+solve returns v_k.  The disk and Brody paths pass no cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,12 +130,33 @@ def _rows(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return values.reshape(-1, values.shape[-1]).take(nodes, axis=0)
 
 
+class _Defect(tuple):
+    """``_defect``'s ``(beltrami, res)`` pair, carrying as ``rows`` the
+    residual rows dv/dzbar - q(v) dv/dz whose largest norm is res; it
+    unpacks as the pair, so callers that read only that pair are unchanged."""
+
+    def __new__(cls, beltrami: np.ndarray, rows: np.ndarray, res: float):
+        self = super().__new__(cls, (beltrami, res))
+        self.rows = rows
+        return self
+
+
+def _sup_norm(rows: np.ndarray) -> float:
+    """The largest norm of ``rows``: the root of the largest row sum of
+    squares (sqrt is monotone and correctly rounded, so it is the largest
+    norm), ``inf`` once a sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        square = sum(col * col for col in rows.T)
+    return float(np.sqrt(np.max(square)))
+
+
 def _defect(J: StructureField, values: np.ndarray, grid: DiskGrid, inner: np.ndarray,
-            labels: np.ndarray) -> tuple:
+            labels: np.ndarray) -> _Defect:
     """The Beltrami rows q(v) dv/dz at the interior nodes, with flat indices
     ``inner`` and coordinates ``labels``, and the ``cr_residual`` of the
-    ``(N, N, 2n)`` values of v: the root of the largest row sum of squares
-    (sqrt is monotone and correctly rounded, so it is the largest norm)."""
+    ``(N, N, 2n)`` values of v, the largest norm of the residual rows
+    dv/dzbar - q(v) dv/dz, which are written over dv/dzbar and kept as
+    ``rows``."""
     dz, dzbar = interior_wirtinger(values, grid)
     q = q_field(J, _rows(values, inner), labels=labels)
     beltrami = np.empty_like(dz)
@@ -133,8 +164,8 @@ def _defect(J: StructureField, values: np.ndarray, grid: DiskGrid, inner: np.nda
         np.multiply(q[:, i, 0], dz[:, 0], out=row)
         for j in range(1, dz.shape[1]):
             row += q[:, i, j] * dz[:, j]
-    square = sum(col * col for col in np.subtract(dzbar, beltrami, out=dzbar).T)
-    return beltrami, float(np.sqrt(np.max(square)))
+    rows = np.subtract(dzbar, beltrami, out=dzbar)
+    return _Defect(beltrami, rows, _sup_norm(rows))
 
 
 def cr_residual(J: StructureField, v: DiskMap) -> float:
@@ -182,7 +213,7 @@ def _diverged(message: str, deltas: list) -> Diverged:
 
 
 def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
-                 match=None) -> DiskSolution:
+                 match=None, cap: float | None = None) -> DiskSolution:
     """Fixed-point iteration v <- T + C with C = P(q(v) dv/dz).
 
     Without ``match`` the target T is ``eps * h`` and v starts at it, where
@@ -215,6 +246,20 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     contraction ratio, when the iteration budget is exhausted or the
     iterate norm doubles within 5 steps; ``Singular`` when the dilatation
     matrix fails along an iterate.
+
+    With a ``cap``, a third test rejects a solve sure to miss it.  Each
+    step keeps the residual rows R of its iterate, whose largest norm is
+    res, and forms the largest row norm dR of their change from the
+    previous iterate's rows while res is finite and above the cap.  With
+    rho = dR / dR_prev < 1 the residual of every later iterate, had the
+    row changes kept contracting at rho, is at least
+    res - rho / (1 - rho) * dR; once that is above the cap the solve
+    returns the iterate, before its Cauchy apply, with res as its
+    ``residual`` (its ``cr_residual`` exactly) and the deltas so far.  The
+    test is that bound multiplied through by dR_prev - dR, taken only when
+    dR < dR_prev.  No ratio involves the rows of the starting iterate, so
+    the first test is at iterate 3.  Without a cap, the two tests
+    above alone stop the solve.
     """
     eps = cfg.epsilon
     grid = h.grid
@@ -231,11 +276,26 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     deltas: list = []
     norms: list = [float(np.max(np.abs(kept)))]
     prev = 0.0
+    # the residual rows of the last iterate past the seed whose residual is
+    # finite, and the largest norm of their change from the iterate before
+    # (None unless it was formed)
+    last_rows, last_change = None, None
     for k in range(1, cfg.max_iter + 1):
         # derivatives are zero on the boundary ring, so the density is
         # formed at interior nodes and extended to the ring from them; the
         # same rows give v's cr_residual
-        beltrami, res = _defect(J, v, grid, inner, labels)
+        defect = _defect(J, v, grid, inner, labels)
+        beltrami, res = defect
+        if cap is not None:
+            change = None
+            if last_rows is not None and cap < res < math.inf:
+                change = _sup_norm(defect.rows - last_rows)
+                # res - rho / (1 - rho) * change > cap, rho = change / last_change < 1
+                if (last_change is not None and change < last_change
+                        and change * change < (res - cap) * (last_change - change)):
+                    return DiskSolution(DiskMap(grid, v), res, deltas)
+            last_rows = defect.rows if k > 1 and res < math.inf else None
+            last_change = change
         density = extend @ beltrami
         correction = cg_apply(op, density.reshape(v.shape))
         target = fixed if match is None else seed(data - observe(correction))
@@ -295,12 +355,15 @@ def check_node(t: float, grid: DiskGrid) -> None:
 
 
 def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
-                   grid: DiskGrid) -> DiskSolution:
+                   grid: DiskGrid, cap: float | None = None) -> DiskSolution:
     """Holomorphic disk through p0 at z = 0 and q0 at z = t.
 
     Both points are matched to round-off: v(0) exactly, v(t) through the
     bilinear interpolation of ``eval_interp``.  A failed solve raises the
-    ``Diverged`` or ``Singular`` of ``picard_solve``.
+    ``Diverged`` or ``Singular`` of ``picard_solve``.  Given a residual
+    ``cap``, the solve returns early, with an iterate whose residual is
+    above the cap, once ``picard_solve``'s third test shows its disk will
+    miss it.
     """
     p0, q0 = _point(J, "p0", p0), _point(J, "q0", q0)
     check_node(t, grid)
@@ -324,15 +387,16 @@ def two_point_disk(J: StructureField, p0, q0, t: float, cfg: SolverConfig,
         at_t = w0 * rows[c0] + w1 * rows[c1] + w2 * rows[c2] + w3 * rows[c3]
         return np.concatenate([v[center], at_t])
 
-    return picard_solve(J, cfg, DiskMap(grid, seed(data)), match=(seed, observe, data))
+    return picard_solve(J, cfg, DiskMap(grid, seed(data)), match=(seed, observe, data),
+                        cap=cap)
 
 
 def derivative_disk(J: StructureField, p, w, cfg: SolverConfig,
-                    grid: DiskGrid) -> DiskSolution:
+                    grid: DiskGrid, cap: float | None = None) -> DiskSolution:
     """Holomorphic disk with v(0) = p and dv/dz(0) = w (complex derivative,
     real representation), both matched to round-off, dv/dz(0) through the
-    centred differences of ``d_dz``, read at the origin alone.  Fails like
-    ``two_point_disk``."""
+    centred differences of ``d_dz``, read at the origin alone.  Fails, and
+    stops early at a residual ``cap``, like ``two_point_disk``."""
     p, w = _point(J, "p", p), _point(J, "w", w)
     if not np.any(w):
         return _constant_solution(J, p, grid)
@@ -348,4 +412,5 @@ def derivative_disk(J: StructureField, p, w, cfg: SolverConfig,
         dx, dy = grid.dx_at_center(v), grid.dx_at_center(v, axis=1)
         return np.concatenate([v[center], _combine(dx, dy, bar=False)])
 
-    return picard_solve(J, cfg, DiskMap(grid, seed(data)), match=(seed, observe, data))
+    return picard_solve(J, cfg, DiskMap(grid, seed(data)), match=(seed, observe, data),
+                        cap=cap)

@@ -98,14 +98,16 @@ class DomainDescriptor:
 
     def point_gap(self, a: np.ndarray, b: np.ndarray) -> float:
         """Distance between two points (modulo the lattice on a torus)."""
-        return float(np.linalg.norm(self.shortest_delta(a, b)))
+        with np.errstate(over="ignore"):     # a huge gap is inf
+            return float(np.linalg.norm(self.shortest_delta(a, b)))
 
     def contains(self, points: np.ndarray) -> bool:
         """Whether every point lies in the domain, to ``_CONTAINS_SLACK`` (always on a torus)."""
         if self.is_torus or not math.isfinite(self.radius):
             return True
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        dist = np.linalg.norm(points, axis=-1)
+        with np.errstate(over="ignore"):     # a huge point is at distance inf
+            dist = np.linalg.norm(points, axis=-1)
         return bool(np.all(dist <= self.radius + _CONTAINS_SLACK))
 
 

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,28 @@ def test_bound_report_gates_its_probes():
     assert res["probes"][0] == {"lam": 40.0, "feasible": False,
                                 "residual": res["probes"][0]["residual"], "gate": "residual"}
     assert res["probes"][0]["residual"] > 1.0
+
+
+@pytest.mark.parametrize("argv, code, key", [
+    # the bisection from 1e300 makes about 1000 probes, most of them solves
+    # that oscillate until their budget runs out, so they run on a 9-node
+    # grid with a 5-step budget
+    (["bound", "--structure", "conjugated", "--epsilon", "0.2", "--p", "0,0",
+      "--nu", "1,0.3", "--lambda-max", "1e300", "--N", "9", "--cfg", "max_iter=5"],
+     0, "results"),
+    (["distance", "--structure", "conjugated", "--p", "0,0", "--q", "1e300,0"], 3, "error"),
+])
+def test_huge_inputs_end_in_a_report_without_a_warning(argv, code, key, capsys):
+    # a residual or a gap that overflows is inf, silently, and fails its gate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    report = json.loads(capsys.readouterr().out)
+    assert key in report
+    if code == 3:
+        assert report["error"]["type"] == "NoChainFound"
+    else:
+        assert report["results"]["unbounded_suspected"] is False
 
 
 def test_brody_command_flat_torus():

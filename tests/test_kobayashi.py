@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jdisk import kobayashi, solver
 from jdisk.diskgrid import eval_interp, make_grid, poincare_distance
@@ -10,7 +13,8 @@ from jdisk.errors import (Diverged, InvalidChain, InvalidParams, NoChainFound,
 from jdisk.kobayashi import (Chain, ChainLink, KobayashiOptions, chain_cost,
                              derivative_bound, estimate_distance, pushforward_chain,
                              validate_chain)
-from jdisk.solver import SolverConfig, derivative_disk, picard_solve, two_point_disk
+from jdisk.solver import (SolverConfig, cr_residual, derivative_disk, picard_solve,
+                          two_point_disk)
 from jdisk.structure import gallery
 
 
@@ -483,3 +487,103 @@ def test_derivative_bound_records_a_failed_solve():
     first = rep.probes[0]
     assert (first.lam, first.feasible, first.residual, first.gate) == (
         40.0, False, None, "Diverged")
+
+
+def _solved(solve):
+    """``solve()``'s solution, or the ``Diverged`` or ``Singular`` it raised."""
+    try:
+        return solve()
+    except (Diverged, Singular) as exc:
+        return exc
+
+
+def _assert_full_or_a_sure_miss(J, solve):
+    """``solve(cap)`` with the residual cap is ``solve(None)`` to the byte, or
+    it stopped early at an iterate whose residual, its own ``cr_residual``,
+    is above the cap; the full solve then misses the cap too, or fails."""
+    cap = solver._RESIDUAL_CAP
+    capped, full = _solved(lambda: solve(cap)), _solved(lambda: solve(None))
+    if isinstance(capped, Exception):
+        # no early stop before the failure, so the full solve fails alike
+        assert (type(full), str(full)) == (type(capped), str(capped))
+        return
+    if not isinstance(full, Exception) and capped.iterations == full.iterations:
+        assert capped.v.values.tobytes() == full.v.values.tobytes()
+        assert (capped.residual, capped.step_deltas) == (full.residual, full.step_deltas)
+        return
+    assert cap < capped.residual == cr_residual(J, capped.v)
+    if not isinstance(full, Exception):
+        assert full.residual > cap
+        assert capped.step_deltas == full.step_deltas[:capped.iterations]
+        assert capped.iterations < full.iterations
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(epsilon=st.floats(0.0, 0.5), x=st.floats(-0.3, 0.3), y=st.floats(-0.3, 0.3),
+       gap=st.floats(0.01, 0.6), angle=st.floats(0.0, 2.0 * math.pi),
+       t=st.sampled_from(KobayashiOptions().t_grid))
+def test_a_capped_link_solve_is_the_full_one_or_a_sure_miss(epsilon, x, y, gap, angle, t):
+    J, grid = gallery("conjugated", epsilon=epsilon), make_grid(1.0, 33)
+    p = np.array([x, y])
+    q = p + gap * np.array([np.cos(angle), np.sin(angle)])
+    _assert_full_or_a_sure_miss(
+        J, lambda cap: two_point_disk(J, p, q, t, SolverConfig(), grid, cap=cap))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(epsilon=st.floats(0.0, 0.5), x=st.floats(-0.3, 0.3), y=st.floats(-0.3, 0.3),
+       lam=st.floats(0.5, 60.0), angle=st.floats(0.0, 2.0 * math.pi))
+def test_a_capped_probe_is_the_full_one_or_a_sure_miss(epsilon, x, y, lam, angle):
+    J, grid = gallery("conjugated", epsilon=epsilon), make_grid(1.0, 33)
+    p, w = np.array([x, y]), lam * np.array([np.cos(angle), np.sin(angle)])
+    _assert_full_or_a_sure_miss(
+        J, lambda cap: derivative_disk(J, p, w, SolverConfig(), grid, cap=cap))
+
+
+def test_the_warmup_link_stops_once_its_miss_is_sure(monkeypatch):
+    # the benchmark warm-up's (k = 1, t = 0.05) link misses the cap: run to
+    # the relative stop it takes 7 steps, and the search's solve stops at
+    # iterate 3, the first whose row change has a ratio
+    J, p, q = _warmup_input()
+    opts = KobayashiOptions()
+    full = two_point_disk(J, p, q, 0.05, opts.cfg, make_grid(opts.grid_r, opts.grid_n))
+    sols = []
+
+    def kept(*args, **kwargs):
+        sols.append(two_point_disk(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(kobayashi, "two_point_disk", kept)
+    est = estimate_distance(J, p, q, opts)
+    assert est.search_log[0] == (1, 0.05, math.inf)
+    assert (full.iterations, sols[0].iterations) == (7, 3)
+    assert full.residual > solver._RESIDUAL_CAP < sols[0].residual
+    assert sols[0].step_deltas == full.step_deltas[:3]
+
+
+def test_a_doomed_probe_keeps_the_residual_of_its_last_iterate(monkeypatch):
+    # the lambda = 40 probe takes 48 steps to a residual of 4.86 when run to
+    # the relative stop; rejected early, it records its iterate's residual
+    J = gallery("conjugated", n=1, epsilon=0.2)
+    sols = []
+
+    def kept(*args, **kwargs):
+        sols.append(derivative_disk(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(kobayashi, "derivative_disk", kept)
+    rep = derivative_bound(J, np.zeros(2), np.array([1.0, 0.3]), 40.0)
+    assert sols[0].iterations == 4
+    assert rep.probes[0] == kobayashi.BoundProbe(40.0, False, sols[0].residual, "residual")
+    assert sols[0].residual == cr_residual(J, sols[0].v) > 1.0
+
+
+def test_a_huge_target_overflows_to_no_chain():
+    # the gap and the residual overflow to inf without a warning, and inf
+    # passes no gate
+    J = gallery("conjugated", epsilon=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoChainFound):
+            estimate_distance(J, np.zeros(2), np.array([1e300, 0.0]),
+                              KobayashiOptions(grid_n=9))

@@ -147,7 +147,7 @@ def test_two_point_seed_is_the_affine_target(n, monkeypatch, rng):
     # later right-hand side
     captured = []
 
-    def capture(J, cfg, h, match=None):
+    def capture(J, cfg, h, match=None, cap=None):
         captured.append((h, match))
 
     monkeypatch.setattr(solver, "picard_solve", capture)
@@ -165,7 +165,7 @@ def _captured_match(monkeypatch, solve):
     """The ``(seed, observe, data)`` that ``solve()`` hands to picard_solve."""
     captured = []
     monkeypatch.setattr(solver, "picard_solve",
-                        lambda J, cfg, h, match=None: captured.append(match))
+                        lambda J, cfg, h, match=None, cap=None: captured.append(match))
     solve()
     (match,) = captured
     return match
@@ -615,3 +615,15 @@ def test_the_relative_stop_divides_nothing(J, q):
             assert exc.ratio >= 1.0
         else:
             assert sol.step_deltas == [0.0]
+
+
+def test_a_huge_derivative_overflows_to_a_diverged_solve():
+    # the residual's sum of squares overflows to inf without a warning, so
+    # neither stopping test nor the early reject fires and the budget runs out
+    J = gallery("conjugated", n=1, epsilon=0.2)
+    w = 1e300 * np.array([1.0, 0.3]) / np.hypot(1.0, 0.3)
+    for cap in (None, solver._RESIDUAL_CAP):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Diverged):
+                derivative_disk(J, np.zeros(2), w, SolverConfig(), make_grid(1.0, 9), cap=cap)

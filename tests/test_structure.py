@@ -451,3 +451,12 @@ def test_chart_ball_containment():
     dom = DomainDescriptor("chart-ball", radius=1.0)
     assert dom.contains(np.array([[0.6, 0.8]]))
     assert not dom.contains(np.array([[1.2, 0.0]]))
+
+
+def test_huge_points_are_at_distance_inf_without_a_warning():
+    dom = DomainDescriptor("chart-ball", radius=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dom.point_gap(np.zeros(2), np.array([1e300, 1e300])) == math.inf
+        assert not dom.contains(np.array([[0.5, 0.0], [1e300, 0.0]]))
+    assert dom.point_gap(np.zeros(2), np.array([3.0, 4.0])) == 5.0
