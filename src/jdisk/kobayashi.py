@@ -82,12 +82,10 @@ class DistanceEstimate:
 class BoundProbe:
     """One ``derivative_bound`` solve at scale ``lam``: whether it was
     ``feasible``, its disk's ``residual`` (None when the solve raised) and,
-    for an infeasible probe, the ``gate`` that decided it: "Diverged" or
-    "Singular" for a solve that raised, "residual" for a disk above the
-    residual cap, "containment" for one that leaves the domain.  A solve
-    rejected early, once sure to miss the cap (``picard_solve``), carries
-    the residual of its last iterate; it may be one whose full solve would
-    have raised ``Diverged``, and is infeasible either way."""
+    for an infeasible probe, the ``gate`` that decided it (``_attempt``).
+    A solve rejected early, once sure to miss the cap (``picard_solve``),
+    carries the residual of its last iterate; it may be one whose full solve
+    would have raised ``Diverged``, and is infeasible either way."""
 
     lam: float
     feasible: bool
@@ -148,15 +146,29 @@ def validate_chain(chain: Chain, tol_endpoint: float = 1e-6) -> None:
     chain_cost(chain, tol=tol_endpoint)
 
 
-def _gate(sol: DiskSolution, dom: DomainDescriptor) -> str | None:
-    """The gate a solved disk fails, or None: "residual" above
-    ``solver._RESIDUAL_CAP`` (an uncertified disk's image says nothing, so
-    this decides first), else "containment" for a node outside ``dom``."""
+def _attempt(solve, dom: DomainDescriptor, at=None):
+    """``(sol, gate)`` for the capped solve ``solve(_RESIDUAL_CAP)``: gate
+    None for an accepted disk, else the first gate it fails, in order:
+
+    - "Diverged" or "Singular": the solve raised it, and sol is None;
+    - "residual": sol's ``cr_residual``, a sup over grid nodes, is above
+      ``solver._RESIDUAL_CAP`` (1e-2); an uncertified disk's image says
+      nothing, so this decides first;
+    - "containment": a grid node of sol's image lies outside ``dom``;
+    - "endpoint": given ``at = (b, target)``, a link's disk read at b by
+      ``eval_interp`` is more than ``_ENDPOINT_TOL`` (1e-8) from its target.
+    """
+    try:
+        sol = solve(_RESIDUAL_CAP)
+    except (Diverged, Singular) as exc:
+        return None, type(exc).__name__
     if not sol.residual <= _RESIDUAL_CAP:
-        return "residual"
+        return sol, "residual"
     if not dom.contains(sol.v.values[sol.v.grid.mask]):
-        return "containment"
-    return None
+        return sol, "containment"
+    if at is not None and dom.point_gap(eval_interp(sol.v, at[0]), at[1]) > _ENDPOINT_TOL:
+        return sol, "endpoint"
+    return sol, None
 
 
 def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = None) -> DistanceEstimate:
@@ -165,21 +177,20 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     ``upper`` is the cost of the returned chain, whatever the search
     pruned; a link accepted at node t costs arctanh(t / r), its hyperbolic
     length in the disk of the search grid's radius r = ``grid_r``.  What is
-    certified is the chain of *discretized* disks: every accepted link has
-    its target endpoint, read off the grid by bilinear interpolation at t,
-    within the endpoint tolerance; its ``cr_residual``, a sup over grid
-    nodes only, at most ``solver._RESIDUAL_CAP`` (1e-2); and its image at
-    the grid nodes inside the domain (``_gate``).  A link's disk is the
-    Picard iterate at which its solve stopped, not the fixed point itself:
-    its distance to the fixed point is at most about ``solver._THETA``
-    (1e-3) times its residual (see ``picard_solve``).  A link that will
-    miss the residual cap stops once its miss is sure, at an iterate above
-    the cap, so it is rejected as the fully iterated one would be.  Nothing
-    is checked between nodes, and a t below the grid step falls inside the
-    first cell, so ``upper`` bounds the pseudo-distance only up to the
-    discretization error.  The search log records one (k, t, cost) triple
-    per link solve, in the order made, with infinite cost for rejected
-    attempts; a node repeated in ``t_grid`` is tried once.
+    certified is the chain of *discretized* disks: every accepted link
+    passes the gates of ``_attempt``, which read its residual and image at
+    the grid nodes and its target endpoint by bilinear interpolation at t.
+    A link's disk is the Picard iterate at which its solve stopped, not the
+    fixed point itself: its distance to the fixed point is at most about
+    ``solver._THETA`` (1e-3) times its residual (see ``picard_solve``).  A
+    link that will miss the residual cap stops once its miss is sure, at an
+    iterate above the cap, so it is rejected as the fully iterated one
+    would be.  Nothing is checked between nodes, and a t below the grid
+    step falls inside the first cell, so ``upper`` bounds the
+    pseudo-distance only up to the discretization error.  The search log
+    records one (k, t, cost) triple per link solve, in the order made, with
+    infinite cost for rejected attempts; a node repeated in ``t_grid`` is
+    tried once.
 
     The search is an exact best-first branch and bound.  Each k-link chain
     is built link by link, each link at the smallest node whose disk
@@ -233,15 +244,10 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
             heapq.heappush(heap, (lower(k + 1, 0, 0, 0), k + 1, 0, 0, 0, []))
         t = t_values[j]
         src, dst = p + (i / k) * delta, p + ((i + 1) / k) * delta
-        try:
-            sol = two_point_disk(J, src, dst, t, opts.cfg, grid, cap=_RESIDUAL_CAP)
-        except (Diverged, Singular):
-            link = None
-        else:
-            link = ChainLink(sol, complex(t, 0.0), src, dst)
-            if (_gate(sol, dom) is not None
-                    or dom.point_gap(eval_interp(sol.v, link.b), dst) > _ENDPOINT_TOL):
-                link = None
+        b = complex(t, 0.0)
+        sol, gate = _attempt(lambda cap: two_point_disk(J, src, dst, t, opts.cfg, grid, cap=cap),
+                             dom, at=(b, dst))
+        link = ChainLink(sol, b, src, dst) if gate is None else None
         log.append((k, t, math.inf if link is None else link.cost))
         if link is not None:
             i, j, prefix, links = i + 1, 0, prefix + link.cost, links + [link]
@@ -292,15 +298,13 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
     prescribed derivative exists and stays inside the domain.
 
     Bisection on the scale; the result is a lower bound for the derivative
-    supremum over all disks.  A scale is feasible when its solve converges
-    to a disk whose ``cr_residual`` is at most ``solver._RESIDUAL_CAP``
-    (1e-2, the distance search's cap too) and whose grid nodes lie in the
-    domain (``_gate``); each probe is recorded as a ``BoundProbe``
-    with its residual and the gate that rejected it.  Feasibility at
-    ``lambda_max`` itself is flagged as ``unbounded_suspected`` (the scan
-    cannot certify an actual supremum).  ``lambda_max`` and ``bisect_tol``
-    must be positive and finite; the bisection also stops once it reaches
-    adjacent floats.
+    supremum over all disks.  A scale is feasible when its disk passes the
+    gates of ``_attempt`` (the distance search's, but the endpoint); each
+    probe is recorded as a ``BoundProbe`` with its residual and the gate
+    that rejected it.  Feasibility at ``lambda_max`` itself is flagged as
+    ``unbounded_suspected`` (the scan cannot certify an actual supremum).
+    ``lambda_max`` and ``bisect_tol`` must be positive and finite; the
+    bisection also stops once it reaches adjacent floats.
     """
     for name, value in (("lambda_max", lambda_max), ("bisect_tol", bisect_tol)):
         if not (math.isfinite(value) and value > 0):
@@ -308,21 +312,16 @@ def derivative_bound(J: StructureField, p, nu, lambda_max: float,
     cfg = cfg or SolverConfig()
     grid = grid or make_grid(1.0, 33)
     p, nu = _point(J, "p", p), _point(J, "nu", nu)
-    nrm = np.linalg.norm(nu)
-    if nrm == 0:
+    if not np.any(nu):
         raise InvalidParams("direction must be nonzero")
-    nu = nu / nrm
+    nu = nu / np.max(np.abs(nu))
+    nu = nu / np.linalg.norm(nu)
     dom = J.domain
     probes: list = []
 
     def feasible(lam: float) -> bool:
-        try:
-            sol = derivative_disk(J, p, lam * nu, cfg, grid, cap=_RESIDUAL_CAP)
-        except (Diverged, Singular) as exc:
-            probes.append(BoundProbe(lam, False, None, type(exc).__name__))
-            return False
-        gate = _gate(sol, dom)
-        probes.append(BoundProbe(lam, gate is None, sol.residual, gate))
+        sol, gate = _attempt(lambda cap: derivative_disk(J, p, lam * nu, cfg, grid, cap=cap), dom)
+        probes.append(BoundProbe(lam, gate is None, None if sol is None else sol.residual, gate))
         return gate is None
 
     if feasible(lambda_max):

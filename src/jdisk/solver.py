@@ -61,7 +61,7 @@ _DIVERGENCE_FACTOR = 2.0
 # _RESIDUAL_CAP; _THETA = 0 leaves only the absolute test
 _THETA = 1e-3
 # largest cr_residual of an accepted disk, a chain link's or a
-# derivative_bound probe's (kobayashi._gate)
+# derivative_bound probe's (kobayashi._attempt)
 _RESIDUAL_CAP = 1e-2
 
 
@@ -130,17 +130,6 @@ def _rows(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return values.reshape(-1, values.shape[-1]).take(nodes, axis=0)
 
 
-class _Defect(tuple):
-    """``_defect``'s ``(beltrami, res)`` pair, carrying as ``rows`` the
-    residual rows dv/dzbar - q(v) dv/dz whose largest norm is res; it
-    unpacks as the pair, so callers that read only that pair are unchanged."""
-
-    def __new__(cls, beltrami: np.ndarray, rows: np.ndarray, res: float):
-        self = super().__new__(cls, (beltrami, res))
-        self.rows = rows
-        return self
-
-
 def _sup_norm(rows: np.ndarray) -> float:
     """The largest norm of ``rows``: the root of the largest row sum of
     squares (sqrt is monotone and correctly rounded, so it is the largest
@@ -151,12 +140,12 @@ def _sup_norm(rows: np.ndarray) -> float:
 
 
 def _defect(J: StructureField, values: np.ndarray, grid: DiskGrid, inner: np.ndarray,
-            labels: np.ndarray) -> _Defect:
-    """The Beltrami rows q(v) dv/dz at the interior nodes, with flat indices
-    ``inner`` and coordinates ``labels``, and the ``cr_residual`` of the
-    ``(N, N, 2n)`` values of v, the largest norm of the residual rows
-    dv/dzbar - q(v) dv/dz, which are written over dv/dzbar and kept as
-    ``rows``."""
+            labels: np.ndarray) -> tuple:
+    """``(beltrami, rows, res)`` for the ``(N, N, 2n)`` values of v: the
+    Beltrami rows q(v) dv/dz at the interior nodes, with flat indices
+    ``inner`` and coordinates ``labels``, the residual rows dv/dzbar -
+    q(v) dv/dz, written over dv/dzbar, and their largest norm res, v's
+    ``cr_residual``."""
     dz, dzbar = interior_wirtinger(values, grid)
     q = q_field(J, _rows(values, inner), labels=labels)
     beltrami = np.empty_like(dz)
@@ -165,7 +154,7 @@ def _defect(J: StructureField, values: np.ndarray, grid: DiskGrid, inner: np.nda
         for j in range(1, dz.shape[1]):
             row += q[:, i, j] * dz[:, j]
     rows = np.subtract(dzbar, beltrami, out=dzbar)
-    return _Defect(beltrami, rows, _sup_norm(rows))
+    return beltrami, rows, _sup_norm(rows)
 
 
 def cr_residual(J: StructureField, v: DiskMap) -> float:
@@ -176,7 +165,7 @@ def cr_residual(J: StructureField, v: DiskMap) -> float:
     come from one difference product at the interior nodes (``_defect``).
     """
     g = v.grid
-    return _defect(J, v.values, g, np.flatnonzero(g.interior), g.nodes(g.interior))[1]
+    return _defect(J, v.values, g, np.flatnonzero(g.interior), g.nodes(g.interior))[2]
 
 
 def affine_target(p: np.ndarray, q: np.ndarray, t: float, grid: DiskGrid) -> DiskMap:
@@ -284,17 +273,16 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
         # derivatives are zero on the boundary ring, so the density is
         # formed at interior nodes and extended to the ring from them; the
         # same rows give v's cr_residual
-        defect = _defect(J, v, grid, inner, labels)
-        beltrami, res = defect
+        beltrami, rows, res = _defect(J, v, grid, inner, labels)
         if cap is not None:
             change = None
             if last_rows is not None and cap < res < math.inf:
-                change = _sup_norm(defect.rows - last_rows)
+                change = _sup_norm(rows - last_rows)
                 # res - rho / (1 - rho) * change > cap, rho = change / last_change < 1
                 if (last_change is not None and change < last_change
                         and change * change < (res - cap) * (last_change - change)):
                     return DiskSolution(DiskMap(grid, v), res, deltas)
-            last_rows = defect.rows if k > 1 and res < math.inf else None
+            last_rows = rows if k > 1 and res < math.inf else None
             last_change = change
         density = extend @ beltrami
         correction = cg_apply(op, density.reshape(v.shape))

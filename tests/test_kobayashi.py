@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jdisk import kobayashi, solver
-from jdisk.diskgrid import eval_interp, make_grid, poincare_distance
+from jdisk.diskgrid import DiskMap, eval_interp, make_grid, poincare_distance
 from jdisk.errors import (Diverged, InvalidChain, InvalidParams, NoChainFound,
                           NotHolomorphicMap, Singular)
 from jdisk.kobayashi import (Chain, ChainLink, KobayashiOptions, chain_cost,
                              derivative_bound, estimate_distance, pushforward_chain,
                              validate_chain)
-from jdisk.solver import (SolverConfig, cr_residual, derivative_disk, picard_solve,
-                          two_point_disk)
+from jdisk.solver import (DiskSolution, SolverConfig, cr_residual, derivative_disk,
+                          picard_solve, two_point_disk)
 from jdisk.structure import gallery
 
 
@@ -271,6 +271,63 @@ def test_no_chain_in_tiny_ball():
                           quick_opts(t_grid=(0.5,), k_max=1))
 
 
+def test_a_link_that_misses_its_target_is_rejected(J_std, monkeypatch):
+    # every disk shifted by 1e-6 keeps its residual and stays in the ball,
+    # but misses its target by more than the endpoint tolerance 1e-8, so
+    # only the endpoint gate stands between the search and a chain
+    p, q, opts = np.zeros(2), np.array([0.3, 0.0]), quick_opts()
+    assert len(estimate_distance(J_std, p, q, opts).best_chain.links) == 1
+    moved = []
+
+    def shifted(J, src, dst, t, cfg, grid, cap=None):
+        sol = two_point_disk(J, src, dst, t, cfg, grid, cap=cap)
+        moved.append(DiskSolution(DiskMap(grid, sol.v.values + 1e-6), sol.residual,
+                                  sol.step_deltas))
+        assert abs(cr_residual(J, moved[-1].v) - sol.residual) <= 1e-12
+        assert J.domain.contains(moved[-1].v.values[grid.mask])
+        return moved[-1]
+
+    monkeypatch.setattr(kobayashi, "two_point_disk", shifted)
+    with pytest.raises(NoChainFound):
+        estimate_distance(J_std, p, q, opts)
+    # the first link of k = 1 and of k = 2 fails at all four nodes
+    assert len(moved) == 2 * len(opts.t_grid)
+
+
+def _disk(value, residual):
+    """A constant disk at ``(value, value)`` recorded with ``residual``."""
+    return DiskSolution(DiskMap(make_grid(1.0, 9), np.full((9, 9, 2), value)), residual)
+
+
+_CAP = solver._RESIDUAL_CAP
+
+
+@pytest.mark.parametrize("outcome, at, gate", [
+    (Diverged("no contraction"), None, "Diverged"),
+    (Singular("dilatation matrix"), None, "Singular"),
+    # an uncertified disk's image is not read, so residual decides first
+    (_disk(2.0, 0.5), None, "residual"),
+    (_disk(0.5, math.nan), None, "residual"),
+    (_disk(2.0, 1e-3), None, "containment"),
+    (_disk(0.5, 1e-3), (0.25 + 0j, np.array([0.5, 0.5 + 1e-7])), "endpoint"),
+    (_disk(0.5, _CAP), (0.25 + 0j, np.array([0.5, 0.5 + 1e-9])), None),
+    (_disk(0.5, _CAP), None, None),
+], ids=["diverged", "singular", "residual-first", "nan-residual", "containment",
+        "endpoint", "link", "probe"])
+def test_an_attempt_reads_the_first_gate_its_solve_fails(outcome, at, gate):
+    caps = []
+
+    def solve(cap):
+        caps.append(cap)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    sol, got = kobayashi._attempt(solve, gallery("standard", radius=1.0).domain, at=at)
+    assert caps == [_CAP] and got == gate
+    assert sol is (None if isinstance(outcome, Exception) else outcome)
+
+
 def test_options_reject_an_empty_search():
     with pytest.raises(InvalidParams):
         KobayashiOptions(k_max=0)
@@ -487,6 +544,21 @@ def test_derivative_bound_records_a_failed_solve():
     first = rep.probes[0]
     assert (first.lam, first.feasible, first.residual, first.gate) == (
         40.0, False, None, "Diverged")
+
+
+@pytest.mark.parametrize("nu", [(1e300, 0.0), (1e-320, 0.0), (1e-160, 0.0), (3e200, 4e200)])
+def test_derivative_bound_normalizes_a_direction_whose_norm_over_or_underflows(nu):
+    # the sum of squares overflows, vanishes or turns subnormal, yet the
+    # bound is that of the direction scaled to a largest entry 1: (1, 0)
+    # or (0.75, 1)
+    J, g = gallery("standard", n=1, radius=1.0), make_grid(1.0, 17)
+    unit = np.array(nu) / max(nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = derivative_bound(J, np.zeros(2), np.array(nu), 4.0, grid=g)
+    want = derivative_bound(J, np.zeros(2), unit, 4.0, grid=g)
+    assert (rep.lambda_lower, len(rep.probes)) == (want.lambda_lower, len(want.probes))
+    assert rep.probes == want.probes
 
 
 def _solved(solve):

@@ -341,8 +341,9 @@ def reference_defect(J, values, grid):
 
 
 def _defect(J, values, grid):
-    return solver._defect(J, values, grid, np.flatnonzero(grid.interior),
-                          grid.nodes(grid.interior))
+    beltrami, _, res = solver._defect(J, values, grid, np.flatnonzero(grid.interior),
+                                      grid.nodes(grid.interior))
+    return beltrami, res
 
 
 def _b_field(points):
