@@ -40,11 +40,12 @@ class GridMismatch(JDiskError):
 
 
 class Diverged(JDiskError):
-    """Fixed-point iteration failed to contract within the iteration budget.
+    """Fixed-point iteration stopped contracting, or ran out of its budget.
 
-    ``deltas`` holds the last sup-norm step changes of the iterate and
-    ``ratio`` the worst contraction ratio of the run (None before two
-    steps)."""
+    ``deltas`` holds the last 10 sup-norm step changes of the iterate, the
+    two 5-step windows whose largest changes the no-contraction test
+    compares, and ``ratio`` the worst contraction ratio of the run (None
+    before two steps)."""
 
     def __init__(self, message: str, deltas=(), ratio=None):
         super().__init__(message)

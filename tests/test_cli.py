@@ -157,8 +157,8 @@ def test_bound_report_gates_its_probes():
 
 @pytest.mark.parametrize("argv, code, key", [
     # the bisection from 1e300 makes about 1000 probes, most of them solves
-    # that oscillate until their budget runs out, so they run on a 9-node
-    # grid with a 5-step budget
+    # that stop contracting, so they run on a 9-node grid with a 5-step
+    # budget, which ends each before its tenth step could show it
     (["bound", "--structure", "conjugated", "--epsilon", "0.2", "--p", "0,0",
       "--nu", "1,0.3", "--lambda-max", "1e300", "--N", "9", "--cfg", "max_iter=5"],
      0, "results"),

@@ -116,10 +116,14 @@ def test_two_point_disk_standard_exact(J_std, g65, rng):
 
 
 def test_two_point_disk_degenerate_pair(J_conj, g65):
+    # equal points, or a zero derivative, seed the constant disk: its
+    # correction is exactly 0, so the absolute test stops the first step
     p = np.array([0.25, -0.3])
-    sol = two_point_disk(J_conj, p, p, 0.5, SolverConfig(), g65)
-    assert np.allclose(sol.v.values[g65.mask], p, atol=0)
-    assert sol.residual == 0.0
+    for sol in (two_point_disk(J_conj, p, p, 0.5, SolverConfig(), g65),
+                derivative_disk(J_conj, p, np.zeros(2), SolverConfig(), g65)):
+        assert np.array_equal(sol.v.values[g65.mask], np.broadcast_to(p, (g65.mask.sum(), 2)))
+        assert sol.residual == 0.0
+        assert sol.step_deltas == [0.0]
 
 
 def test_two_point_disk_conjugated(J_conj, g65):
@@ -453,13 +457,6 @@ def test_derivative_disk_standard_exact(J_std, g65):
     assert np.max(np.abs(sol.v.values - target.values)) < 1e-12
 
 
-def test_derivative_disk_zero_vector_gives_constant(J_conj, g65):
-    p = np.array([0.3, 0.3])
-    sol = derivative_disk(J_conj, p, np.zeros(2), SolverConfig(), g65)
-    assert np.allclose(sol.v.values[g65.mask], p, atol=0)
-    assert sol.residual == 0.0
-
-
 def test_derivative_disk_conjugated_matches_derivative(J_conj, g65):
     cfg = SolverConfig(epsilon=0.05)
     p = np.array([0.0, 0.0])
@@ -618,9 +615,32 @@ def test_the_relative_stop_divides_nothing(J, q):
             assert sol.step_deltas == [0.0]
 
 
+@pytest.mark.parametrize("scale", [100.0, 1e6])
+@pytest.mark.parametrize("cap", [None, solver._RESIDUAL_CAP])
+def test_a_solve_that_stops_contracting_diverges_within_two_windows(scale, cap, monkeypatch):
+    # far above the derivative bound's edge (about 4.3) the iterate wanders:
+    # its step deltas neither shrink nor blow up, and step 10 or soon after
+    # shows that the last 5 steps moved it no less than the 5 before
+    nu = np.array([1.0, 0.3]) / np.hypot(1.0, 0.3)
+    J = gallery("conjugated", n=1, epsilon=0.2)
+    apply, applies = solver.cg_apply, []
+
+    def counted(op, values):
+        applies.append(1)
+        return apply(op, values)
+
+    monkeypatch.setattr(solver, "cg_apply", counted)
+    with pytest.raises(Diverged, match="no contraction over 10 steps") as exc:
+        derivative_disk(J, np.zeros(2), scale * nu, SolverConfig(), make_grid(1.0, 33), cap=cap)
+    assert 10 <= len(applies) <= 20
+    deltas = exc.value.deltas
+    assert len(deltas) == 10 and max(deltas[5:]) >= max(deltas[:5])
+
+
 def test_a_huge_derivative_overflows_to_a_diverged_solve():
     # the residual's sum of squares overflows to inf without a warning, so
-    # neither stopping test nor the early reject fires and the budget runs out
+    # neither stopping test nor the early reject fires, and the iterate's
+    # step deltas stop contracting
     J = gallery("conjugated", n=1, epsilon=0.2)
     w = 1e300 * np.array([1.0, 0.3]) / np.hypot(1.0, 0.3)
     for cap in (None, solver._RESIDUAL_CAP):
