@@ -457,6 +457,13 @@ def test_derivative_disk_standard_exact(J_std, g65):
     assert np.max(np.abs(sol.v.values - target.values)) < 1e-12
 
 
+def test_derivative_disk_zero_vector_gives_constant(J_conj, g65):
+    p = np.array([0.3, 0.3])
+    sol = derivative_disk(J_conj, p, np.zeros(2), SolverConfig(), g65)
+    assert np.allclose(sol.v.values[g65.mask], p, atol=0)
+    assert sol.residual == 0.0
+
+
 def test_derivative_disk_conjugated_matches_derivative(J_conj, g65):
     cfg = SolverConfig(epsilon=0.05)
     p = np.array([0.0, 0.0])
