@@ -30,8 +30,10 @@ a 2-D convolution, evaluated with cached FFTs; the result reproduces a
 dense node-by-node weight matrix without storing one.
 
 Boundary treatment.  Every cell the circle cuts is described by one list
-of contour pieces (clipped cell edges plus circular arcs), which gives
-both its inside area and its exact kernel integral; the four edges of an
+of contour pieces from one counterclockwise walk round the cell: first
+each edge clipped to its chord of the disk, then a circular arc wherever
+one kept piece ends off the next one's start.  The list gives both the
+cell's inside area and its exact kernel integral; the four edges of an
 uncut cell are the same integrator's input for the full-cell weights.  A
 cut cell is carried by the nearest retained node, itself when retained,
 with its inside area added to that node's fraction in the convolution.
@@ -113,57 +115,32 @@ def _rim_sets(grid: DiskGrid):
 
 def _clipped_cell_pieces(x0, x1, y0, y1, r):
     """Counterclockwise boundary of [x0,x1]x[y0,y1] intersected with the
-    disk |z| <= r: straight pieces (clipped cell edges) and circular arcs.
-    Both sets are convex, so each edge keeps at most one sub-segment."""
+    disk |z| <= r, from one walk round the cell: first each edge clipped to
+    its chord of the disk (both sets are convex, so an edge keeps at most
+    one piece), then a circular arc from each kept piece's end to the next
+    one's start wherever the two differ."""
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    pieces = []
-    circle_hits = []
-    for i in range(4):
-        A, B = corners[i], corners[(i + 1) % 4]
+    segs = []
+    for A, B in zip(corners, corners[1:] + corners[:1]):
         D = B - A
         a = (D * D.conjugate()).real
         b = 2.0 * (A.conjugate() * D).real
         c = (A * A.conjugate()).real - r * r
         disc = b * b - 4 * a * c
-        roots = []
-        if disc > 0:
-            sq = np.sqrt(disc)
-            roots = sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a)))
-        a_in = abs(A) <= r
-        b_in = abs(B) <= r
-        if a_in and b_in:
-            s0, s1 = 0.0, 1.0
-        elif a_in:
-            s0, s1 = 0.0, roots[1] if roots else 1.0
-        elif b_in:
-            s0, s1 = (roots[0] if roots else 0.0), 1.0
-        else:
-            if not roots or roots[0] >= 1.0 or roots[1] <= 0.0:
-                continue
-            s0, s1 = max(roots[0], 0.0), min(roots[1], 1.0)
-        if s1 - s0 < 1e-14:
+        if not disc > 0:   # the line misses the circle or only touches it
             continue
-        P0, P1 = A + s0 * D, A + s1 * D
-        pieces.append(("seg", P0, P1))
-        for s, P in ((s0, P0), (s1, P1)):
-            if 0.0 < s < 1.0 or abs(abs(P) - r) < 1e-12 * r:
-                if abs(abs(P) - r) < 1e-9 * r:
-                    circle_hits.append(float(np.angle(P)))
-    if circle_hits:
-        hits = sorted(circle_hits)
-        # a corner on the circle is hit from both of its edges
-        angles = [th for th, prev in zip(hits, [-np.inf] + hits) if th - prev > 1e-12]
-        m = len(angles)
-        for i in range(m):
-            th0 = angles[i]
-            th1 = angles[(i + 1) % m]
-            if th1 <= th0:
-                th1 += 2 * np.pi
-            mid = r * np.exp(1j * 0.5 * (th0 + th1))
-            eps = 1e-12 * max(1.0, r)
-            if (x0 - eps <= mid.real <= x1 + eps) and (y0 - eps <= mid.imag <= y1 + eps):
-                pieces.append(("arc", th0, th1))
-    return pieces
+        sq = np.sqrt(disc)
+        lo, hi = (-b - sq) / (2 * a), (-b + sq) / (2 * a)
+        s0 = 0.0 if abs(A) <= r else max(lo, 0.0)
+        s1 = 1.0 if abs(B) <= r else min(hi, 1.0)
+        if s1 - s0 >= 1e-14:
+            segs.append(("seg", A + s0 * D, A + s1 * D))
+    arcs = []
+    for (_, _, end), (_, start, _) in zip(segs, segs[1:] + segs[:1]):
+        if abs(start - end) > 1e-12 * r:
+            th0, th1 = float(np.angle(end)), float(np.angle(start))
+            arcs.append(("arc", th0, th1 if th1 > th0 else th1 + 2 * np.pi))
+    return segs + arcs
 
 
 def _contour_nodes(pieces, r, gauss_nodes, gauss_weights, centre=0j):

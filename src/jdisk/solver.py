@@ -256,10 +256,11 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
     res - rho / (1 - rho) * dR; once that is above the cap the solve
     returns the iterate, before its Cauchy apply, with res as its
     ``residual`` (its ``cr_residual`` exactly) and the deltas so far.  The
-    test is that bound multiplied through by dR_prev - dR, taken only when
+    test is that bound multiplied through by dR_prev - dR,
+    dR**2 < (res - cap) * (dR_prev - dR), which holds only when
     dR < dR_prev.  No ratio involves the rows of the starting iterate, so
-    the first test is at iterate 3.  Without a cap, the two tests
-    above alone stop the solve.
+    the first test is at iterate 3.  Without a cap, the two tests above
+    alone stop the solve.
     """
     eps = cfg.epsilon
     grid = h.grid
@@ -289,7 +290,7 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
             if last_rows is not None and cap < res < math.inf:
                 change = _sup_norm(rows - last_rows)
                 # res - rho / (1 - rho) * change > cap, rho = change / last_change < 1
-                if (last_change is not None and change < last_change
+                if (last_change is not None
                         and change * change < (res - cap) * (last_change - change)):
                     return DiskSolution(DiskMap(grid, v), res, deltas)
             last_rows = rows if k > 1 and res < math.inf else None

@@ -114,12 +114,17 @@ def test_contour_area_of_every_cut_cell_matches_quadrature(N, r):
         assert abs(got - overlap_area_oracle(x0, x1, y0, y1, r)) <= 1e-10 * cell, (j, k)
 
 
-@pytest.mark.parametrize("box", [(-3.0, 3.0, -4.0, 4.0), (-3.0, 3.0, -4.0, 10.0)])
-def test_a_corner_on_the_circle_is_one_circle_hit(box):
+@pytest.mark.parametrize("box, r", [((-3.0, 3.0, -4.0, 4.0), 5.0),
+                                    ((-3.0, 3.0, -4.0, 10.0), 5.0),
+                                    ((0.0, 1.0, 0.0, 1.0), 1.0),
+                                    ((-1.0, 0.0, 0.0, 1.0), 1.0)])
+def test_a_corner_on_the_circle_is_one_circle_hit(box, r):
     # the circle of radius 5 passes exactly through the corners (+-3, +-4),
-    # and each such corner is hit from both of its edges; counted twice, it
-    # closes a whole circle whose midpoint, the opposite corner, is in the box
-    r = 5.0
+    # where one kept edge ends and the next starts: no arc may join them, or
+    # a whole circle is added.  On the unit boxes two edges lie on lines
+    # that only touch the circle, at their corner on it, so they keep
+    # nothing; kept whole, they close the box and the arc adds its sector,
+    # so the area reads 1 + pi/4
     got = _region_area(_clipped_cell_pieces(*box, r), r)
     assert abs(got - overlap_area_oracle(*box, r)) <= 1e-12 * r * r
 
