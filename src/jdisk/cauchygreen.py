@@ -54,14 +54,15 @@ when L z = u conj(z), exactly in floating point; values on a mirror line
 are made their own image, so the kernel and the fractions are D4-invariant.
 
 Memory.  The operator keeps the kernel, its FFT, the fractions and the rim
-correction as CSR: 9.4 MiB at N = 129 and 69.0 MiB at N = 257, most of it
-the rim.  The build's phases free their arrays before the next allocates:
-the octant once the kernel is unfolded, the representatives' boxes and the
-rim assembly's temporaries before the rim's CSR copy is made beside its CSC
-parts, which is the build's peak, and those parts before the kernel's FFT.
-With numpy 2.4 and scipy 1.17 the live peak (tracemalloc) is 17.2 MiB at
-N = 129 and 124.7 MiB at N = 257; a process that only builds one operator
-peaks 20 and 140 MiB above the resident size of its imports.
+correction in the CSC form it is assembled in: 9.4 MiB at N = 129 and
+69.0 MiB at N = 257, most of it the rim.  The build's phases free their
+arrays before the next allocates: the octant once the kernel is unfolded,
+the representatives' boxes once the rim is assembled, before the kernel's
+FFT.  The peak lies inside the rim assembly, where the rim's entries, their
+rows and window places sit beside the boxes.  With numpy 2.4 and scipy 1.17
+the live peak (tracemalloc) is 17.2 MiB at N = 129 and 124.1 MiB at
+N = 257; a process that only builds one operator peaks 20 and 139 MiB above
+the resident size of its imports.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ _EDGE_GAUSS = 24       # quadrature points per contour piece
 _NEAR_RADIUS = 3.5
 _SERIES_TERMS = 24
 _RIM_BLOCK = 1 << 15   # rim entries assembled at a time
+_GAUSS = leggauss(_EDGE_GAUSS)
 
 # lattice offsets by distance, scan order among ties: a cut cell's column is
 # the first of them that is a retained node, the same at every radius
@@ -113,79 +115,110 @@ def _rim_sets(grid: DiskGrid):
     return trusted, full, (near2 < r * r) & ~full
 
 
-def _clipped_cell_pieces(x0, x1, y0, y1, r):
-    """Counterclockwise boundary of [x0,x1]x[y0,y1] intersected with the
-    disk |z| <= r, from one walk round the cell: first each edge clipped to
-    its chord of the disk (both sets are convex, so an edge keeps at most
-    one piece), then a circular arc from each kept piece's end to the next
-    one's start wherever the two differ."""
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    segs = []
-    for A, B in zip(corners, corners[1:] + corners[:1]):
-        D = B - A
-        a = (D * D.conjugate()).real
-        b = 2.0 * (A.conjugate() * D).real
-        c = (A * A.conjugate()).real - r * r
-        disc = b * b - 4 * a * c
-        if not disc > 0:   # the line misses the circle or only touches it
-            continue
-        sq = np.sqrt(disc)
-        lo, hi = (-b - sq) / (2 * a), (-b + sq) / (2 * a)
-        s0 = 0.0 if abs(A) <= r else max(lo, 0.0)
-        s1 = 1.0 if abs(B) <= r else min(hi, 1.0)
-        if s1 - s0 >= 1e-14:
-            segs.append(("seg", A + s0 * D, A + s1 * D))
-    arcs = []
-    for (_, _, end), (_, start, _) in zip(segs, segs[1:] + segs[:1]):
-        if abs(start - end) > 1e-12 * r:
-            th0, th1 = float(np.angle(end)), float(np.angle(start))
-            arcs.append(("arc", th0, th1 if th1 > th0 else th1 + 2 * np.pi))
-    return segs + arcs
+def _complex(x, y) -> np.ndarray:
+    """The complex array x + iy, formed exactly."""
+    z = np.empty(np.shape(x), dtype=np.complex128)
+    z.real, z.imag = x, y
+    return z
 
 
-def _contour_nodes(pieces, r, gauss_nodes, gauss_weights, centre=0j):
-    """The Gauss nodes of every piece of ``pieces``, measured from
-    ``centre``, and each node's weight times d eta, as two 1-D complex
-    arrays."""
-    etas, detas = [], []
-    for piece in pieces:
-        if piece[0] == "seg":
-            _, P0, P1 = piece
-            half = 0.5 * (P1 - P0)
-            eta = 0.5 * (P0 + P1) + half * gauss_nodes
-            deta = gauss_weights * half
-        else:
-            _, th0, th1 = piece
-            half = 0.5 * (th1 - th0)
-            eta = r * np.exp(1j * (0.5 * (th0 + th1) + half * gauss_nodes))
-            deta = gauss_weights * (1j * eta * half)
-        etas.append(eta)
-        detas.append(deta)
-    return np.concatenate(etas) - centre, np.concatenate(detas)
+class _Contours(NamedTuple):
+    """The clipped boundaries of a batch of cells, node-major: column i
+    holds cell i's Gauss nodes eta, measured from its centre, and their
+    boundary-form coefficients, each node's weight times conj(eta) d eta,
+    in its first ``size[i]`` rows, then zeros; and each cell's inside
+    area."""
+    eta: np.ndarray
+    coeff: np.ndarray
+    size: np.ndarray
+    area: np.ndarray
+
+
+def _cell_contours(x0, x1, y0, y1, r, centre=0j) -> _Contours:
+    """The counterclockwise boundaries of the cells [x0,x1]x[y0,y1], given
+    as arrays of one shape (or scalars, one cell), intersected with the
+    disk |z| <= r, each from one walk round its cell: first each edge
+    clipped to its chord of the disk (both sets are convex, so an edge keeps
+    at most one piece), then a circular arc from each kept chord's end to
+    the next one's start wherever the two differ.  Each piece carries
+    ``_EDGE_GAUSS`` nodes.  Corners and chords are taken in real arithmetic
+    in the order a complex scalar takes it, with no fused multiply-add."""
+    x0, x1, y0, y1 = (np.ravel(v).astype(float) for v in np.broadcast_arrays(x0, x1, y0, y1))
+    cells, slots = np.arange(x0.size)[:, None], np.arange(4)
+    # edge e runs from corner e to corner e + 1
+    ax, ay = np.stack([x0, x1, x1, x0], axis=1), np.stack([y0, y0, y1, y1], axis=1)
+    bx, by = np.roll(ax, -1, axis=1), np.roll(ay, -1, axis=1)
+    dx, dy = bx - ax, by - ay
+    a = dx * dx + dy * dy
+    b = 2.0 * (ax * dx + ay * dy)
+    c = (ax * ax + ay * ay) - r * r
+    disc = b * b - 4 * a * c
+    hit = disc > 0          # else the line misses the circle or only touches it
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    s0 = np.where(np.hypot(ax, ay) <= r, 0.0, np.maximum((-b - sq) / (2 * a), 0.0))
+    s1 = np.where(np.hypot(bx, by) <= r, 1.0, np.minimum((-b + sq) / (2 * a), 1.0))
+    kept = hit & (s1 - s0 >= 1e-14)
+    # the kept chords first, in walk order
+    order = np.argsort(~kept, axis=1, kind="stable")
+    count = np.count_nonzero(kept, axis=1)[:, None]
+    px, py, qx, qy = (np.take_along_axis(v, order, axis=1)
+                      for v in (ax + s0 * dx, ay + s0 * dy, ax + s1 * dx, ay + s1 * dy))
+    # the arc after chord i runs from its end q to the next chord's start p
+    chord, after = slots < count, (slots + 1) % np.maximum(count, 1)
+    nx, ny = px[cells, after], py[cells, after]
+    arc = chord & (np.hypot(nx - qx, ny - qy) > 1e-12 * r)
+    th0, th1 = np.arctan2(qy, qx), np.arctan2(ny, nx)
+    th1 = np.where(th1 > th0, th1, th1 + 2 * np.pi)
+    th0, th1 = np.where(arc, th0, 0.0), np.where(arc, th1, 0.0)
+    # pieces in walk order: the chords, then the arcs; area = imag(sum of
+    # conj(p) (q - p) over chords + i r^2 (th1 - th0) over arcs) / 2
+    area = np.concatenate([np.where(chord, px * (qy - py) - py * (qx - px), 0.0),
+                           np.where(arc, (r * r) * (th1 - th0), 0.0)], axis=1)
+    area = np.cumsum(area, axis=1)[:, -1] / 2
+
+    nodes, weights = _GAUSS
+    half = _complex(0.5 * (qx - px), 0.5 * (qy - py))[..., None]
+    eta = [_complex(0.5 * (px + qx), 0.5 * (py + qy))[..., None] + half * nodes]
+    deta = [weights * half]
+    half = (0.5 * (th1 - th0))[..., None]
+    eta.append(r * np.exp(1j * ((0.5 * (th0 + th1))[..., None] + half * nodes)))
+    deta.append(weights * (1j * eta[1] * half))
+    eta = np.concatenate(eta, axis=1) - np.reshape(centre, (-1, 1, 1))
+    deta = np.concatenate(deta, axis=1)
+    # each cell's pieces to the front, as (L, cells) columns padded by zeros
+    valid = np.concatenate([chord, arc], axis=1)
+    order = np.argsort(~valid, axis=1, kind="stable")[:, :valid.sum(axis=1).max(), None]
+    size = np.count_nonzero(valid, axis=1) * nodes.size
+    used = np.arange(order.shape[1] * nodes.size)[:, None] < size
+    eta, deta = (np.where(used, np.take_along_axis(v, order, axis=1).reshape(x0.size, -1).T, 0)
+                 for v in (eta, deta))
+    # a named product: ``deta * np.conj(eta)`` on large arrays computes
+    # conj(eta) * deta in place of the temporary, which rounds differently
+    return _Contours(eta, np.multiply(deta, np.conj(eta)), size, area)
 
 
 def _clipped_region_integral_many(ds: np.ndarray, contour) -> np.ndarray:
-    """Integral of 1/(d - eta) over the region bounded by ``contour``, the
-    ``_contour_nodes`` of one or more closed contours, simultaneously for
-    every d in the 1-D array ``ds`` (all outside the region, and measured
-    from the nodes' centre)."""
-    eta, deta = contour
-    w = np.asarray(ds, dtype=np.complex128)[None, :] - eta[:, None]
-    coeff = deta * np.conj(eta)
-    return np.divide(coeff[:, None], w, out=w).sum(axis=0) / 2j
+    """Integral of 1/(d - eta) over the region bounded by ``contour`` for
+    every d of the 1-D array ``ds`` (all outside the region, and measured
+    from the nodes' centre).  ``contour`` is a pair (eta, coeff) of 1-D
+    arrays, one closed contour's nodes and boundary-form coefficients (see
+    ``_Contours``), or of (nodes, len(ds)) arrays, column t the contour of
+    target t; its nodes are summed in order."""
+    eta, coeff = (np.reshape(v, (len(v), -1)) for v in contour)
+    w = np.asarray(ds, dtype=np.complex128)[None, :] - eta
+    return np.divide(coeff, w, out=w).sum(axis=0) / 2j
 
 
-def _moments(contours) -> np.ndarray:
+def _moments(contours: _Contours) -> np.ndarray:
     """The (_SERIES_TERMS, cells) moments M_k = (1/2i) * contour integral
     of eta^k conj(eta) d eta, the integral of eta^k over the cell, from
-    each cell's ``_contour_nodes`` measured from its centre."""
-    sizes = [eta.size for eta, _ in contours]
-    eta = np.concatenate([eta for eta, _ in contours])
-    term = np.concatenate([deta for _, deta in contours]) * np.conj(eta) / 2j
-    starts = np.cumsum([0] + sizes[:-1])
-    moments = np.empty((_SERIES_TERMS, len(contours)), dtype=np.complex128)
+    each cell's nodes measured from its centre."""
+    used = (np.arange(len(contours.eta))[:, None] < contours.size).T
+    eta = contours.eta.T[used]
+    term = contours.coeff.T[used] / 2j
+    moments = np.empty((_SERIES_TERMS, contours.size.size), dtype=np.complex128)
     for k in range(_SERIES_TERMS):
-        moments[k] = np.add.reduceat(term, starts)
+        moments[k] = np.add.reduceat(term, np.cumsum(contours.size) - contours.size)
         term *= eta
     return moments
 
@@ -199,20 +232,6 @@ def _far_field(w: np.ndarray, moments: np.ndarray, out=None) -> np.ndarray:
     for k in range(1, _SERIES_TERMS):
         np.multiply(powers[k - 1], w, out=powers[k])
     return np.matmul(moments.T, powers, out=out)
-
-
-def _region_area(pieces, r) -> float:
-    """Area of the clipped region described by ``pieces``."""
-    total = 0.0 + 0.0j
-    for piece in pieces:
-        if piece[0] == "seg":
-            _, P0, P1 = piece
-            D = P1 - P0
-            total += P0.conjugate() * D + 0.5 * D.conjugate() * D
-        else:
-            _, th0, th1 = piece
-            total += 1j * r * r * (th1 - th0)
-    return float((total / 2j).real)
 
 
 class _CutCells(NamedTuple):
@@ -257,39 +276,39 @@ def _integrals(grid: DiskGrid, trusted: np.ndarray, cuts: _CutCells):
     half, c, m = 0.5 * h, (N - 1) // 2, _correction_radius(N)
     W = 2 * m + 3          # side of a representative's box
     jr, kr = c + cuts.ra, c + cuts.rb
-    # the cell at the origin is uncut, so its pieces are its four edges
-    pieces = [_clipped_cell_pieces(-half, half, -half, half, r)] + [
-        _clipped_cell_pieces(grid.X[a, b] - half, grid.X[a, b] + half,
-                             grid.Y[a, b] - half, grid.Y[a, b] + half, r)
-        for a, b in zip(jr, kr)]
-    gauss = leggauss(_EDGE_GAUSS)
-    contours = [_contour_nodes(p, r, *gauss, z)
-                for p, z in zip(pieces, np.concatenate([[0j], grid.Z[jr, kr]]))]
-    moments = _moments(contours)
+    # cell 0 is the uncut cell at the origin, then the representatives
+    x, y = (np.concatenate([[0.0], v[jr, kr]]) for v in (grid.X, grid.Y))
+    cells = _cell_contours(x - half, x + half, y - half, y + half, r,
+                           np.concatenate([[0j], grid.Z[jr, kr]]))
+    moments = _moments(cells)
 
     # the octant by rows; the singular self cell is exactly 0
     dj, dk = (i[1:] for i in np.tril_indices(N))
     ds = h * (dj + 1j * dk)
     near = dj * dj + dk * dk < _NEAR_RADIUS ** 2
     octant = np.zeros((N, N), dtype=np.complex128)
-    octant[dj[near], dk[near]] = _clipped_region_integral_many(ds[near], contours[0])
     octant[dj[~near], dk[~near]] = _far_field(1.0 / ds[~near], moments[:, :1])[0]
-    octant /= np.pi
-
-    # the boxes by flat place: every far place of every box in one product,
-    # then the near trusted places box by box
+    # the boxes by flat place: every far place of every box in one product
     oj, ok = np.divmod(np.arange(W * W), W) - np.array(m + 1)
-    ds = h * (oj + 1j * ok)
-    near = oj * oj + ok * ok < _NEAR_RADIUS ** 2
+    box_ds = h * (oj + 1j * ok)
+    box_near = oj * oj + ok * ok < _NEAR_RADIUS ** 2
     inbox = sliding_window_view(np.pad(trusted, m + 1), (W, W))[jr, kr].reshape(jr.size, -1)
     stack = np.empty((2, *inbox.shape), dtype=np.complex128)
-    boxes = _far_field(np.divide(1.0, ds, out=np.zeros_like(ds), where=~near), moments[:, 1:],
-                       out=stack[0])
-    at = np.flatnonzero(near)
-    for i, contour in enumerate(contours[1:]):
-        sel = at[inbox[i, at]]
-        if sel.size:
-            boxes[i, sel] = _clipped_region_integral_many(ds[sel], contour)
+    boxes = _far_field(np.divide(1.0, box_ds, out=np.zeros_like(box_ds), where=~box_near),
+                       moments[:, 1:], out=stack[0])
+
+    # every near target of every cell, the octant's and then the boxes'
+    # trusted ones by cell, in one contour rule
+    rep, at = np.nonzero(inbox[:, box_near])
+    at = np.flatnonzero(box_near)[at]
+    n = np.count_nonzero(near)
+    cell = np.concatenate([np.zeros(n, dtype=np.intp), rep + 1])
+    exact = _clipped_region_integral_many(np.concatenate([ds[near], box_ds[at]]),
+                                          (cells.eta.take(cell, axis=1),
+                                           cells.coeff.take(cell, axis=1)))
+    octant[dj[near], dk[near]] = exact[:n]
+    octant /= np.pi
+    boxes[rep, at] = exact[n:]
     boxes[~inbox] = np.nan
     boxes /= np.pi
     boxes = boxes.reshape(-1, W, W)
@@ -298,8 +317,7 @@ def _integrals(grid: DiskGrid, trusted: np.ndarray, cuts: _CutCells):
     on = cuts.ra == cuts.rb                             # its own -i conj image
     boxes[on] = 0.5 * (boxes[on] - 1j * np.conj(boxes[on].transpose(0, 2, 1)))
     np.multiply(stack[0], 1j, out=stack[1])
-    areas = np.array([_region_area(p, r) for p in pieces[1:]]) / (h * h)
-    return octant, stack.reshape(2, -1, W, W), areas
+    return octant, stack.reshape(2, -1, W, W), cells.area[1:] / (h * h)
 
 
 def _unfold(octant: np.ndarray) -> np.ndarray:
@@ -333,19 +351,31 @@ def _fractions(full: np.ndarray, cuts: _CutCells, areas: np.ndarray):
 def _targets(trusted: np.ndarray, columns: np.ndarray, m: int):
     """Every column's targets t = s + (oj, ok), the trusted nodes within
     Chebyshev radius m of s, in one list, column by column and row-major
-    within, as the place ``at`` of (oj, ok) in a B x B window, B = 2m + 1;
-    and each column's count of them.  A window row meets the trusted disk
-    in one run."""
+    within: as the place ``at`` of (oj, ok) in a B x B window, B = 2m + 1,
+    and as the flat lattice index ``rows`` of t; and each column's count of
+    them.  A lattice row meets the trusted disk in one run, which each
+    window row clips, so both lists step by 1 within a run."""
     N, B = trusted.shape[0], 2 * m + 1
-    window = sliding_window_view(np.pad(trusted, m), (B, B))[columns // N, columns % N]
-    runs = np.count_nonzero(window, axis=2)
+    hit = trusted.any(axis=1)
+    first = np.where(hit, trusted.argmax(axis=1), N)    # each lattice row's run
+    last = np.where(hit, N - 1 - trusted[:, ::-1].argmax(axis=1), -1)
+    js, ks = np.divmod(columns, N)
+    j = js[:, None] + np.arange(-m, m + 1)              # each window row's lattice row
+    k0 = ks[:, None] - m                                # and first column
+    row = np.clip(j, 0, N - 1)
+    lo = np.maximum(first[row], k0)
+    runs = np.maximum(np.minimum(last[row], k0 + B - 1) - lo + 1, 0) * ((j >= 0) & (j < N))
     size = runs.sum(axis=1)
-    start = (np.arange(B) * B + window.argmax(axis=2))[runs > 0]
-    runs = runs[runs > 0]
-    at = np.ones(size.sum(), dtype=np.int32)
-    at[0] = start[0]
-    at[np.cumsum(runs[:-1])] = start[1:] - start[:-1] - runs[:-1] + 1
-    return np.cumsum(at, out=at), size
+    kept = runs > 0
+    runs = runs[kept]
+    # an entry is its run's start plus its place in the list past the run's
+    # first entry, and its row is its place shifted by the run's
+    start = (np.arange(B) * B + lo - k0)[kept]
+    at = np.repeat((start - (np.cumsum(runs) - runs)).astype(np.int32), runs)
+    at += np.arange(at.size, dtype=np.int32)
+    rows = np.repeat(((row * N + lo)[kept] - start).astype(np.int32), runs)
+    rows += at
+    return at, rows, size
 
 
 def _rim_columns(grid: DiskGrid, kernel, conv_frac, full, trusted, cuts: _CutCells, boxes):
@@ -362,32 +392,38 @@ def _rim_columns(grid: DiskGrid, kernel, conv_frac, full, trusted, cuts: _CutCel
     order = np.argsort(cuts.column, kind="stable")
     columns, first, count = np.unique(cuts.column[order], return_index=True,
                                       return_counts=True)
-    at, size = _targets(trusted, columns, m)
+    at, rows, size = _targets(trusted, columns, m)
     oj, ok = np.divmod(np.arange(B * B, dtype=np.int32), B) - np.array(m, dtype=np.int32)
 
     # L^-1 flips the signs of a, b < 0, then swaps if |b| > |a|; a cell in
-    # column s reads its box at base + sj * oj + sk * ok
+    # column s reads its box at base + sj * oj + sk * ok, the offset table
+    # row ``lead`` of its (sj, sk) gives the last two terms
     sa, sb = np.where(cuts.j < c, -1, 1), np.where(cuts.k < c, -1, 1)
     swap = np.abs(cuts.k - c) > np.abs(cuts.j - c)
     sj, sk = np.where(swap, sa, sa * W), np.where(swap, sb * W, sb)
     base = ((cuts.rep * W + m + 1 - cuts.ra[cuts.rep]) * W + m + 1 - cuts.rb[cuts.rep]
             + (cuts.column // N - c) * sj + (cuts.column % N - c) * sk)
+    _, pick, lead = np.unique(sj * 4 * W + sk, return_index=True, return_inverse=True)
+    offset = (sj[pick, None] * oj + sk[pick, None] * ok).ravel()
+    lead *= B * B
     # its value is conj(u) times the value or its conj (flip): -i conj (swap),
     # then -conj (a < 0), then conj (b < 0) give conj(u) = -i sb or sa.  A
     # swapped cell reads i times the box, as -i sb v = -sb (i v) and
-    # -i sb conj(v) = sb conj(i v), so only signs are left
+    # -i sb conj(v) = sb conj(i v), so only signs are left, which ``sign``
+    # gives the real and imaginary parts
     flip = swap ^ (sa < 0) ^ (sb < 0)
     negate = np.where(swap, sb * np.where(flip, 1, -1), sa) < 0
+    sign = np.ones((flip.size, 2))
+    sign[flip, 1] = -1.0
+    sign[negate] *= -1.0
     base[swap] += boxes[0].size
     values = boxes.reshape(-1)
     # a full column keeps its own kernel entry: only the slivers it carries
     # are swapped for their exact regions
     kern = kernel[N - 1 - m:N + m, N - 1 - m:N + m].ravel()
     share = conv_frac.ravel()[columns] - full.ravel()[columns]
-    place = (oj * N + ok).astype(np.int32)
 
     exact = np.zeros(at.size, dtype=np.complex128)
-    rows = np.empty(at.size, dtype=np.int32)
     end = np.cumsum(size)
     # blocks of whole columns, about _RIM_BLOCK entries each, keep every
     # temporary small enough to stay in cache
@@ -401,14 +437,12 @@ def _rim_columns(grid: DiskGrid, kernel, conv_frac, full, trusted, cuts: _CutCel
             cell, cells = order[first[lo:hi][here] + n], sizes[here]
             sel = slice(None) if n == 0 else np.flatnonzero(np.repeat(here, sizes))
             index = np.repeat(base[cell], cells)
-            index += np.repeat(sj[cell], cells) * oj.take(t[sel])
-            index += np.repeat(sk[cell], cells) * ok.take(t[sel])
+            index += offset.take(np.repeat(lead[cell], cells) + t[sel])
             v = values.take(index)
-            np.conjugate(v, out=v, where=np.repeat(flip[cell], cells))
-            np.negative(v, out=v, where=np.repeat(negate[cell], cells))
+            parts = v.view(np.float64).reshape(-1, 2)
+            parts *= np.repeat(sign[cell], cells, axis=0)
             part[sel] += v
         part -= kern.take(t) * np.repeat(share[lo:hi], sizes)
-        rows[e0:e1] = np.repeat(columns[lo:hi], sizes) + place.take(t)
     if np.isnan(exact).any():
         s = np.repeat(columns, size)[np.isnan(exact).argmax()]
         raise RuntimeError(f"rim column {divmod(int(s), N)} reads a node the D4 maps do not keep")
@@ -437,13 +471,11 @@ class CGOperator:
         self.kernel = _unfold(octant)
         del octant
         self.frac, self.conv_frac = _fractions(full, cuts, areas)
-        # the rim's CSR copy sets the build's memory peak: the boxes and the
-        # assembly's temporaries are freed before it is made, and its CSC
-        # parts before the kernel's FFT, which runs last for that reason
-        rim = _rim_columns(grid, self.kernel, self.conv_frac, full, trusted, cuts, boxes)
+        # kept as assembled: csc_matvec adds each row's terms in ascending
+        # column order, as csr_matvec does over the sorted CSR form
+        self._rim_correction = _rim_columns(grid, self.kernel, self.conv_frac, full,
+                                            trusted, cuts, boxes)
         del boxes
-        self._rim_correction = rim.tocsr()
-        del rim
         self._pad = next_fast_len(2 * N - 1)
         self._kernel_fft = fft2(self.kernel, s=(self._pad, self._pad))
 

@@ -87,15 +87,21 @@ class DiskGrid:
 
     def _difference_matrix(self) -> sp.csr_matrix:
         """Centred x differences at the m interior nodes in row-major order,
-        then y differences, two entries a row, on ``(N*N, c)`` arrays."""
+        then y differences, two entries a row, on ``(N*N, c)`` arrays.  Its
+        CSR arrays are written in canonical form, each row's two entries in
+        column order."""
         N, h = self.N, self.h
-        node = np.flatnonzero(self.interior)
-        row = np.arange(2 * node.size)
-        cols = np.concatenate([node + N, node + 1, node - N, node - 1])
-        vals = np.repeat([0.5 / h, -0.5 / h], row.size)
-        return sp.coo_matrix((vals, (np.tile(row, 2), cols)), shape=(row.size, N * N)).tocsr()
+        node = np.flatnonzero(self.interior).astype(np.int32)
+        lo, hi = np.concatenate([node - N, node - 1]), np.concatenate([node + N, node + 1])
+        indices = np.stack([lo, hi], axis=1).ravel()
+        indptr = np.arange(0, indices.size + 1, 2, dtype=np.int32)
+        data = np.tile([-0.5 / h, 0.5 / h], lo.size)
+        return sp.csr_matrix((data, indices, indptr), shape=(lo.size, N * N))
 
     def _ring_matrix(self) -> sp.csr_matrix:
+        """The ring extension over the whole lattice: the identity on the
+        interior nodes and each ring node's extrapolation, 0 off the disk,
+        its CSR arrays written in canonical form."""
         N, inner = self.N, self.interior
         c2 = N - 1   # twice the centre index
         jj, kk = np.nonzero(self.mask & ~inner)
@@ -111,22 +117,38 @@ class DiskGrid:
             walking &= ~inner[jj + dist * dj, kk + dist * dk]
         ja, ka = jj + dist * dj, kk + dist * dk
         # the linear extrapolation from two interior nodes, or the nearest
-        # node's value when the next one inward is not interior
+        # node's value when the next one inward is not interior; of the two
+        # sources, the one nearer the lattice's start comes first
         two = inner[ja + dj, ka + dk]
-        interior_rows = np.flatnonzero(inner)
-        rows = np.concatenate([interior_rows, jj * N + kk, (jj * N + kk)[two]])
-        cols = np.concatenate([interior_rows, ja * N + ka, ((ja + dj) * N + ka + dk)[two]])
-        vals = np.concatenate([np.ones(interior_rows.size), np.where(two, 1.0 + dist, 1.0),
-                               -dist[two].astype(float)])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
+        ring, near, step = jj * N + kk, ja * N + ka, dj * N + dk
+        count = inner.ravel().astype(np.int32)
+        count[ring] = 1 + two
+        indptr = np.zeros(N * N + 1, dtype=np.int32)
+        np.cumsum(count, out=indptr[1:])
+        indices = np.arange(N * N, dtype=np.int32).repeat(count)
+        data = np.ones(indptr[-1])
+        back = two & (step < 0)
+        first = indptr[ring]
+        indices[first] = np.where(back, near + step, near)
+        data[first] = np.where(two, np.where(back, -dist, 1.0 + dist), 1.0)
+        first, near, step, dist, back = (a[two] for a in (first, near, step, dist, back))
+        indices[first + 1] = np.where(back, near, near + step)
+        data[first + 1] = np.where(back, 1.0 + dist, -dist)
+        return sp.csr_matrix((data, indices, indptr), shape=(N * N, N * N))
 
     def interior_extension(self) -> sp.csr_matrix:
         """Operator taking a field's rows at the interior nodes (row-major) to
         the lattice, where each ring node gets their linear extrapolation
         inward along the dominant lattice axis; solvers fill their densities
-        on the ring through it.  It does not depend on r."""
-        return self.unit_operator("ring_interior", lambda unit: unit._ring_matrix()[
-            :, np.flatnonzero(unit.interior)])
+        on the ring through it.  It does not depend on r.  It is
+        ``_ring_matrix`` with each column renumbered by the interior nodes
+        before it, which keeps every row's column order."""
+        def build(unit):
+            ring, inner = unit._ring_matrix(), unit.interior.ravel()
+            rank = np.cumsum(inner, dtype=np.int32) - 1
+            return sp.csr_matrix((ring.data, rank[ring.indices], ring.indptr),
+                                 shape=(ring.shape[0], int(rank[-1]) + 1))
+        return self.unit_operator("ring_interior", build)
 
     def difference_matrix(self) -> sp.csr_matrix:
         """``_difference_matrix`` of the unit-radius grid, shared by every

@@ -192,8 +192,10 @@ def _affine_values(grid: DiskGrid, basis: np.ndarray):
     x, y = basis.real.copy(), basis.imag.copy()
 
     def affine(p, d):
-        planes = d[:, None, None] * x + ComplexConvention.mul_i(d)[:, None, None] * y
-        planes += p[:, None, None]
+        # a huge p or d reads inf or nan here, which DiskMap refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            planes = d[:, None, None] * x + ComplexConvention.mul_i(d)[:, None, None] * y
+            planes += p[:, None, None]
         out = np.zeros(grid.mask.shape + p.shape)
         for c, plane in enumerate(planes):
             np.copyto(out[..., c], plane, where=grid.mask)
@@ -284,7 +286,10 @@ def picard_solve(J: StructureField, cfg: SolverConfig, h: DiskMap,
         # derivatives are zero on the boundary ring, so the density is
         # formed at interior nodes and extended to the ring from them; the
         # same rows give v's cr_residual
-        beltrami, rows, res = _defect(J, v, grid, inner, labels)
+        # the derivatives of a map too large to difference read inf or nan,
+        # silently, and the non-finite check below refuses the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            beltrami, rows, res = _defect(J, v, grid, inner, labels)
         if cap is not None:
             change = None
             if last_rows is not None and cap < res < math.inf:

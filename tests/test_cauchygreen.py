@@ -11,9 +11,9 @@ from scipy.fft import fft2, ifft2
 from scipy.integrate import quad
 
 from jdisk import cauchygreen, diskgrid
-from jdisk.cauchygreen import (_NEAREST, CGOperator, _clipped_cell_pieces,
-                               _clipped_region_integral_many, _contour_nodes, _region_area,
-                               _rim_sets, cg_apply, cg_build, cg_residual)
+from jdisk.cauchygreen import (_NEAREST, CGOperator, _cell_contours,
+                               _clipped_region_integral_many, _rim_sets, cg_apply, cg_build,
+                               cg_residual)
 from jdisk.diskgrid import DiskGrid, DiskMap, d_dzbar, make_grid
 from jdisk.errors import GridMismatch
 from jdisk.kobayashi import KobayashiOptions, estimate_distance
@@ -105,13 +105,13 @@ def test_boundary_cells_weighted_by_inside_fraction(op33, g33):
 def test_contour_area_of_every_cut_cell_matches_quadrature(N, r):
     g = make_grid(r, N)
     half, cell = 0.5 * g.h, g.h * g.h
-    cells = list(zip(*np.nonzero(_rim_sets(g)[2])))
-    assert len(cells) >= 4 * (N - 1)
-    for j, k in cells:
-        x0, x1 = g.X[j, k] - half, g.X[j, k] + half
-        y0, y1 = g.Y[j, k] - half, g.Y[j, k] + half
-        got = _region_area(_clipped_cell_pieces(x0, x1, y0, y1, r), r)
-        assert abs(got - overlap_area_oracle(x0, x1, y0, y1, r)) <= 1e-10 * cell, (j, k)
+    cells = _rim_sets(g)[2]
+    assert np.count_nonzero(cells) >= 4 * (N - 1)
+    x, y = g.X[cells], g.Y[cells]
+    areas = _cell_contours(x - half, x + half, y - half, y + half, r).area
+    for x0, y0, got in zip(x - half, y - half, areas):
+        want = overlap_area_oracle(x0, x0 + g.h, y0, y0 + g.h, r)
+        assert abs(got - want) <= 1e-10 * cell, (x0, y0)
 
 
 @pytest.mark.parametrize("box, r", [((-3.0, 3.0, -4.0, 4.0), 5.0),
@@ -125,7 +125,7 @@ def test_a_corner_on_the_circle_is_one_circle_hit(box, r):
     # that only touch the circle, at their corner on it, so they keep
     # nothing; kept whole, they close the box and the arc adds its sector,
     # so the area reads 1 + pi/4
-    got = _region_area(_clipped_cell_pieces(*box, r), r)
+    got = _cell_contours(*box, r).area[0]
     assert abs(got - overlap_area_oracle(*box, r)) <= 1e-12 * r * r
 
 
@@ -157,10 +157,14 @@ def test_rim_columns_and_fractions_do_not_depend_on_the_radius():
     # are those of r = 1
     N = 33
     unit = CGOperator(make_grid(1.0, N))
-    columns = np.unique(unit._rim_correction.indices)
+    def carrying(op):                   # the columns the CSC rim stores entries in
+        return np.flatnonzero(np.diff(op._rim_correction.indptr))
+
+    columns = carrying(unit)
+    assert columns.tolist() == sorted(j * N + k for j, k in carried_cells(make_grid(1.0, N)))
     for r in (1e-7, 0.37, 2.5, 40.0):
         op = CGOperator(make_grid(r, N))
-        assert np.array_equal(np.unique(op._rim_correction.indices), columns), r
+        assert np.array_equal(carrying(op), columns), r
         assert np.max(np.abs(op.conv_frac - unit.conv_frac)) <= 1e-11, r
         assert np.max(np.abs(op.frac - unit.frac)) <= 1e-11, r
 
@@ -248,19 +252,17 @@ def test_rim_columns_match_their_cells_own_integrals(r):
     g = make_grid(r, N)
     op = CGOperator(g)
     trusted, full, _ = _rim_sets(g)
-    rim = op._rim_correction.tocsc()
+    rim = op._rim_correction
     top = np.abs(rim.data).max()
-    nodes, weights = leggauss(cauchygreen._EDGE_GAUSS)
     half, m = 0.5 * g.h, cauchygreen._correction_radius(N)
     for (js, ks), cells in carried_cells(g).items():
         box = np.zeros((N, N), dtype=bool)
         box[max(js - m, 0):js + m + 1, max(ks - m, 0):ks + m + 1] = True
         jt, kt = np.nonzero(trusted & box)
-        pieces = [piece for j, k in cells
-                  for piece in _clipped_cell_pieces(g.X[j, k] - half, g.X[j, k] + half,
-                                                    g.Y[j, k] - half, g.Y[j, k] + half, r)]
-        exact = _clipped_region_integral_many(
-            g.Z[jt, kt], _contour_nodes(pieces, r, nodes, weights)) / np.pi
+        j, k = np.array(sorted(cells)).T
+        x, y = g.X[j, k], g.Y[j, k]
+        contours = _cell_contours(x - half, x + half, y - half, y + half, r)
+        exact = _clipped_region_integral_many(g.Z[jt, kt], contour_of(contours)) / np.pi
         kern = op.kernel[N - 1 + jt - js, N - 1 + kt - ks]
         want = exact - (op.conv_frac[js, ks] - full[js, ks]) * kern
         column = rim[:, js * N + ks]
@@ -270,10 +272,10 @@ def test_rim_columns_match_their_cells_own_integrals(r):
 
 
 def test_build_integrates_one_octant(monkeypatch):
-    # a deterministic work count: the contour rule runs once for the kernel's
-    # cell and once per octant representative of the cut cells, on their
-    # targets within the near radius only (85,937 targets before the far
-    # series took the rest)
+    # a deterministic work count: the contour rule runs once, for the
+    # kernel's cell and every octant representative of the cut cells
+    # together, on their targets within the near radius only (85,937
+    # targets before the far series took the rest)
     calls, targets = [], []
 
     def counting(ds, *args):
@@ -296,7 +298,7 @@ def test_build_integrates_one_octant(monkeypatch):
     assert cauchygreen._NEAR_RADIUS < m + 1           # the near places lie in the box
     CGOperator(g)
     assert octant_cut == 65
-    assert len(calls) == 1 + octant_cut
+    assert len(calls) == 1
     assert sum(targets) == len(near) == 722
 
 
@@ -304,10 +306,10 @@ def test_build_integrates_one_octant(monkeypatch):
 def test_build_frees_each_phase_before_the_next(N, most):
     # the build's live peak in MiB, as numpy reports its buffers to
     # tracemalloc; glibc's resident figure follows it only in part.  It
-    # keeps 9.4 MiB at N = 129 and 69.0 MiB at N = 257, and peaks at 17.8
-    # and 127.3 MiB where the rim's CSR copy sits beside its CSC parts.
-    # A build that holds the representatives' boxes and the assembly's
-    # temporaries through that copy peaks at 26.4 and 199.1 MiB
+    # keeps 9.4 MiB at N = 129 and 69.0 MiB at N = 257, and peaks with its
+    # grid at 17.9 and 126.7 MiB inside the rim assembly, where the rim's
+    # entries, their rows and window places sit beside the representatives'
+    # boxes
     tracemalloc.start()
     try:
         CGOperator(make_grid(1.0, N))
@@ -317,20 +319,28 @@ def test_build_frees_each_phase_before_the_next(N, most):
     assert peak <= most * 2 ** 20
 
 
+def contour_of(contours, i=None):
+    """The nodes and boundary-form coefficients of cell i of a ``_Contours``
+    batch, or of all its cells joined into one contour, as 1-D arrays."""
+    used = (np.arange(len(contours.eta))[:, None] < contours.size).T
+    if i is not None:
+        used[np.arange(len(used)) != i] = False
+    return contours.eta.T[used], contours.coeff.T[used]
+
+
 def _cells_and_integrals(N, r):
     """The build's kernel octant and boxes, with each cell's contour nodes
-    about its own node, built here from its pieces."""
+    about its own node, built here, the origin's cell first, then the
+    representatives'."""
     g = make_grid(r, N)
     trusted, _, cut = _rim_sets(g)
     cuts = cauchygreen._cut_cells(g, cut)
     octant, boxes, _ = cauchygreen._integrals(g, trusted, cuts)
     assert np.array_equal(boxes[1], 1j * boxes[0], equal_nan=True)
     half, c = 0.5 * g.h, (N - 1) // 2
-    gauss = leggauss(cauchygreen._EDGE_GAUSS)
-    cells = [(c, c)] + list(zip(c + cuts.ra, c + cuts.rb))
-    contours = [_contour_nodes(_clipped_cell_pieces(g.X[j, k] - half, g.X[j, k] + half,
-                                                    g.Y[j, k] - half, g.Y[j, k] + half, r),
-                               r, *gauss, g.Z[j, k]) for j, k in cells]
+    j, k = np.concatenate([[c], c + cuts.ra]), np.concatenate([[c], c + cuts.rb])
+    x, y = g.X[j, k], g.Y[j, k]
+    contours = _cell_contours(x - half, x + half, y - half, y + half, r, g.Z[j, k])
     return g, octant, boxes[0], contours
 
 
@@ -345,12 +355,13 @@ def test_far_series_is_the_contour_rule(N, r):
     g, octant, boxes, contours = _cells_and_integrals(N, r)
     h, m = g.h, cauchygreen._correction_radius(N)
     dj, dk = (i[1:] for i in np.tril_indices(N))
-    want = _clipped_region_integral_many(h * (dj + 1j * dk), contours[0]) / np.pi
+    want = _clipped_region_integral_many(h * (dj + 1j * dk), contour_of(contours, 0)) / np.pi
     top = np.abs(want).max()
     assert np.max(np.abs(octant[dj, dk] - want)) <= 1e-15 * top
-    for box, contour in zip(boxes, contours[1:]):
+    for i, box in enumerate(boxes, start=1):
         oj, ok = np.nonzero(np.isfinite(box))
-        want = _clipped_region_integral_many(h * (oj - m - 1 + 1j * (ok - m - 1)), contour) / np.pi
+        want = _clipped_region_integral_many(h * (oj - m - 1 + 1j * (ok - m - 1)),
+                                             contour_of(contours, i)) / np.pi
         assert np.max(np.abs(box[oj, ok] - want)) <= 1e-15 * top
 
 
@@ -365,9 +376,10 @@ def test_both_rules_agree_across_the_near_radius(N):
     assert np.array_equal(np.abs(steps) < cauchygreen._NEAR_RADIUS, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
     ds = g.h * steps
     series = cauchygreen._far_field(1.0 / ds, moments)
-    top = np.abs(_clipped_region_integral_many(np.array([g.h]), contours[0]))[0]
-    for i, contour in enumerate(contours):
-        assert np.max(np.abs(series[i] - _clipped_region_integral_many(ds, contour))) <= 1e-15 * top
+    top = np.abs(_clipped_region_integral_many(np.array([g.h]), contour_of(contours, 0)))[0]
+    for i in range(contours.size.size):
+        exact = _clipped_region_integral_many(ds, contour_of(contours, i))
+        assert np.max(np.abs(series[i] - exact)) <= 1e-15 * top
 
 
 def test_series_terms_and_cell_moments():
@@ -383,9 +395,7 @@ def test_series_terms_and_cell_moments():
     h = 0.25
     x, wx = leggauss(16)
     for x0, centre in ((-h / 2, 0j), (0.0, 0j), (-h / 2, complex(-h / 2, -h / 2))):
-        pieces = _clipped_cell_pieces(x0, x0 + h, x0, x0 + h, 1.0)
-        contour = _contour_nodes(pieces, 1.0, *leggauss(cauchygreen._EDGE_GAUSS), centre)
-        moments = cauchygreen._moments([contour])[:, 0]
+        moments = cauchygreen._moments(_cell_contours(x0, x0 + h, x0, x0 + h, 1.0, centre))[:, 0]
         eta = complex(x0, x0) - centre + 0.5 * h * ((1 + x[:, None]) + 1j * (1 + x[None, :]))
         want = [np.sum(np.outer(wx, wx) * eta ** k) * h * h / 4 for k in range(K)]
         scale = np.abs(eta).max() ** np.arange(K) * h * h
@@ -423,21 +433,36 @@ def rim_reference(g, op, boxes):
         cols.append(np.full(jt.size, js * N + ks, dtype=np.int32))
         vals.append(exact - (op.conv_frac[js, ks] - full[js, ks]) * kern)
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(N * N, N * N)).tocsr()
+                         shape=(N * N, N * N)).tocsc()
 
 
 @pytest.mark.parametrize("N, r", [(9, 1.0), (33, 1.0), (33, 2.5), (65, 2.5), (129, 1.0)])
 def test_rim_assembly_is_the_column_loop_to_the_bit(N, r):
+    # the operator keeps the rim in the CSC form it is assembled in: its
+    # arrays are those of the reference's canonical CSC form
     g = make_grid(r, N)
     trusted, full, cut = _rim_sets(g)
     cuts = cauchygreen._cut_cells(g, cut)
     _, boxes, _ = cauchygreen._integrals(g, trusted, cuts)
     op = CGOperator(g)
     want = rim_reference(g, op, boxes)
-    got = cauchygreen._rim_columns(g, op.kernel, op.conv_frac, full, trusted, cuts, boxes).tocsr()
+    got = cauchygreen._rim_columns(g, op.kernel, op.conv_frac, full, trusted, cuts, boxes)
+    assert got.format == op._rim_correction.format == "csc"
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert getattr(op._rim_correction, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("N", [33, 129])
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_rim_product_is_its_csr_product_to_the_bit(N, r):
+    # csc_matvec adds each row's terms in ascending column order, as
+    # csr_matvec does over the sorted CSR form
+    rim = CGOperator(make_grid(r, N))._rim_correction
+    rng = np.random.default_rng(N)
+    for _ in range(3):
+        x = rng.standard_normal(N * N) + 1j * rng.standard_normal(N * N)
+        assert (rim @ x).tobytes() == (rim.tocsr() @ x).tobytes()
 
 
 def test_an_asymmetric_trusted_set_fails_the_build():

@@ -177,6 +177,21 @@ def test_huge_inputs_end_in_a_report_without_a_warning(argv, code, key, capsys):
         assert report["results"]["unbounded_suspected"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ["disk", "--p", "0,0", "--w", "1e308,1e308"],
+    ["disk", "--p", "0,0", "--w", "1e308,0"],
+    ["disk", "--p", "1e308,1e308", "--q", "0,0"],
+    ["disk", "--structure", "torus-flat", "--p", "1e308,0", "--q", "0,0"],
+])
+def test_huge_matched_data_end_in_a_config_error_without_a_warning(argv, capsys):
+    # a seed, or a seed's derivative, that overflows reads inf or nan,
+    # silently, and the solver's non-finite check refuses it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "config error: map has non-finite values at retained nodes" in capsys.readouterr().err
+
+
 def test_brody_command_flat_torus():
     code, report = run({"command": "brody",
                         "structure": {"name": "torus-flat", "n": 1},

@@ -89,6 +89,27 @@ def test_ring_matrix_is_the_per_node_walk_to_the_byte():
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (N, name)
 
 
+@pytest.mark.parametrize("N", [9, 33, 129])
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_lattice_operators_are_their_coo_builds_to_the_byte(N, r, monkeypatch):
+    # the difference and ring-extension matrices write their canonical CSR
+    # arrays directly; built from COO triplets and sorted by scipy, with the
+    # extension's columns sliced to the interior nodes, they read the same
+    monkeypatch.setattr(diskgrid, "_unit_sets", OrderedDict())
+    g = DiskGrid(r, N)
+    node = np.flatnonzero(g.interior)
+    rows = np.arange(2 * node.size)
+    cols = np.concatenate([node + N, node + 1, node - N, node - 1])
+    vals = np.repeat([0.5 / g.h, -0.5 / g.h], rows.size)
+    diff = sp.coo_matrix((vals, (np.tile(rows, 2), cols)), shape=(rows.size, N * N)).tocsr()
+    ring = ring_matrix_by_walk(DiskGrid(1.0, N))[:, node]
+    for got, want in ((g._difference_matrix(), diff), (g.interior_extension(), ring)):
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("r", [1.0, 0.37])
 def test_one_difference_pair_gives_both_derivatives_to_the_bit(r, n):
