@@ -64,7 +64,7 @@ def _derivative_norms(f: DiskMap) -> np.ndarray:
     if g.r != 1.0:
         rows /= g.r
     norms = np.zeros((g.N, g.N))
-    norms[g.interior] = np.linalg.norm(rows, axis=-1)
+    norms[g.interior] = np.sqrt((rows * rows).sum(axis=-1))
     return norms
 
 
@@ -160,7 +160,7 @@ def brody_reparametrize(f: DiskMap, c: float) -> ReparamResult:
     fresh = make_grid(rho, g.N)
     if swap is None:
         # the scaled lattice has the same mask, so this is lattice to lattice
-        f_tilde = DiskMap(fresh, resample(f, fresh.scaled(t0)).values)
+        f_tilde = resample(f, fresh.scaled(t0)).with_grid(fresh)
     else:
         f_tilde = resample(f, fresh, transform=lambda z: t0 * swap(z))
     s_at_0 = _derivative_at_origin(f_tilde)
@@ -174,14 +174,13 @@ def rescale_step(f: DiskMap):
 
     Returns ``(g, r_n)`` where r_n = |f'(0)| and g(z) = f(z / r_n) on the
     scaled grid of radius r_n.  The scaled lattice maps node-to-node onto
-    the source lattice, so values are copied exactly and |g'(0)| = 1 to
-    machine precision.
+    the source lattice, so g shares f's samples and |g'(0)| = 1 to machine
+    precision.
     """
     r_n = _derivative_at_origin(f)
     if r_n <= 0.0:
         raise ZeroDerivative("map has zero derivative at the origin")
-    g_grid = f.grid.scaled(r_n)
-    return DiskMap(g_grid, f.values), r_n
+    return f.with_grid(f.grid.scaled(r_n)), r_n
 
 
 @dataclass
@@ -253,11 +252,14 @@ def extract_line(J: StructureField, disk_family, R: float, tol: float = 1e-8,
         if cover >= R:
             restricted = resample(gt, window)
             if prev_restrict is not None:
-                # both maps are zero off the window's mask
+                # both maps are zero off the window's mask.  On a torus the
+                # differences wrap by whole periods, d - rint(d); none moves
+                # while all |d| <= 1/2, and rint is odd, so |d| wraps alike
                 diff = restricted.values - prev_restrict.values
-                if J.domain.is_torus:
-                    diff -= np.round(diff)
-                delta = float(np.max(np.abs(diff)))
+                delta = float(np.abs(diff, out=diff).max())
+                if J.domain.is_torus and delta > 0.5:
+                    diff -= np.rint(diff)
+                    delta = float(np.abs(diff, out=diff).max())
                 streak = streak + 1 if delta < tol else 0
             prev_restrict = restricted
             last_restrict = restricted

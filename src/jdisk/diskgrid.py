@@ -8,7 +8,9 @@ boundary ring between the two masks gets its values in one way only:
 ``interior_extension`` extrapolates them linearly from interior nodes.
 Every sup-type diagnostic is taken over the interior mask.  Grids have at
 least 9 nodes per axis, the fewest for which the origin is interior and
-every ring node has an interior source.
+every ring node has an interior source.  Both masks are drawn in index
+space, so they depend on N alone: every grid of one N shares one read-only
+pair of them, and samples move between radii without a copy.
 
 The lattice operators depend on N alone up to a power of r (differences
 scale like 1/r, the ring extension not at all), so one module cache keeps
@@ -17,8 +19,10 @@ the unit-radius operators of a few recent N for grids of every radius.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,29 +30,59 @@ import scipy.sparse as sp
 from .errors import (InvalidGrid, InvalidParams, OutsideDisk,
                      OutsideInterpolationRange)
 
-_MASK_SLACK = 1e-12
-_UNIT_SETS_KEPT = 4      # node counts whose unit-radius operators stay cached
+_UNIT_SETS_KEPT = 4      # node counts whose masks and unit-radius operators stay cached
 _unit_sets: OrderedDict = OrderedDict()
 
 
+@lru_cache(maxsize=_UNIT_SETS_KEPT)
+def _lattice_masks(N: int) -> tuple:
+    """The read-only ``(mask, interior)`` of every grid with N nodes per
+    axis: with c = (N - 1) / 2, node (j, k) is in the disk when
+    (j - c)^2 + (k - c)^2 <= c^2 and interior when it is <= (c - 2)^2, the
+    squared radii r^2 and (r - 2h)^2 in units of h."""
+    c = (N - 1) // 2
+    d = np.arange(N) - c
+    d2 = d[:, None] ** 2 + d[None, :] ** 2
+    masks = d2 <= c * c, d2 <= (c - 2) ** 2
+    for m in masks:
+        m.flags.writeable = False
+    return masks
+
+
 class DiskGrid:
-    """Lattice discretization of the closed disk of radius r; the masks are
-    the same for every r at one N.  It keeps no operators of its own."""
+    """Lattice discretization of the closed disk of radius r; its masks are
+    ``_lattice_masks(N)``, shared read-only by the grids of one N whatever
+    their r.  Its node coordinates ``X``, ``Y``, ``Z`` and ``R2`` are formed
+    on first use.  It keeps no operators of its own."""
 
     def __init__(self, r: float, N: int):
         self.r = float(r)
         self.N = int(N)
         self.h = 2.0 * self.r / (self.N - 1)
         self.xs = np.linspace(-self.r, self.r, self.N)
-        X, Y = np.meshgrid(self.xs, self.xs, indexing="ij")
-        self.X, self.Y = X, Y
-        self.Z = X + 1j * Y
-        self.R2 = X * X + Y * Y
-        rr = self.r * self.r
-        self.mask = self.R2 <= rr * (1.0 + _MASK_SLACK)
-        rin = self.r - 2.0 * self.h
-        self.interior = self.mask & (self.R2 <= rin * rin * (1.0 + _MASK_SLACK))
+        self.mask, self.interior = _lattice_masks(self.N)
         self._center = (self.N - 1) // 2
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        """x at every node."""
+        return np.repeat(self.xs[:, None], self.N, axis=1)
+
+    @cached_property
+    def Y(self) -> np.ndarray:
+        """y at every node."""
+        return np.repeat(self.xs[None, :], self.N, axis=0)
+
+    @cached_property
+    def Z(self) -> np.ndarray:
+        """x + iy at every node."""
+        return self.X + 1j * self.Y
+
+    @cached_property
+    def R2(self) -> np.ndarray:
+        """|z|^2 at every node, X * X + Y * Y to the bit."""
+        x2 = self.xs * self.xs
+        return x2[:, None] + x2[None, :]
 
     @property
     def node_count(self) -> int:
@@ -68,8 +102,8 @@ class DiskGrid:
         return self.N == other.N and abs(self.r - other.r) <= 1e-12 * max(self.r, other.r)
 
     def scaled(self, factor: float) -> "DiskGrid":
-        """Grid with all coordinates multiplied by ``factor``; the retention
-        masks are equal, so node sets correspond one to one."""
+        """Grid with all coordinates multiplied by ``factor``; it shares this
+        grid's masks, so node sets correspond one to one."""
         return make_grid(self.r * factor, self.N)
 
     def unit_operator(self, name: str, build):
@@ -255,6 +289,16 @@ class DiskMap:
         if not np.isfinite(self.values).all():
             raise InvalidParams("map has non-finite values at retained nodes")
 
+    def with_grid(self, grid: DiskGrid) -> "DiskMap":
+        """These samples on ``grid``, a grid of the same N at another radius:
+        the masks are the same, so the validated values are shared, neither
+        copied nor checked again."""
+        if grid.N != self.grid.N:
+            raise InvalidParams(f"samples on N={self.grid.N} cannot move to N={grid.N}")
+        out = copy.copy(self)
+        out.grid = grid
+        return out
+
     def component_complex(self, m: int) -> np.ndarray:
         return self.values[..., 2 * m] + 1j * self.values[..., 2 * m + 1]
 
@@ -324,33 +368,32 @@ def resample(source: DiskMap, grid: DiskGrid, transform=None) -> DiskMap:
     ``grid.scaled(t)``) the map is lattice to lattice and separable:
     ``W V W^T`` per component, W holding the Catmull-Rom weights and node
     snap of ``DiskMap.sample``, equal to its per-point gather to round-off.
-    Nodes whose 4x4 stencil leaves the source disk go through ``sample``
-    itself (bilinear fallback or ``OutsideInterpolationRange``).  Only a
-    ``transform`` (Mobius recentering) gathers every node.
+    The products run over the band of source rows and columns that the
+    stencils reach, the only nonzero columns of W.  Nodes whose 4x4 stencil
+    leaves the source disk go through ``sample`` itself (bilinear fallback
+    or ``OutsideInterpolationRange``).  Only a ``transform`` (Mobius
+    recentering) gathers every node.
     """
     if transform is not None:
         vals = np.zeros((grid.N, grid.N, source.values.shape[-1]))
         vals[grid.mask] = source.sample(transform(grid.Z[grid.mask]), method="cubic")
         return DiskMap(grid, vals)
-    g, N = source.grid, source.grid.N
-    j, s = _axis_cells(g, grid.xs)
-    # padded columns -1..N of the source axis; rows whose stencil needs
-    # them are fallback nodes, so they are cut off below
-    W = np.zeros((grid.N, N + 2))
-    W[np.arange(grid.N)[:, None], j[:, None] + np.arange(4)] = _cr_weights(s).T
+    N, c = source.grid.N, source.grid._center
+    j, s = _axis_cells(source.grid, grid.xs)
+    # the stencils reach source rows b0..b1-1; W is built on the padded
+    # columns b0-1..b1, and a stencil that needs column -1 or N is a
+    # fallback node's, so those two are cut off
+    b0, b1 = max(int(j.min()) - 1, 0), min(int(j.max()) + 3, N)
+    W = np.zeros((grid.N, b1 - b0 + 2))
+    W[np.arange(grid.N)[:, None], (j - b0)[:, None] + np.arange(4)] = _cr_weights(s).T
     W = W[:, 1:-1]
-    vals = (W @ source.values.transpose(2, 0, 1) @ W.T).transpose(1, 2, 0)
-    # the source mask is a convex disk cut to lattice nodes, so a stencil
-    # lies inside it when its four corner nodes do
-    lo, hi = j - 1, j + 2
-    axis_ok = (lo >= 0) & (hi < N)
-    ok = grid.mask & axis_ok[:, None] & axis_ok[None, :]
-    lo, hi = np.clip(lo, 0, N - 1), np.clip(hi, 0, N - 1)
-    for a in (lo, hi):
-        rows = g.mask.take(a, axis=0)
-        for b in (lo, hi):
-            ok &= rows.take(b, axis=1)
-    rest = grid.mask & ~ok
+    band = source.values[b0:b1, b0:b1].transpose(2, 0, 1)
+    vals = (W @ band @ W.T).transpose(1, 2, 0)
+    # the source mask is (a - c)^2 + (b - c)^2 <= c^2, so a stencil lies in
+    # it when its corner farthest from the centre does (one reaching row -1
+    # or N is c + 1 rows out)
+    far = np.maximum((j - 1 - c) ** 2, (j + 2 - c) ** 2)
+    rest = grid.mask & (far[:, None] + far[None, :] > c * c)
     if rest.any():
         vals[rest] = source.sample(grid.Z[rest], method="cubic")
     return DiskMap(grid, vals)
@@ -440,7 +483,7 @@ def node_max(vals: np.ndarray, grid: DiskGrid, sel: np.ndarray):
         return 0.0, 0j
     tied = np.flatnonzero(vals == vals.max())
     nodes = np.flatnonzero(sel)[tied]
-    X, Y = grid.X.ravel()[nodes], grid.Y.ravel()[nodes]
+    X, Y = grid.xs[nodes // grid.N], grid.xs[nodes % grid.N]
     k = np.lexsort((Y, X, grid.R2.ravel()[nodes]))[0]
     return float(vals[tied[k]]), complex(X[k], Y[k])
 

@@ -145,6 +145,17 @@ def test_rescale_step_exact_on_lattice(g129):
     assert np.array_equal(g2.values, unit.values)
 
 
+def test_rescale_step_shares_the_samples_of_f(g129):
+    f = complex_map(g129, lambda z: 3 * z + z ** 2)
+    g, r_n = rescale_step(f)
+    want = DiskMap(f.grid.scaled(r_n), f.values)
+    assert np.shares_memory(g.values, f.values)
+    assert g.grid.r == want.grid.r and g.grid.mask is f.grid.mask
+    assert g.values.tobytes() == want.values.tobytes()
+    with pytest.raises(InvalidParams, match="N=129"):
+        f.with_grid(make_grid(1.0, 65))
+
+
 def test_rescale_step_rejects_constant(g129):
     const = complex_map(g129, lambda z: np.full_like(z, 0.2 + 0.1j))
     with pytest.raises(ZeroDerivative):
@@ -229,6 +240,24 @@ def test_extract_line_streak_is_a_constant_not_an_option():
     with pytest.raises(TypeError):
         extract_line(J, dilation_family(make_grid(1.0, 33)), R=2.0, tol=1e-10, n_max=8,
                      consecutive=1)
+
+
+@pytest.mark.parametrize("shift", [0.3, 0.5, 0.51, 0.7, 1.0, 2.6])
+def test_extract_line_wraps_torus_window_deltas_by_whole_periods(shift):
+    # the n-th dilation moved by n * shift along the first axis: each window
+    # delta is the shift, reduced to within half a period on the torus
+    g = make_grid(1.0, 33)
+
+    def moved():
+        for n, f in enumerate(dilation_family(g, base=4.0, factor=2.0, count=4)):
+            vals = f.values.copy()
+            vals[..., 0] += n * shift
+            yield DiskMap(g, vals)
+
+    for name, want in (("torus-flat", abs(shift - round(shift))), ("standard", shift)):
+        rep = extract_line(gallery(name, n=1), moved(), R=2.0, tol=1e-10, n_max=4)
+        assert rep.deltas[0] is None
+        assert rep.deltas[1:] == pytest.approx([want] * 3, abs=1e-12)
 
 
 def test_extract_line_perturbed_torus_ladder():

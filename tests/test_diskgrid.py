@@ -353,6 +353,54 @@ def test_lattice_resample_matches_the_per_point_gather(N):
     assert fallback > 0
 
 
+def dense_lattice_resample(source, grid):
+    """The lattice-to-lattice resample as the full ``W V W^T``, W holding a
+    column for every source node, with the nodes whose stencil leaves the
+    source disk gathered by ``sample``; also their count."""
+    g, N = source.grid, source.grid.N
+    j, s = diskgrid._axis_cells(g, grid.xs)
+    W = np.zeros((grid.N, N + 2))
+    W[np.arange(grid.N)[:, None], j[:, None] + np.arange(4)] = diskgrid._cr_weights(s).T
+    W = W[:, 1:-1]
+    vals = (W @ source.values.transpose(2, 0, 1) @ W.T).transpose(1, 2, 0)
+    lo, hi = j - 1, j + 2
+    axis_ok = (lo >= 0) & (hi < N)
+    ok = grid.mask & axis_ok[:, None] & axis_ok[None, :]
+    lo, hi = np.clip(lo, 0, N - 1), np.clip(hi, 0, N - 1)
+    for a in (lo, hi):
+        for b in (lo, hi):
+            ok &= g.mask[np.ix_(a, b)]
+    rest = grid.mask & ~ok
+    if rest.any():
+        vals[rest] = source.sample(grid.Z[rest], method="cubic")
+    return np.where(grid.mask[..., None], vals, 0.0), int(rest.sum())
+
+
+@pytest.mark.parametrize("N", [9, 33, 129])
+def test_banded_resample_at_the_edges_of_its_band(N):
+    r = 1.3
+    m = nonlinear_map(make_grid(r, N))
+    g, h = m.grid, m.grid.h
+    scale = np.max(np.abs(m.values))
+    # scalings close to 1 clip the band at source rows 0 and N - 1; tiny
+    # windows reach 4, 5 and 6 rows; windows near the rim have fallback nodes
+    targets = [g.scaled(1.0 - f * h / r) for f in (1.01, 1.5, 1.99)]
+    targets += [make_grid(R, N) for R in (1e-12 * h, 0.5 * h, h, r - 2 * h, r - 1.5 * h)]
+    bands, fallback = [], []
+    for w in targets:
+        j, _ = diskgrid._axis_cells(g, w.xs)
+        bands.append((max(j.min() - 1, 0), min(j.max() + 3, N)))
+        got = resample(m, w).values
+        oracle = m.sample(w.Z[w.mask], method="cubic")
+        assert np.max(np.abs(got[w.mask] - oracle)) <= 1e-14 * scale
+        dense, rest = dense_lattice_resample(m, w)
+        assert np.max(np.abs(got - dense)) <= 1e-15 * scale
+        fallback.append(rest)
+    assert bands[:3] == [(0, N)] * 3
+    assert [b1 - b0 for b0, b1 in bands[3:6]] == [4, 5, 6]
+    assert all(fallback[:3]) and all(fallback[6:]) and not any(fallback[3:6])
+
+
 @pytest.mark.parametrize("N", [33, 65, 129])
 def test_lattice_resample_and_gather_both_reject_a_target_of_the_source_radius(N):
     m = nonlinear_map(make_grid(1.3, N))
@@ -501,9 +549,46 @@ def test_scaled_grid_shares_masks():
     g = make_grid(1.0, 33)
     g5 = g.scaled(5.0)
     assert g5.r == 5.0
-    assert np.array_equal(g5.mask, g.mask)
-    assert np.array_equal(g5.interior, g.interior)
+    assert g5.mask is g.mask and g5.interior is g.interior
     assert np.allclose(g5.nodes(g5.mask), 5.0 * g.nodes(g.mask))
+
+
+def float_masks(r, N):
+    """The masks drawn from node coordinates: |z|^2 against r^2 and
+    (r - 2h)^2, each with a relative slack of 1e-12."""
+    xs = np.linspace(-r, r, N)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    R2 = X * X + Y * Y
+    rin = r - 2.0 * (2.0 * r / (N - 1))
+    mask = R2 <= r * r * (1.0 + 1e-12)
+    return mask, mask & (R2 <= rin * rin * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("r", [1e-7, 0.37, 1.0, 2.0, 4.5, 36.0, 1e5])
+def test_index_space_masks_are_the_float_masks(r):
+    for N in [*range(9, 260, 2), 513, 1025]:
+        g = make_grid(r, N)
+        mask, interior = float_masks(r, N)
+        assert np.array_equal(g.mask, mask), N
+        assert np.array_equal(g.interior, interior), N
+
+
+@pytest.mark.parametrize("r, N", [(1.0, 9), (0.37, 33), (40.0, 129)])
+def test_node_coordinates_are_the_meshgrid_coordinates_to_the_bit(r, N):
+    g = make_grid(r, N)
+    X, Y = np.meshgrid(np.linspace(-r, r, N), np.linspace(-r, r, N), indexing="ij")
+    for got, want in ((g.X, X), (g.Y, Y), (g.Z, X + 1j * Y), (g.R2, X * X + Y * Y)):
+        assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_grids_of_one_node_count_share_read_only_masks():
+    g = make_grid(1.0, 33)
+    for other in (make_grid(0.37, 33), make_grid(40.0, 33), g.scaled(1e-3), DiskGrid(2.0, 33)):
+        assert other.mask is g.mask and other.interior is g.interior
+    for m in (g.mask, g.interior):
+        with pytest.raises(ValueError):
+            m[16, 16] = False
+    assert g.mask[16, 16] and g.interior[16, 16]
 
 
 def test_csv_round_trip(grid33):
