@@ -297,7 +297,7 @@ def dilation_family(grid: DiskGrid, n: int = 1, base: float = 4.0,
 
 def derivative_ladder_family(J: StructureField, p, nu, lambdas,
                              cfg: SolverConfig, grid: DiskGrid):
-    """Solved disks through p with derivative lambda * nu for each lambda."""
+    """Solved unit disks through p with derivative lambda * nu for each lambda."""
     p = np.asarray(p, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
     for lam in lambdas:

@@ -67,7 +67,6 @@ the resident size of its imports.
 
 from __future__ import annotations
 
-import copy
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +76,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft, fft2, ifft, next_fast_len
 
 from .diskgrid import DiskGrid, DiskMap, interior_wirtinger
-from .errors import GridMismatch
+from .errors import GridMismatch, InvalidGrid
 
 _EDGE_GAUSS = 24       # quadrature points per contour piece
 # A target fewer than _NEAR_RADIUS lattice steps from a cell's centre c
@@ -453,17 +452,14 @@ def _rim_columns(grid: DiskGrid, kernel, conv_frac, full, trusted, cuts: _CutCel
 
 
 class CGOperator:
-    """Precomputed quadrature for the solid Cauchy transform at one N.
+    """Precomputed quadrature for the solid Cauchy transform on one grid.
 
-    The transform scales linearly with the radius: ``cg_build`` builds it
-    once per N at unit radius and gives a grid of radius r a view that
-    shares every array and multiplies results by r, within 1e-14 to 1e-13
-    relative of a fresh build at r.  It keeps ``N``, ``r`` and ``mask``,
-    never a grid."""
+    A build at radius r is r times the unit one, within 1e-14 to 1e-13
+    relative, so solves use the unit operator alone (``cg_build``).  It
+    keeps ``N``, ``r`` and ``mask``, never a grid."""
 
     def __init__(self, grid: DiskGrid):
         self.N, self.r, self.mask = grid.N, grid.r, grid.mask
-        self._scale = 1.0
         N = grid.N
         trusted, full, cut = _rim_sets(grid)
         cuts = _cut_cells(grid, cut)
@@ -500,21 +496,17 @@ class CGOperator:
         rows = ifft(spec, axis=0, overwrite_x=True)[N - 1:2 * N - 1]
         out = ifft(rows, axis=1, overwrite_x=True)[:, N - 1:2 * N - 1]
         out += (self._rim_correction @ raw.ravel()).reshape(N, N)
-        if self._scale != 1.0:
-            out *= self._scale
         return np.where(self.mask, out, 0.0)
 
 
 def cg_build(grid: DiskGrid) -> CGOperator:
-    """The transform operator for a grid: the unit-radius operator of its N,
-    built on first use (``DiskGrid.unit_operator``), or a view of it scaled
-    to the grid's radius, which runs no build."""
-    unit = grid.unit_operator("cg", CGOperator)
-    if grid.r == 1.0:
-        return unit
-    view = copy.copy(unit)
-    view.r = view._scale = grid.r
-    return view
+    """The transform operator of a unit-disk grid, built once per N
+    (``DiskGrid.unit_operator``).  Another radius raises ``InvalidGrid``: a
+    solve at radius r and node t is the unit solve at node t / r, but for a
+    residual per unit of parameter that scales as 1 / r."""
+    if grid.r != 1.0:
+        raise InvalidGrid(f"disks are solved on the unit disk, got a grid of radius {grid.r!r}")
+    return grid.unit_operator("cg", CGOperator)
 
 
 def cg_apply(op: CGOperator, phi):

@@ -136,8 +136,7 @@ _TABLE = {
         "epsilon": _Key(_float, _arg_default(gallery, "epsilon")),
         "radius": _Key(_float),   # None: the unbounded chart
     },
-    "grid": {"N": _Key(_int, KobayashiOptions.grid_n, most=1025),
-             "r": _Key(_float, KobayashiOptions.grid_r)},
+    "grid": {"N": _Key(_int, KobayashiOptions.grid_n, most=1025)},
     # set with --cfg KEY=VALUE
     "solver": {f.name: _Key({int: _int, float: _float}[type(f.default)], f.default, None)
                for f in dataclasses.fields(SolverConfig)},
@@ -310,7 +309,7 @@ def _cmd_disk(config, J, grid, cfg):
 def _cmd_distance(config, J, grid, cfg):
     params = config["params"]
     opts = KobayashiOptions(k_max=params["k_max"], t_grid=tuple(params["t_grid"]),
-                            cfg=cfg, grid_n=grid.N, grid_r=grid.r)
+                            cfg=cfg, grid_n=grid.N)
     est = estimate_distance(J, params["p"], params["q"], opts)
     return {
         "upper": est.upper,
@@ -481,7 +480,7 @@ def run(config: dict):
             radius = math.inf if s["radius"] is None else s["radius"]
             built["J"] = gallery(**{**s, "radius": radius})
         if "grid" in config:
-            built["grid"] = make_grid(config["grid"]["r"], config["grid"]["N"])
+            built["grid"] = make_grid(1.0, config["grid"]["N"])
         if "solver" in config:
             built["cfg"] = SolverConfig(**config["solver"])
         if "seed" in config:
@@ -517,7 +516,8 @@ def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="jdisk", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for command in _COMMANDS:
-        sp = sub.add_parser(command)
+        # no abbreviations, so a deleted flag (--r) never reads as another (--radius)
+        sp = sub.add_parser(command, allow_abbrev=False)
         sp.add_argument("--config", help="JSON config file; flags given with it overlay it")
         table = _command_table(command)
         if "solver" in table:

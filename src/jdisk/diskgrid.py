@@ -14,7 +14,8 @@ pair of them, and samples move between radii without a copy.
 
 The lattice operators depend on N alone up to a power of r (differences
 scale like 1/r, the ring extension not at all), so one module cache keeps
-the unit-radius operators of a few recent N for grids of every radius.
+the unit-radius operators of a few recent N for grids of every radius;
+its Cauchy transform serves unit-disk grids alone (``cauchygreen.cg_build``).
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class DiskGrid:
     def unit_operator(self, name: str, build):
         """The operator ``name`` of the unit-radius grid with this N, made by
         ``build(unit_grid)`` on first use and shared by every grid of that N;
-        the cache holds no grid, and callers scale results to their r.  An N
-        keeps one entry per operator: ``"diff"``, ``"ring_interior"``, ``"cg"``."""
+        the cache holds no grid.  An N keeps one entry per operator: ``"diff"``,
+        whose products a grid divides by its r, ``"ring_interior"`` and ``"cg"``."""
         ops = _unit_sets.pop(self.N, None) or {}
         _unit_sets[self.N] = ops
         while len(_unit_sets) > _UNIT_SETS_KEPT:

@@ -24,7 +24,7 @@ class Singular(JDiskError):
 
 
 class InvalidGrid(JDiskError):
-    """Grid construction rejected (even node count, too few nodes, bad radius)."""
+    """Grid rejected: a bad node count or radius, or a disk solve off the unit disk."""
 
 
 class OutsideDisk(JDiskError):

@@ -2,14 +2,14 @@
 
 A chain joins two points through waypoints, each consecutive pair realized
 by a solved disk evaluated at source parameter 0 and target parameter
-b = t.  A link's cost is the hyperbolic distance between the parameters in
-the disk it was solved on, arctanh(t / r) for radius r, so the total cost
-of any certified chain is an upper bound on the pseudo-distance by
-definition (Kobayashi, Hyperbolic Complex Spaces, 1998).  The search
+b = t.  Every disk is solved on the unit disk, so a link's cost is the
+hyperbolic distance between the parameters there, arctanh(t), and the
+total cost of any certified chain is an upper bound on the pseudo-distance
+by definition (Kobayashi, Hyperbolic Complex Spaces, 1998).  The search
 explores waypoints equally spaced along the chart segment (shortest
 lattice representative on a torus) and sweeps the interpolation node t per
 link, keeping the cheapest chain found.  Every link costs at least
-arctanh(t_min / r), so a k-link chain costs at least k arctanh(t_min / r);
+arctanh(t_min), so a k-link chain costs at least k arctanh(t_min);
 the search solves links best first on this bound (A*, Hart, Nilsson and
 Raphael, IEEE Trans. SSC 4 (1968) 100), never solves one whose bound is
 above the optimum, and returns the chain the full search would.  The returned
@@ -46,9 +46,8 @@ class ChainLink:
 
     @property
     def cost(self) -> float:
-        """Hyperbolic distance from 0 to ``b`` = t in the disk of the link's
-        own radius r, arctanh(t / r)."""
-        return poincare_distance(0, self.b, r=self.disk.v.grid.r)
+        """Hyperbolic distance from 0 to ``b`` = t in the unit disk, arctanh(t)."""
+        return poincare_distance(0, self.b)
 
 
 @dataclass
@@ -104,15 +103,15 @@ class BoundReport:
 @dataclass
 class KobayashiOptions:
     """``estimate_distance``'s search: at most ``k_max`` links, each tried at
-    the distinct ``t_grid`` nodes and solved with ``cfg`` on ``make_grid(grid_r,
-    grid_n)``.  ``residual_cap``, the constant ``solver._RESIDUAL_CAP``, stays
-    only for the benchmark's distance check (``perfbench/workloads.py``)."""
+    the distinct ``t_grid`` nodes and solved with ``cfg`` on the unit disk
+    ``make_grid(1.0, grid_n)``.  ``residual_cap``, the constant
+    ``solver._RESIDUAL_CAP``, stays only for the benchmark's distance check
+    (``perfbench/workloads.py``)."""
 
     k_max: int = 3
     t_grid: tuple = (0.05, 0.1, 0.25, 0.5)
     cfg: SolverConfig = field(default_factory=SolverConfig)
     grid_n: int = 33
-    grid_r: float = 1.0
     residual_cap = _RESIDUAL_CAP
 
     def __post_init__(self):
@@ -175,8 +174,8 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     """Cheapest certified chain joining p and q.
 
     ``upper`` is the cost of the returned chain, whatever the search
-    pruned; a link accepted at node t costs arctanh(t / r), its hyperbolic
-    length in the disk of the search grid's radius r = ``grid_r``.  What is
+    pruned; a link accepted at node t costs arctanh(t), its hyperbolic
+    length in the unit disk the search solves on.  What is
     certified is the chain of *discretized* disks: every accepted link
     passes the gates of ``_attempt``, which read its residual and image at
     the grid nodes and its target endpoint by bilinear interpolation at t.
@@ -196,7 +195,7 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     is built link by link, each link at the smallest node whose disk
     passes, and its next solve, link i at node t, has the lower bound
     ``lower``: the accepted links' costs, t's cost and k - i - 1 copies of
-    f = arctanh(t_min / r), the least cost of a link, summed in the order of
+    f = arctanh(t_min), the least cost of a link, summed in the order of
     ``Chain.total_cost``.  No chain completed from there costs less.  One
     such state per k waits in a heap keyed by (lower, k); each step solves
     the smallest state's link and pushes its successor, and k + 1 starts
@@ -214,7 +213,7 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
     if dom.point_gap(p, q) == 0.0:
         return DistanceEstimate(Chain([], dom), [])
 
-    grid = make_grid(opts.grid_r, opts.grid_n)
+    grid = make_grid(1.0, opts.grid_n)
     for t in opts.t_grid:
         check_node(t, grid)
     t_values = sorted(set(opts.t_grid))
@@ -222,7 +221,7 @@ def estimate_distance(J: StructureField, p, q, opts: KobayashiOptions | None = N
 
     # a link accepted at node t costs cost_t, the same float ChainLink.cost
     # gives, and no link costs less than f, the cost of the smallest node
-    costs = [poincare_distance(0, complex(t, 0.0), r=grid.r) for t in t_values]
+    costs = [poincare_distance(0, complex(t, 0.0)) for t in t_values]
     f = costs[0]
 
     def lower(k, i, j, prefix):

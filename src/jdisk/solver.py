@@ -175,7 +175,7 @@ def cr_residual(J: StructureField, v: DiskMap) -> float:
 
 def affine_target(p: np.ndarray, q: np.ndarray, t: float, grid: DiskGrid) -> DiskMap:
     """The affine disk h(z) = p + (z/t)(q - p), h(0) = p and h(t) = q, for a
-    point 0 < t < r of the grid's disk (``check_node`` bounds matched solves)."""
+    point 0 < t < r of the grid's disk (``check_node`` bounds matched solves, at r = 1)."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if not 0.0 < t < grid.r:
@@ -334,8 +334,8 @@ def _point(J: StructureField, name: str, x) -> np.ndarray:
 def check_node(t: float, grid: DiskGrid) -> None:
     """Raise ``InvalidParams`` unless ``two_point_disk`` can match a point
     at z = t on ``grid``: 2e-9 h <= t < r - h (1 + 2e-9), r and h the grid's
-    radius and step.  The bound scales with the grid, so on r > 1 a node
-    t >= 1 is valid."""
+    radius and step.  Matched solves take the unit disk alone (``cg_build``),
+    so there a node lies in 2e-9 h <= t < 1 - h."""
     # sampling snaps t onto a node from within 1e-9 h plus the round-off of
     # (t + r) / h, so t stays 2e-9 h clear of the origin, where v(t) would
     # read v(0), and of r - h, whose bilinear cell has a corner off the disk

@@ -36,9 +36,9 @@ def cmul(z, v):
 
 def cell_weight(op, dj, dk):
     """The weight ``op`` gives a unit-fraction source cell at index offset
-    (dj, dk), target minus source: its kernel entry times its radius scale."""
+    (dj, dk), target minus source: its kernel entry."""
     N = op.N
-    return op._scale * complex(op.kernel[N - 1 + dj, N - 1 + dk])
+    return complex(op.kernel[N - 1 + dj, N - 1 + dk])
 
 
 def lattice_difference_matrix(g, axis):

@@ -15,7 +15,7 @@ from jdisk.cauchygreen import (_NEAREST, CGOperator, _cell_contours,
                                _clipped_region_integral_many, _rim_sets, cg_apply, cg_build,
                                cg_residual)
 from jdisk.diskgrid import DiskGrid, DiskMap, d_dzbar, make_grid
-from jdisk.errors import GridMismatch
+from jdisk.errors import GridMismatch, InvalidGrid
 from jdisk.kobayashi import KobayashiOptions, estimate_distance
 from jdisk.structure import gallery
 
@@ -512,7 +512,7 @@ def test_transform_matches_dense_row_summation():
 def test_pruned_apply_is_the_full_padded_convolution(N, r):
     # apply_complex transforms only the rows the density fills and the rows
     # it reads; the unpruned padded convolution gives the same to round-off
-    op = cg_build(make_grid(r, N))
+    op = CGOperator(make_grid(r, N))
     rng = np.random.default_rng(N)
     phi = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     phi[~op.mask] = np.nan                     # off the disk it is never read
@@ -521,7 +521,7 @@ def test_pruned_apply_is_the_full_padded_convolution(N, r):
     conv = ifft2(fft2(op.conv_frac * raw, s=(M, M)) * op._kernel_fft)
     bulk = conv[N - 1:2 * N - 1, N - 1:2 * N - 1]
     rim = (op._rim_correction @ raw.ravel()).reshape(N, N)
-    want = np.where(op.mask, (bulk + rim) * r, 0.0)
+    want = np.where(op.mask, bulk + rim, 0.0)
     got = op.apply_complex(phi)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.all(got[~op.mask] == 0.0)
@@ -529,7 +529,7 @@ def test_pruned_apply_is_the_full_padded_convolution(N, r):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_apply_reads_every_memory_layout_to_the_bit(n):
-    g = make_grid(2.5, 33)
+    g = make_grid(1.0, 33)
     op = cg_build(g)
     vals = np.random.default_rng(n).standard_normal((33, 33, 2 * n))
     want = cg_apply(op, vals)
@@ -645,6 +645,8 @@ def test_grid_mismatch_rejected(op33, grid65):
     phi = complex_map(grid65, lambda z: z)
     with pytest.raises(GridMismatch):
         cg_apply(op33, phi)
+    with pytest.raises(GridMismatch):
+        cg_apply(op33, complex_map(make_grid(2.5, 33), lambda z: z))
 
 
 def test_built_grid_is_freed_without_a_cycle_collection():
@@ -663,11 +665,11 @@ def test_built_grid_is_freed_without_a_cycle_collection():
 
 @pytest.mark.parametrize("N", [9, 33, 65])
 def test_shared_operator_at_unit_radius_is_a_fresh_build(N, monkeypatch):
-    # the shared operator is first asked for by a grid of another radius,
-    # so it is built on a temporary unit grid; a fresh build on a caller's
-    # unit grid must match it bit for bit
+    # the shared operator is first asked for through a grid of another
+    # radius, so it is built on a temporary unit grid; a fresh build on a
+    # caller's unit grid must match it bit for bit
     monkeypatch.setattr(diskgrid, "_unit_sets", OrderedDict())
-    cg_build(make_grid(2.5, N))
+    make_grid(2.5, N).unit_operator("cg", CGOperator)
     g = make_grid(1.0, N)
     shared, fresh = cg_build(g), CGOperator(g)
     assert shared is cg_build(make_grid(1.0, N))
@@ -681,22 +683,25 @@ def test_shared_operator_at_unit_radius_is_a_fresh_build(N, monkeypatch):
 @pytest.mark.parametrize("N", [33, 65])
 @pytest.mark.parametrize("r", [0.37, 2.5, 40.0])
 def test_scaled_operator_matches_a_fresh_build(N, r):
-    g = make_grid(r, N)
-    op = cg_build(g)
-    assert op.r == r and op.kernel is cg_build(make_grid(1.0, N)).kernel
-    fresh = CGOperator(g)
-    phi = complex_map(g, lambda z: np.exp(z / r) + 1j * (z / r).conj() ** 2)
-    got, want = cg_apply(op, phi).values, cg_apply(fresh, phi).values
+    # the transform of one density's samples at radius r is r times its
+    # unit transform, so the radius is no parameter of a solve: cg_build
+    # refuses every grid but the unit disk's
+    g, unit = make_grid(r, N), make_grid(1.0, N)
+    with pytest.raises(InvalidGrid):
+        cg_build(g)
+    op, fresh = cg_build(unit), CGOperator(g)
+    assert fresh.r == r and op.r == 1.0
+    phi = complex_map(unit, lambda z: np.exp(z) + 1j * z.conj() ** 2)
+    got = r * cg_apply(op, phi).values
+    want = cg_apply(fresh, DiskMap(g, phi.values)).values
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
-    assert cell_weight(op, 3, -1) == pytest.approx(cell_weight(fresh, 3, -1), rel=1e-13)
+    assert r * cell_weight(op, 3, -1) == pytest.approx(cell_weight(fresh, 3, -1), rel=1e-13)
 
 
 def test_scaled_operator_rejects_another_radius():
-    op = cg_build(make_grid(2.5, 33))
+    op = CGOperator(make_grid(2.5, 33))
     with pytest.raises(GridMismatch):
         cg_apply(op, complex_map(make_grid(1.0, 33), lambda z: z))
-    with pytest.raises(GridMismatch):
-        cg_apply(cg_build(make_grid(1.0, 33)), complex_map(make_grid(2.5, 33), lambda z: z))
 
 
 def test_second_distance_estimate_builds_no_operator(monkeypatch):

@@ -42,7 +42,7 @@ def test_disk_command_affine_case(tmp_path):
     csv_path = tmp_path / "disk.csv"
     code, report = run({"command": "disk",
                         "structure": {"name": "standard", "n": 1},
-                        "grid": {"N": 33, "r": 1.0},
+                        "grid": {"N": 33},
                         "params": {"p": [0.0, 0.0], "q": [0.2, 0.0], "t": 0.5},
                         "output": {"csv": str(csv_path)}})
     assert code == 0
@@ -67,7 +67,7 @@ def test_disk_command_echoes_the_node_it_solved_at():
 def test_disk_command_derivative_mode():
     code, report = run({"command": "disk",
                         "structure": {"name": "conjugated", "n": 1, "epsilon": 0.1},
-                        "grid": {"N": 33, "r": 1.0},
+                        "grid": {"N": 33},
                         "solver": {"epsilon": 0.05},
                         "params": {"p": [0.0, 0.0], "w": [0.2, 0.0]}})
     assert code == 0
@@ -95,30 +95,6 @@ def test_distance_command_reports_pruned_attempts():
     f = results["upper"]
     assert results["search_log"] == [[1, 0.05, f]]
     assert results["pruned"] == [[2, 0, 0.05, f + f]]
-
-
-@pytest.mark.parametrize("r, t_grid", [("0.5", "0.05,0.1,0.15,0.2,0.25,0.4"),
-                                       ("2", "0.1,0.2,0.3,0.4,0.5,0.6")])
-def test_distance_command_measures_link_costs_in_the_grid_radius(r, t_grid, capsys):
-    # the unit-ball distance from 0 to 0.3 is arctanh(0.3) at every grid radius
-    assert main(["distance", "--structure", "standard", "--radius", "1", "--r", r,
-                 "--p", "0,0", "--q", "0.3,0", "--t-grid", t_grid, "--k-max", "1"]) == 0
-    results = json.loads(capsys.readouterr().out)["results"]
-    assert abs(results["upper"] - math.atanh(0.3)) <= 1e-15
-    assert [link["cost"] for link in results["links"]] == [results["upper"]]
-
-
-def test_nodes_beyond_one_on_a_wide_grid_run(capsys):
-    # t is bounded by r - h of the grid, not by 1
-    assert main(["distance", "--structure", "standard", "--r", "2.5", "--p", "0,0",
-                 "--q", "0.3,0", "--t-grid", "1.5", "--k-max", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["results"]["upper"] == \
-        pytest.approx(math.atanh(0.6), abs=1e-15)
-    assert main(["disk", "--structure", "conjugated", "--r", "2.5", "--p", "0,0",
-                 "--q", "0.3,0.1", "--t", "1.5"]) == 0
-    endpoints = json.loads(capsys.readouterr().out)["results"]["endpoints"]
-    # matching holds to round-off, as in the library's own test
-    assert endpoints["value_at_t"] == pytest.approx([0.3, 0.1], abs=1e-14)
 
 
 def test_validate_command_at_the_largest_dimension(capsys):
@@ -195,7 +171,7 @@ def test_huge_matched_data_end_in_a_config_error_without_a_warning(argv, capsys)
 def test_brody_command_flat_torus():
     code, report = run({"command": "brody",
                         "structure": {"name": "torus-flat", "n": 1},
-                        "grid": {"N": 33, "r": 1.0},
+                        "grid": {"N": 33},
                         "params": {"family": {"kind": "dilations", "base": 4.0},
                                    "R": 2.0, "tol": 1e-10, "n_max": 6}})
     assert code == 0
@@ -294,7 +270,7 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
     ["brody", "--structure", "torus-flat", "--csv", "missing_dir/l.csv"],
     ["validate", "--N", "100001"],
     ["validate", "--n", "100000"],
-    ["validate", "--r", "1e-170"],
+    ["validate", "--config", {"grid": {"N": 33, "r": 1e-170}}],
     ["validate", "--samples", "1000000000"],
     ["validate", "--samples", "0"],
     ["disk", "--p", "0,0", "--q", "0.2,0", "--w", "0.2,0"],
@@ -312,7 +288,7 @@ _DISTANCE = {"p": [0, 0], "q": [0.3, 0]}
     ["disk", "--p", "0,0", "--q", "0.2,0", "--cfg", "divergence_window=5"],
     ["distance", "--p", "0,0", "--q", "0.1,0", "--N", "9", "--t-grid", "0.5,0.75", "--k-max", "1"],
     ["distance", "--config", {"params": dict(_DISTANCE, residual_cap=-1)}],
-    ["disk", "--p", "0,0", "--q", "0.3,0.1", "--r", "2.5", "--t", "2.45"],
+    ["disk", "--p", "0,0", "--q", "0.3,0.1", "--t", "0.95"],
     ["disk", "--p", "0,0", "--w", "0.1,0", "--t", "0.3"],
 ])
 def test_main_bad_input_exits_2(argv, tmp_path, monkeypatch, capsys):
@@ -422,11 +398,11 @@ def test_flags_overlay_config_file(tmp_path):
 # the sections of each command's config, in echo order, the objects run()
 # builds for it, and the settable leaves of its table besides ``command``
 _READS = {
-    "validate": (["structure", "grid", "params", "output", "seed"], {"J", "grid", "rng"}, 9),
-    "disk": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 15),
-    "distance": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 14),
-    "bound": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 14),
-    "brody": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 15),
+    "validate": (["structure", "grid", "params", "output", "seed"], {"J", "grid", "rng"}, 8),
+    "disk": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 14),
+    "distance": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 13),
+    "bound": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 13),
+    "brody": (["structure", "grid", "solver", "params", "output"], {"J", "grid", "cfg"}, 14),
     "selftest": (["params", "output", "seed"], {"rng"}, 2),
 }
 _MINIMAL_PARAMS = {"disk": _DISK, "distance": _DISTANCE, "bound": {"p": [0, 0]}}
@@ -463,8 +439,21 @@ def test_each_command_echoes_exactly_the_keys_it_reads(command, monkeypatch):
     assert _leaves(table) - 1 == leaves
 
 
-def test_settable_values_total_69():
-    assert sum(_leaves(cli._command_table(c)) - 1 for c in cli._COMMANDS) == 69
+def test_settable_values_total_64():
+    assert sum(_leaves(cli._command_table(c)) - 1 for c in cli._COMMANDS) == 64
+
+
+@pytest.mark.parametrize("command", ["validate", "disk", "distance", "bound", "brody"])
+def test_the_grid_radius_is_no_setting(command, tmp_path, monkeypatch, capsys):
+    # every disk is solved on the unit disk: neither the flag --r (not even
+    # as an abbreviation of --radius) nor the config key grid.r exists
+    monkeypatch.chdir(tmp_path)
+    config = {"grid": {"N": 33, "r": 2}, "params": _MINIMAL_PARAMS.get(command, {})}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main([command, "--r", "2"]) == 2
+    assert "unrecognized arguments: --r 2" in capsys.readouterr().err
+    assert main([command, "--config", "config.json"]) == 2
+    assert capsys.readouterr().err == "config error: unknown keys in 'grid': ['r']\n"
 
 
 def test_selftest_builds_nothing_from_its_config(monkeypatch, capsys):

@@ -61,21 +61,6 @@ def test_flat_chart_bound_shrinks_with_t(J_std):
     validate_chain(est.best_chain)
 
 
-@pytest.mark.parametrize("grid_r, t_grid", [(0.5, (0.05, 0.1, 0.15, 0.2, 0.25, 0.4)),
-                                             (2.0, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6))])
-def test_link_cost_is_measured_in_the_radius_of_its_disk(grid_r, t_grid):
-    # in the unit ball the pseudo-distance from 0 to 0.3 is arctanh(0.3); the
-    # affine disk of radius r through both points stays in the ball from
-    # t = 0.3 r on, where its cost arctanh(t / r) attains that distance
-    J = gallery("standard", radius=1.0)
-    est = estimate_distance(J, np.zeros(2), np.array([0.3, 0.0]),
-                            KobayashiOptions(k_max=1, grid_r=grid_r, t_grid=t_grid))
-    assert abs(est.upper - np.arctanh(0.3)) <= 1e-15
-    (link,) = est.best_chain.links
-    assert link.b == pytest.approx(0.3 * grid_r)
-    assert link.cost == est.upper == chain_cost(est.best_chain)
-
-
 def test_monotone_in_search_breadth(J_std):
     p, q = np.zeros(2), np.array([0.4, 0.2])
     coarse = estimate_distance(J_std, p, q, quick_opts(t_grid=(0.5, 0.25), k_max=1))
@@ -103,7 +88,7 @@ def test_search_log_records_attempts(J_std):
 
 def _exhaustive_search(J, p, q, opts):
     """The chain search without pruning: every (k, link, t) attempt is solved."""
-    dom, grid = J.domain, make_grid(opts.grid_r, opts.grid_n)
+    dom, grid = J.domain, make_grid(1.0, opts.grid_n)
     delta = dom.shortest_delta(p, q)
     best, best_key, log = None, None, []
     for k in range(1, opts.k_max + 1):
@@ -224,8 +209,7 @@ def test_a_longer_chain_limit_makes_no_more_solves(monkeypatch):
 def _attempt_bounds(est, opts):
     """The lower bound of each logged attempt: its k's accepted links' costs,
     the cost of its node and one least link cost f per link still to come."""
-    r = opts.grid_r
-    node_cost = {t: poincare_distance(0, complex(t, 0.0), r=r) for t in opts.t_grid}
+    node_cost = {t: poincare_distance(0, complex(t, 0.0)) for t in opts.t_grid}
     f = node_cost[min(opts.t_grid)]
     prefix, done = {}, {}
     for k, t, cost in est.search_log:
@@ -375,14 +359,6 @@ def test_a_vector_of_the_wrong_length_is_invalid(call, J_std):
     # each vector is checked against the real dimension 2n = 2 before any solve
     with pytest.raises(InvalidParams, match="must have 2 coordinates"):
         call(J_std)
-
-
-def test_search_uses_nodes_beyond_one_on_a_wide_grid(J_std):
-    # on r = 2.5 a node at t = 1.5 is valid and a link there costs arctanh(t / r)
-    est = estimate_distance(J_std, [0.0, 0.0], [0.3, 0.0],
-                            KobayashiOptions(grid_r=2.5, t_grid=(1.5,), k_max=1))
-    assert est.upper == pytest.approx(math.atanh(0.6), abs=1e-15)
-    validate_chain(est.best_chain, 1e-12)
 
 
 @pytest.mark.parametrize("t", [0.75, 0.999])
@@ -618,7 +594,7 @@ def test_the_warmup_link_stops_once_its_miss_is_sure(monkeypatch):
     # iterate 3, the first whose row change has a ratio
     J, p, q = _warmup_input()
     opts = KobayashiOptions()
-    full = two_point_disk(J, p, q, 0.05, opts.cfg, make_grid(opts.grid_r, opts.grid_n))
+    full = two_point_disk(J, p, q, 0.05, opts.cfg, make_grid(1.0, opts.grid_n))
     sols = []
 
     def kept(*args, **kwargs):

@@ -7,8 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jdisk import solver
+from jdisk.brody import derivative_ladder_family
 from jdisk.diskgrid import DiskMap, _bilinear_cells, _combine, d_dz, eval_interp, make_grid
-from jdisk.errors import Diverged, InvalidParams
+from jdisk.errors import Diverged, InvalidGrid, InvalidParams
+from jdisk.kobayashi import derivative_bound
 from jdisk.solver import (SolverConfig, affine_target, check_node, cr_residual,
                           derivative_disk, picard_solve, two_point_disk)
 from jdisk.structure import gallery, q_field
@@ -51,6 +53,9 @@ def test_affine_target_hits_both_points(g65):
         h = affine_target(p, q, t, g65)
         assert np.allclose(eval_interp(h, 0j), p, atol=1e-14)
         assert np.allclose(eval_interp(h, complex(t, 0)), q, atol=1e-13)
+    for t in (0.0, 1.0, float("nan")):
+        with pytest.raises(InvalidParams):
+            affine_target(p, q, t, g65)
     const = affine_target(p, p, 0.5, g65)
     assert np.allclose(const.values[g65.mask], p, atol=0)
 
@@ -305,23 +310,23 @@ def test_two_point_disk_rejects_bad_t(J_std, g65):
             two_point_disk(J_std, p, q, t, SolverConfig(), grid)
 
 
-def test_two_point_disk_reads_nodes_beyond_one_on_a_wide_grid():
-    # the node bound is r - h of the grid, not 1: on r = 2.5 a node at
-    # t = 1.5 is read through a cell well inside the disk
-    J = gallery("conjugated", n=1)
-    g = make_grid(2.5, 33)
-    p, q = np.zeros(2), np.array([0.3, 0.1])
-    sol = two_point_disk(J, p, q, 1.5, SolverConfig(), g)
-    assert np.max(np.abs(sol.v.value_at_center() - p)) <= 1e-14
-    assert np.max(np.abs(eval_interp(sol.v, 1.5 + 0j) - q)) <= 1e-14
-    assert sol.residual < 1e-4
-    # t = 2.45 lies beyond r - h = 2.344, and affine targets need 0 < t < r
-    with pytest.raises(InvalidParams):
-        two_point_disk(J, p, q, 2.45, SolverConfig(), g)
-    assert np.allclose(eval_interp(affine_target(p, q, 1.5, g), 1.5 + 0j), q, atol=1e-14)
-    for t in (0.0, 2.5, float("nan")):
-        with pytest.raises(InvalidParams):
-            affine_target(p, q, t, g)
+@pytest.mark.parametrize("solve", [
+    lambda J, p, cfg: two_point_disk(J, p, [0.3, 0.1], 1.5, cfg, make_grid(2.5, 33)),
+    lambda J, p, cfg: derivative_disk(J, p, [0.3, 0.1], cfg, make_grid(2.5, 33)),
+    lambda J, p, cfg: derivative_bound(J, p, [1.0, 0.0], 4.0, cfg, make_grid(0.5, 33)),
+    lambda J, p, cfg: next(derivative_ladder_family(J, p, [1.0, 0.0], [1.0], cfg,
+                                                    make_grid(2.0, 9))),
+], ids=["two_point_disk", "derivative_disk", "derivative_bound", "derivative_ladder_family"])
+def test_every_solve_refuses_a_grid_off_the_unit_disk(solve, monkeypatch):
+    # a solve at radius r and node t is the unit solve at t / r, whose
+    # residual differs by the factor r alone, so only the unit disk is
+    # solved on: cg_build refuses any other before the first Picard step
+    def stepped(*args):
+        raise AssertionError("a Picard step ran")
+
+    monkeypatch.setattr(solver, "_defect", stepped)
+    with pytest.raises(InvalidGrid, match="unit disk"):
+        solve(gallery("conjugated", n=1), np.zeros(2), SolverConfig())
 
 
 def wirtinger_pair(values, grid):
